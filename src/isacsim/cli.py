@@ -200,18 +200,23 @@ def _region_rows(isac, fdsac):
     return rows
 
 
-def _containment_slack(outer, inner):
-    se = max([p.cr_se for p in outer.corners + inner.corners] or [0.0])
-    return 3.0 * se
+def _log_containment(link, isac, fdsac):
+    # FDSAC corners near the regions' shared endpoint escape the ISAC region
+    # at finite SNR: a property of the model (README.md), not a failed check.
+    se = max([p.cr_se for p in isac.corners + fdsac.corners] or [0.0])
+    gaps = rg.corner_gaps(isac, fdsac.corners, cr_slack=3.0 * se)
+    outside = int(np.count_nonzero(gaps > 1e-6))
+    log.info("%s containment (isac >= fdsac): %s, %d/%d fdsac corners "
+             "outside (worst gap %.3g); a known finite-SNR escape of the "
+             "model, see README.md", link, outside == 0, outside, gaps.size,
+             gaps.max(initial=-np.inf))
 
 
 def _run_region_dl(cfg, params):
     size = params["grid_size"]
     isac = rg.dl_isac_region(cfg, cfg.p_c, cfg.p_s, grid_size=size)
     fdsac = rg.dl_fdsac_region(cfg, cfg.p_c, cfg.p_s, grid_size=size)
-    ok, gap = rg.region_contains(isac, fdsac,
-                                 cr_slack=_containment_slack(isac, fdsac))
-    log.info("downlink containment (isac >= fdsac): %s (worst gap %.3g)", ok, gap)
+    _log_containment("downlink", isac, fdsac)
     return ["system", "sweep_param", "sweep_value", "cr", "cr_std_err", "sr"], \
         _region_rows(isac, fdsac)
 
@@ -220,9 +225,7 @@ def _run_region_ul(cfg, params):
     size = params["grid_size"]
     isac = rg.ul_isac_region(cfg, cfg.p_c, cfg.p_s, grid_size=size)
     fdsac = rg.ul_fdsac_region(cfg, cfg.p_c, cfg.p_s, grid_size=size)
-    ok, gap = rg.region_contains(isac, fdsac,
-                                 cr_slack=_containment_slack(isac, fdsac))
-    log.info("uplink containment (isac >= fdsac): %s (worst gap %.3g)", ok, gap)
+    _log_containment("uplink", isac, fdsac)
     return ["system", "sweep_param", "sweep_value", "cr", "cr_std_err", "sr"], \
         _region_rows(isac, fdsac)
 

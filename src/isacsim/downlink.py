@@ -39,7 +39,7 @@ LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class PowerAllocation:
-    """Per-user powers of the dual multiple-access problem."""
+    """Per-user powers of the dual multiple-access problem: (K,) or (..., K)."""
 
     powers: np.ndarray
     sum_budget: float
@@ -75,19 +75,19 @@ def _objective(h, powers):
     return ld / LN2
 
 
-def _alloc_two_users(h, p_c):
-    # det(I + p1 h1 h1^H + p2 h2 h2^H) is quadratic in p1 along p1+p2=p_c,
-    # so the optimum is closed form.
-    h1, h2 = h[:, 0], h[:, 1]
-    a = float(np.real(h1.conj() @ h1))
-    b = float(np.real(h2.conj() @ h2))
-    gamma = a * b - abs(h1.conj() @ h2) ** 2
-    if gamma > 0.0:
+def _two_user_terms(h, p_c):
+    # det(I + p1 h1 h1^H + p2 h2 h2^H) = 1 + p1 a + p2 b + p1 p2 gamma is
+    # quadratic in p1 along p1 + p2 = p_c, so the optimum is closed form.
+    # h is (..., M, 2); returns p1, a, b, gamma, each of shape (...).
+    h1, h2 = h[..., 0], h[..., 1]
+    a = np.sum(np.abs(h1) ** 2, axis=-1)
+    b = np.sum(np.abs(h2) ** 2, axis=-1)
+    cross = np.abs(np.sum(h1.conj() * h2, axis=-1)) ** 2
+    gamma = np.maximum(a * b - cross, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
         t = (p_c * gamma + a - b) / (2.0 * gamma)
-        t = min(max(t, 0.0), p_c)
-    else:
-        t = p_c if a >= b else 0.0
-    return np.array([t, p_c - t])
+    t = np.where(gamma > 0.0, t, np.where(a >= b, p_c, 0.0))
+    return np.clip(t, 0.0, p_c), a, b, gamma
 
 
 def _project_simplex(v, budget):
@@ -133,21 +133,26 @@ def dual_mac_power_alloc(h_d, p_c) -> PowerAllocation:
     """Sum-rate maximizing powers for the dual multiple-access problem.
 
     Maximizes log2 det(I_M + sum_k p_k h_k h_k^H) over p_k >= 0 with
-    sum(p_k) <= p_c.  K = 1 and K = 2 are solved in closed form; larger K
-    uses projected gradient ascent on the simplex.
+    sum(p_k) <= p_c.  ``h_d`` is one channel (M, K) or a stack (..., M, K);
+    the powers are (K,) or (..., K).  K = 1 and K = 2 are solved in closed
+    form over the whole stack; larger K uses projected gradient ascent on
+    the simplex, one channel at a time.
     """
     h = np.asarray(h_d, dtype=complex)
     if p_c < 0.0:
         raise ModelError("p_c must be nonnegative")
-    k = h.shape[1]
+    shape = h.shape[:-2] + h.shape[-1:]
+    k = shape[-1]
     if p_c == 0.0:
-        powers = np.zeros(k)
+        powers = np.zeros(shape)
     elif k == 1:
-        powers = np.array([p_c])
+        powers = np.full(shape, float(p_c))
     elif k == 2:
-        powers = _alloc_two_users(h, p_c)
+        t = _two_user_terms(h, p_c)[0]
+        powers = np.stack([t, p_c - t], axis=-1)
     else:
-        powers = _alloc_pgd(h, p_c)
+        flat = h.reshape((-1,) + h.shape[-2:])
+        powers = np.array([_alloc_pgd(x, p_c) for x in flat]).reshape(shape)
     return PowerAllocation(powers=powers, sum_budget=float(p_c))
 
 
@@ -167,23 +172,18 @@ def dl_sum_rate_batch(h_batch, p_c):
         g = np.sum(np.abs(h[:, :, 0]) ** 2, axis=1)
         return np.log2(1.0 + p_c * g)
     if k == 2:
-        h1, h2 = h[:, :, 0], h[:, :, 1]
-        a = np.sum(np.abs(h1) ** 2, axis=1)
-        b = np.sum(np.abs(h2) ** 2, axis=1)
-        cross = np.abs(np.sum(h1.conj() * h2, axis=1)) ** 2
-        gamma = np.maximum(a * b - cross, 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (p_c * gamma + a - b) / (2.0 * gamma)
-        t = np.where(gamma > 0.0, t, np.where(a >= b, p_c, 0.0))
-        t = np.clip(t, 0.0, p_c)
-        det = 1.0 + t * a + (p_c - t) * b + t * (p_c - t) * gamma
-        return np.log2(det)
+        t, a, b, gamma = _two_user_terms(h, p_c)
+        return np.log2(1.0 + t * a + (p_c - t) * b + t * (p_c - t) * gamma)
     return np.array([dl_sum_rate(h[i], p_c) for i in range(h.shape[0])])
 
 
 # ---------------------------------------------------------------------------
 # Duality transformation and the mean input covariance
 # ---------------------------------------------------------------------------
+
+def _herm(x):
+    return x.conj().swapaxes(-1, -2)
+
 
 def mac_to_bc_covariance(h_d, alloc: PowerAllocation):
     """Downlink input covariance realizing the dual-MAC sum rate.
@@ -193,42 +193,31 @@ def mac_to_bc_covariance(h_d, alloc: PowerAllocation):
     with interference B_k = I + sum_{l>k} p_l h_l h_l^H on the uplink side
     and the already-placed covariances on the downlink side.  Total trace
     equals the total dual power.
+
+    Leading axes are batch axes: channels (..., M, K) with powers (..., K)
+    give covariances (..., M, M), each from its own recursion; one (M, K)
+    channel gives one M x M matrix.
     """
     h = np.asarray(h_d, dtype=complex)
-    m, k_users = h.shape
+    m, k_users = h.shape[-2:]
     powers = np.asarray(alloc.powers, dtype=float)
-    if powers.size != k_users or np.any(powers < -1e-12):
+    if powers.shape != h.shape[:-2] + (k_users,) or np.any(powers < -1e-12):
         raise ModelError("allocation does not match the channel")
-    if powers.sum() > alloc.sum_budget + 1e-9:
+    if np.any(powers.sum(axis=-1) > alloc.sum_budget + 1e-9):
         raise ModelError("allocation exceeds its budget")
 
-    sigma = np.zeros((m, m), dtype=complex)
+    sigma = np.zeros(h.shape[:-1] + (m,), dtype=complex)
     for k in range(k_users):
-        hk = h[:, k]
-        b = np.eye(m, dtype=complex)
-        for l in range(k + 1, k_users):
-            b += powers[l] * np.outer(h[:, l], h[:, l].conj())
-        a_k = 1.0 + float(np.real(hk.conj() @ sigma @ hk))
+        hk, rest = h[..., k:k + 1], h[..., k + 1:]
+        b = np.eye(m) + (rest * powers[..., None, k + 1:]) @ _herm(rest)
         b_inv_h = np.linalg.solve(b, hk)
-        quad = float(np.real(hk.conj() @ b_inv_h))
-        if powers[k] > 0.0 and quad > 0.0:
-            sigma += (powers[k] * a_k / quad) * np.outer(b_inv_h, b_inv_h.conj())
-    return 0.5 * (sigma + sigma.conj().T)
-
-
-def _bc_rate_from_covariances(h_d, sigma_total_per_user):
-    # Per-user dirty-paper rates with encoding such that user k sees
-    # interference only from users l < k; used by the duality tests.
-    h = np.asarray(h_d, dtype=complex)
-    total = 0.0
-    running = np.zeros((h.shape[0], h.shape[0]), dtype=complex)
-    for k, q in enumerate(sigma_total_per_user):
-        hk = h[:, k]
-        interf = 1.0 + float(np.real(hk.conj() @ running @ hk))
-        signal = float(np.real(hk.conj() @ q @ hk))
-        total += math.log2(1.0 + signal / interf)
-        running = running + q
-    return total
+        a_k = 1.0 + np.real(_herm(hk) @ sigma @ hk)
+        quad = np.real(_herm(hk) @ b_inv_h)
+        p_k = powers[..., k, None, None]
+        keep = (p_k > 0.0) & (quad > 0.0)
+        scale = np.where(keep, p_k * a_k / np.where(keep, quad, 1.0), 0.0)
+        sigma += scale * (b_inv_h @ _herm(b_inv_h))
+    return 0.5 * (sigma + _herm(sigma))
 
 
 _sigma_cache: dict = {}
@@ -238,8 +227,9 @@ def estimate_mean_covariance(cfg: chan.SimConfig, p_c=None,
                              trials=10_000) -> MeanInputCovariance:
     """Average of the per-realization downlink covariance over channel draws.
 
-    Cached per (config, p_c, trials): the result feeds every downlink
-    sensing-rate evaluation and is expensive to recompute.
+    Each block of draws is allocated and mapped through the duality in one
+    batched call.  Cached per (config, p_c, trials): the result feeds every
+    downlink sensing-rate evaluation.
     """
     p_c = cfg.p_c if p_c is None else float(p_c)
     key = (cfg, p_c, int(trials))
@@ -262,10 +252,8 @@ def estimate_mean_covariance(cfg: chan.SimConfig, p_c=None,
         h_block = chan.sample_channel_block(corr, cfg.K, cfg.seed, block,
                                             chan.STREAM_COVARIANCE)
         take = min(chan.BLOCK_SIZE, trials - done)
-        for t in range(take):
-            h = h_block[t]
-            alloc = dual_mac_power_alloc(h, p_c)
-            acc += mac_to_bc_covariance(h, alloc)
+        h = h_block[:take]
+        acc += np.sum(mac_to_bc_covariance(h, dual_mac_power_alloc(h, p_c)), axis=0)
         done += take
         block += 1
     sigma = acc / trials

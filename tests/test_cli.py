@@ -1,4 +1,6 @@
 import json
+import logging
+import re
 
 import pytest
 
@@ -85,6 +87,20 @@ class TestMain:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("system,sweep_param,sweep_value")
         assert len(lines) == 1 + 2 * 4  # two systems, grid_size 4
+
+    def test_region_dl_logs_containment_as_known_escape(self, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="isacsim")
+        assert cli.main(["--experiment", "region_dl",
+                         "--config", write_config(tmp_path),
+                         "--out", str(tmp_path / "region.csv")]) == 0
+        [line] = [r.getMessage() for r in caplog.records
+                  if "containment" in r.getMessage()]
+        match = re.match(r"downlink containment \(isac >= fdsac\): (True|False), "
+                         r"(\d+)/4 fdsac corners outside \(worst gap \S+\); "
+                         r"a known finite-SNR escape of the model, see README.md$",
+                         line)
+        assert match, line
+        assert (match[1] == "False") == (int(match[2]) > 0)
 
     def test_bad_config_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"

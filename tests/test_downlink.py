@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from scipy.special import exp1
 
+from isacsim import channel as chan
+from isacsim import downlink as dl
 from isacsim.channel import SimConfig
 from isacsim.downlink import (
+    PowerAllocation,
     dl_ecr,
     dl_ecr_asymptote,
     dl_ecr_fdsac,
@@ -26,6 +29,27 @@ EULER_GAMMA = float(np.euler_gamma)
 def scalar_cfg(seed=0):
     # single-antenna, single-user link: everything has a textbook answer
     return SimConfig(M=1, N=1, K=1, L=1, rho_target=0.0, rho_cu=0.0, seed=seed)
+
+
+def _per_user_covariances(h, powers):
+    # duality recursion, reimplemented here as the oracle
+    m, k_users = h.shape
+    qs = []
+    running = np.zeros((m, m), dtype=complex)
+    for k in range(k_users):
+        hk = h[:, k]
+        b = np.eye(m, dtype=complex)
+        for l in range(k + 1, k_users):
+            b += powers[l] * np.outer(h[:, l], h[:, l].conj())
+        a_k = 1.0 + float(np.real(hk.conj() @ running @ hk))
+        bh = np.linalg.solve(b, hk)
+        quad = float(np.real(hk.conj() @ bh))
+        q = np.zeros((m, m), dtype=complex)
+        if powers[k] > 0.0 and quad > 0.0:
+            q = (powers[k] * a_k / quad) * np.outer(bh, bh.conj())
+        qs.append(q)
+        running += q
+    return qs
 
 
 class TestDualMacAlloc:
@@ -95,26 +119,6 @@ class TestDuality:
             running += q
         return total
 
-    def _per_user_covariances(self, h, powers):
-        # duality recursion, reimplemented here as the oracle
-        m, k_users = h.shape
-        qs = []
-        running = np.zeros((m, m), dtype=complex)
-        for k in range(k_users):
-            hk = h[:, k]
-            b = np.eye(m, dtype=complex)
-            for l in range(k + 1, k_users):
-                b += powers[l] * np.outer(h[:, l], h[:, l].conj())
-            a_k = 1.0 + float(np.real(hk.conj() @ running @ hk))
-            bh = np.linalg.solve(b, hk)
-            quad = float(np.real(hk.conj() @ bh))
-            q = np.zeros((m, m), dtype=complex)
-            if powers[k] > 0.0 and quad > 0.0:
-                q = (powers[k] * a_k / quad) * np.outer(bh, bh.conj())
-            qs.append(q)
-            running += q
-        return qs
-
     def test_single_user_beamforming(self):
         h = np.array([[1.0], [2.0]], dtype=complex)
         alloc = dual_mac_power_alloc(h, 3.0)
@@ -138,13 +142,33 @@ class TestDuality:
             assert np.trace(sigma).real == pytest.approx(alloc.powers.sum(),
                                                          abs=1e-6)
             assert np.min(np.linalg.eigvalsh(sigma)) > -1e-9
-            qs = self._per_user_covariances(h, alloc.powers)
+            qs = _per_user_covariances(h, alloc.powers)
             assert np.allclose(sum(qs), sigma, atol=1e-8)
             assert self._dpc_rate(h, qs) == pytest.approx(
                 dl_sum_rate(h, p_c), abs=1e-6)
 
+    @pytest.mark.parametrize("k_users", [1, 2, 3])
+    def test_batched_matches_single_channel_calls(self, k_users):
+        rng = np.random.default_rng(40 + k_users)
+        m = max(2, k_users)
+        h = (rng.standard_normal((6, m, k_users))
+             + 1j * rng.standard_normal((6, m, k_users))) / np.sqrt(2.0)
+        if k_users > 1:
+            h[1, :, 1] = (0.7 - 0.2j) * h[1, :, 0]  # rank-deficient: gamma = 0
+        alloc = dual_mac_power_alloc(h, 5.0)
+        powers = alloc.powers.copy()
+        powers[2, 0] = 0.0  # a zero-power user
+        sigma = mac_to_bc_covariance(h, PowerAllocation(powers, 5.0))
+        assert alloc.powers.shape == (6, k_users) and sigma.shape == (6, m, m)
+        for t in range(6):
+            single = dual_mac_power_alloc(h[t], 5.0).powers
+            assert np.max(np.abs(single - alloc.powers[t])) <= 1e-12
+            one = mac_to_bc_covariance(h[t], PowerAllocation(powers[t], 5.0))
+            oracle = sum(_per_user_covariances(h[t], powers[t]))
+            assert np.max(np.abs(sigma[t] - one)) <= 1e-12
+            assert np.max(np.abs(sigma[t] - oracle)) <= 1e-12
+
     def test_rejects_infeasible_alloc(self):
-        from isacsim.downlink import PowerAllocation
         h = np.eye(2, dtype=complex)
         bad = PowerAllocation(powers=np.array([2.0, 2.0]), sum_budget=1.0)
         with pytest.raises(ModelError):
@@ -157,6 +181,43 @@ class TestMeanCovariance:
         est = estimate_mean_covariance(cfg, p_c=4.0, trials=2000)
         assert np.trace(est.sigma_matrix).real == pytest.approx(4.0, abs=1e-9)
         assert np.min(np.linalg.eigvalsh(est.sigma_matrix)) > -1e-9
+
+    @pytest.mark.parametrize("m, k_users, block", [
+        (2, 1, chan.BLOCK_SIZE), (2, 2, chan.BLOCK_SIZE),
+        (3, 3, 64),  # projected gradient per trial: a small block keeps it cheap
+    ])
+    def test_matches_per_trial_loop(self, monkeypatch, m, k_users, block):
+        monkeypatch.setattr(chan, "BLOCK_SIZE", block)
+        monkeypatch.setattr(dl, "_sigma_cache", {})
+        cfg = SimConfig(M=m, N=m, K=k_users, L=4, seed=5)
+        trials = block + 37  # crosses a block boundary
+        est = estimate_mean_covariance(cfg, p_c=4.0, trials=trials)
+        blocks = [chan.sample_channel_block(cfg.r_cu(), k_users, cfg.seed, b,
+                                            chan.STREAM_COVARIANCE)
+                  for b in range(2)]
+        acc = np.zeros((m, m), dtype=complex)
+        for t in range(trials):
+            h = blocks[t // block][t % block]
+            acc += sum(_per_user_covariances(h, dual_mac_power_alloc(h, 4.0).powers))
+        assert est.trials_used == trials
+        assert np.max(np.abs(est.sigma_matrix - acc / trials)) <= 1e-12
+
+    def test_draws_one_block_per_block_size(self, monkeypatch):
+        drawn = []
+        sample = chan.sample_channel_block
+
+        def counting(corr, columns, seed, block, stream=chan.STREAM_GENERIC):
+            drawn.append((block, stream))
+            return sample(corr, columns, seed, block, stream)
+
+        monkeypatch.setattr(chan, "sample_channel_block", counting)
+        monkeypatch.setattr(dl, "_sigma_cache", {})
+        cfg = SimConfig(M=2, N=2, K=2, L=4, seed=3)
+        for trials in (1, chan.BLOCK_SIZE, 2 * chan.BLOCK_SIZE + 1):
+            drawn.clear()
+            estimate_mean_covariance(cfg, p_c=4.0, trials=trials)
+            blocks = math.ceil(trials / chan.BLOCK_SIZE)
+            assert drawn == [(b, chan.STREAM_COVARIANCE) for b in range(blocks)]
 
     def test_cached(self):
         cfg = SimConfig(M=2, N=2, K=2, L=4, seed=3)
