@@ -8,6 +8,7 @@ mean transmit covariance that feeds the sensing-noise level.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -68,11 +69,23 @@ class MonteCarloEstimate:
 # Dual-MAC sum-rate optimization
 # ---------------------------------------------------------------------------
 
+# Shortfall from the optimum (bits) below which a K >= 3 allocation is
+# returned, and the iteration cap after which an uncertified one raises.
+_GAP_TOL = 1e-9
+_MAX_ITER = 50_000
+
+
+def _herm(x):
+    return x.conj().swapaxes(-1, -2)
+
+
+def _mac_matrix(h, powers):
+    # A = I + sum_k p_k h_k h_k^H of a channel (M, K) or a stack (..., M, K)
+    return np.eye(h.shape[-2]) + (h * powers[..., None, :]) @ _herm(h)
+
+
 def _objective(h, powers):
-    m = h.shape[0]
-    a = np.eye(m, dtype=complex) + (h * powers) @ h.conj().T
-    sign, ld = np.linalg.slogdet(a)
-    return ld / LN2
+    return np.linalg.slogdet(_mac_matrix(h, powers))[1] / LN2
 
 
 def _two_user_terms(h, p_c):
@@ -82,61 +95,82 @@ def _two_user_terms(h, p_c):
     h1, h2 = h[..., 0], h[..., 1]
     a = np.sum(np.abs(h1) ** 2, axis=-1)
     b = np.sum(np.abs(h2) ** 2, axis=-1)
-    cross = np.abs(np.sum(h1.conj() * h2, axis=-1)) ** 2
-    gamma = np.maximum(a * b - cross, 0.0)
+    # gamma = a b - |h1^H h2|^2 summed as 2 x 2 minors (Binet-Cauchy): the
+    # difference cancels for nearly parallel users, the sum does not
+    gamma = sum((np.abs(h1[..., i] * h2[..., j] - h1[..., j] * h2[..., i]) ** 2
+                 for i, j in itertools.combinations(range(h.shape[-2]), 2)),
+                np.zeros_like(a))
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (p_c * gamma + a - b) / (2.0 * gamma)
     t = np.where(gamma > 0.0, t, np.where(a >= b, p_c, 0.0))
     return np.clip(t, 0.0, p_c), a, b, gamma
 
 
-def _project_simplex(v, budget):
-    # Euclidean projection onto {p >= 0, sum(p) = budget}
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - budget
-    rho = np.nonzero(u * np.arange(1, v.size + 1) > css)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+def _gram(h, p):
+    # Q = H^H A^-1 H from one batched solve.  Its diagonal q_k / ln 2 is the
+    # gradient of the objective (bits per unit power of user k).
+    return _herm(h) @ np.linalg.solve(_mac_matrix(h, p), h)
 
 
-def _alloc_pgd(h, p_c, tol=1e-10, max_iter=500):
-    # Projected gradient ascent on the power simplex with backtracking.
-    # The objective is concave, so this meets the 1e-7 optimality contract.
-    k = h.shape[1]
-    m = h.shape[0]
-    p = np.full(k, p_c / k)
-    obj = _objective(h, p)
-    step = max(p_c, 1.0)
-    for _ in range(max_iter):
-        a = np.eye(m, dtype=complex) + (h * p) @ h.conj().T
-        sol = np.linalg.solve(a, h)
-        grad = np.real(np.sum(h.conj() * sol, axis=0)) / LN2
-        improved = False
-        while step > 1e-16:
-            cand = _project_simplex(p + step * grad, p_c)
-            cand_obj = _objective(h, cand)
-            if cand_obj > obj:
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-        gain = cand_obj - obj
-        p, obj = cand, cand_obj
-        step *= 2.0
-        if gain < tol:
-            break
-    return p
+def _fw_gap(q, p, p_c):
+    # Frank-Wolfe gap p_c max_k grad_k - sum_k p_k grad_k (bits): the objective
+    # is concave, so it bounds the shortfall of p from the optimum.
+    return (p_c * np.max(q, axis=-1) - np.sum(p * q, axis=-1)) / LN2
+
+
+def _alloc_pairwise(h, p_c):
+    # Greedy two-user water-filling (the 2-coordinate ascent of A. Beck,
+    # J. Optim. Theory Appl. 162(3), 2014) over a stack of channels.  Each
+    # step moves power s from user b, the smallest gradient among users with
+    # power, to user a, the largest, and solves that two-user problem
+    # exactly: det A(s) / det A = 1 + s (Q_aa - Q_bb) - s^2 c with
+    # c = Q_aa Q_bb - |Q_ab|^2 >= 0 is concave in s, so
+    # s = min(p_b, (Q_aa - Q_bb) / 2c).  Trials leave the active set once
+    # their gap is at most _GAP_TOL; an uncertified trial raises.
+    k = h.shape[-1]
+    flat = h.reshape((-1,) + h.shape[-2:])
+    powers = np.empty((flat.shape[0], k))
+    active = np.arange(flat.shape[0])
+    p = np.full(powers.shape, p_c / k)
+    for _ in range(_MAX_ITER):
+        gram = _gram(flat, p)
+        q = np.diagonal(gram, axis1=-2, axis2=-1).real
+        gap = _fw_gap(q, p, p_c)
+        done = gap <= _GAP_TOL
+        if np.any(done):
+            powers[active[done]] = p[done]
+            keep = ~done
+            active, flat, p, q, gram = (active[keep], flat[keep], p[keep],
+                                        q[keep], gram[keep])
+        if not active.size:
+            return powers.reshape(h.shape[:-2] + (k,))
+        rows = np.arange(active.size)
+        a = np.argmax(q, axis=-1)
+        b = np.argmin(np.where(p > 0.0, q, np.inf), axis=-1)
+        q_a, q_b = q[rows, a], q[rows, b]
+        curv = q_a * q_b - np.abs(gram[rows, a, b]) ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = np.where(curv > 0.0, (q_a - q_b) / (2.0 * curv), np.inf)
+        s = np.minimum(s, p[rows, b])
+        p[rows, a] += s
+        p[rows, b] -= s
+    raise ArithmeticError(
+        f"dual-MAC solve left {active.size} allocation(s) uncertified after "
+        f"{_MAX_ITER} iterations (worst gap {np.max(gap):.3e} bits)")
 
 
 def dual_mac_power_alloc(h_d, p_c) -> PowerAllocation:
     """Sum-rate maximizing powers for the dual multiple-access problem.
 
     Maximizes log2 det(I_M + sum_k p_k h_k h_k^H) over p_k >= 0 with
-    sum(p_k) <= p_c.  ``h_d`` is one channel (M, K) or a stack (..., M, K);
+    sum(p_k) = p_c.  ``h_d`` is one channel (M, K) or a stack (..., M, K);
     the powers are (K,) or (..., K).  K = 1 and K = 2 are solved in closed
-    form over the whole stack; larger K uses projected gradient ascent on
-    the simplex, one channel at a time.
+    form.  Larger K is solved for the whole stack at once by greedy
+    two-user water-filling: each step moves power between the users with
+    the largest and the smallest gradient by the exact two-user optimum.
+    Every returned allocation is certified by its Frank-Wolfe gap to lie
+    within 1e-9 bits of the optimum; ArithmeticError is raised if any
+    channel is not certified within 50,000 steps.
     """
     h = np.asarray(h_d, dtype=complex)
     if p_c < 0.0:
@@ -151,15 +185,19 @@ def dual_mac_power_alloc(h_d, p_c) -> PowerAllocation:
         t = _two_user_terms(h, p_c)[0]
         powers = np.stack([t, p_c - t], axis=-1)
     else:
-        flat = h.reshape((-1,) + h.shape[-2:])
-        powers = np.array([_alloc_pgd(x, p_c) for x in flat]).reshape(shape)
+        powers = _alloc_pairwise(h, p_c)
     return PowerAllocation(powers=powers, sum_budget=float(p_c))
 
 
-def dl_sum_rate(h_d, p_c) -> float:
-    """Maximal downlink sum rate (bits) for one channel realization."""
-    alloc = dual_mac_power_alloc(h_d, p_c)
-    return _objective(np.asarray(h_d, dtype=complex), alloc.powers)
+def dl_sum_rate(h_d, p_c):
+    """Maximal downlink sum rate (bits) over the dual-MAC powers.
+
+    A float for one channel (M, K); an array (...) for a stack (..., M, K),
+    allocated in one ``dual_mac_power_alloc`` call.
+    """
+    h = np.asarray(h_d, dtype=complex)
+    rate = _objective(h, dual_mac_power_alloc(h, p_c).powers)
+    return float(rate) if h.ndim == 2 else rate
 
 
 def dl_sum_rate_batch(h_batch, p_c):
@@ -174,16 +212,12 @@ def dl_sum_rate_batch(h_batch, p_c):
     if k == 2:
         t, a, b, gamma = _two_user_terms(h, p_c)
         return np.log2(1.0 + t * a + (p_c - t) * b + t * (p_c - t) * gamma)
-    return np.array([dl_sum_rate(h[i], p_c) for i in range(h.shape[0])])
+    return dl_sum_rate(h, p_c)
 
 
 # ---------------------------------------------------------------------------
 # Duality transformation and the mean input covariance
 # ---------------------------------------------------------------------------
-
-def _herm(x):
-    return x.conj().swapaxes(-1, -2)
-
 
 def mac_to_bc_covariance(h_d, alloc: PowerAllocation):
     """Downlink input covariance realizing the dual-MAC sum rate.

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import exp1
 
 from isacsim import channel as chan
@@ -29,6 +31,20 @@ EULER_GAMMA = float(np.euler_gamma)
 def scalar_cfg(seed=0):
     # single-antenna, single-user link: everything has a textbook answer
     return SimConfig(M=1, N=1, K=1, L=1, rho_target=0.0, rho_cu=0.0, seed=seed)
+
+
+def _channels(m, k_users, rho, count, seed):
+    # the first ``count`` downlink draws of one block, correlation rho at the BS
+    corr = chan.exp_correlation(m, rho)
+    return chan.sample_channel_block(corr, k_users, seed, 0,
+                                     chan.STREAM_DOWNLINK)[:count]
+
+
+def _gradient(h, powers):
+    # gradient of log2 det(I + H diag(p) H^H) in p, through an explicit inverse
+    a = np.eye(h.shape[-2]) + (h * powers[..., None, :]) @ h.conj().swapaxes(-1, -2)
+    inv_h = np.linalg.inv(a) @ h
+    return np.real(np.sum(h.conj() * inv_h, axis=-2)) / math.log(2.0)
 
 
 def _per_user_covariances(h, powers):
@@ -82,12 +98,94 @@ class TestDualMacAlloc:
                 _, ld = np.linalg.slogdet(m)
                 assert best >= ld / math.log(2.0) - 1e-7
 
+    @pytest.mark.parametrize("m, k_users", [(3, 3), (4, 3), (4, 4)])
+    def test_certified_gap_and_kkt(self, m, k_users):
+        h = _channels(m, k_users, 0.8, 300, seed=11)
+        h[:100, :, -1] *= 0.05  # a weak user, left without power at low p_c
+        inactive_seen = 0
+        for p_c in (0.3, 10.0, 1e4):
+            p = dual_mac_power_alloc(h, p_c).powers
+            assert np.all(p >= 0.0)
+            assert np.allclose(p.sum(axis=-1), p_c, rtol=1e-12, atol=0.0)
+            grad = _gradient(h, p)
+            gap = p_c * grad.max(axis=-1) - np.sum(p * grad, axis=-1)
+            assert np.max(gap) <= 1e-9 + 1e-12
+            # KKT: users with power share one gradient, the others' is no larger
+            lam = np.take_along_axis(grad, np.argmax(p, axis=-1)[:, None], axis=-1)
+            active = p >= 1e-3 * p_c
+            assert np.max(np.abs(grad - lam)[active]) * p_c <= 2e-6
+            assert np.max((grad - lam)[~active], initial=0.0) * p_c <= 1e-8
+            inactive_seen += int(np.count_nonzero(p < 1e-6 * p_c))
+        assert inactive_seen > 0
+
+    def test_beats_random_allocations_near_collinear(self):
+        # nearly parallel users (rho_cu = 0.999) at 60 dB: A is ill-conditioned
+        rng = np.random.default_rng(31)
+        h = _channels(3, 3, 0.999, 20, seed=12)
+        p_c = 1e6
+        rates = dl_sum_rate(h, p_c)
+        assert rates.shape == (20,)
+        for hh, rate in zip(h, rates):
+            allocs = rng.dirichlet(np.ones(3), size=10_000) * p_c
+            mats = np.eye(3) + (hh * allocs[:, None, :]) @ hh.conj().T
+            best = np.max(np.linalg.slogdet(mats)[1]) / math.log(2.0)
+            assert rate >= best - 1e-9
+            assert rate == dl_sum_rate(hh, p_c)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("rho", [0.0, 0.8, 0.999, 0.999999])
+    def test_two_user_closed_form_matches_iterative(self, m, rho):
+        h = _channels(m, 2, rho, 2000, seed=13)
+        h1, h2 = h[..., 0], h[..., 1]
+        a = np.sum(np.abs(h1) ** 2, axis=-1)
+        b = np.sum(np.abs(h2) ** 2, axis=-1)
+        i, j = np.triu_indices(m, 1)
+        gamma = np.sum(np.abs(h1[:, i] * h2[:, j] - h1[:, j] * h2[:, i]) ** 2, axis=-1)
+
+        def rate(p):
+            # det(I + p1 h1 h1^H + p2 h2 h2^H) expanded, with a b - |h1^H h2|^2
+            # as a sum of 2 x 2 minors: slogdet does not resolve 1e-9 bits at 60 dB
+            return np.log2(1.0 + p[:, 0] * a + p[:, 1] * b + p[:, 0] * p[:, 1] * gamma)
+
+        for p_db in (-20.0, 0.0, 30.0, 60.0):
+            p_c = 10.0 ** (p_db / 10.0)
+            certified = rate(dl._alloc_pairwise(h, p_c))  # within 1e-9 of the optimum
+            for closed in (rate(dual_mac_power_alloc(h, p_c).powers),
+                           dl_sum_rate_batch(h, p_c)):
+                assert np.min(closed - certified) >= -1e-12
+                assert np.max(closed - certified) <= 1e-9
+
+    def test_uncertified_allocation_raises(self, monkeypatch):
+        monkeypatch.setattr(dl, "_MAX_ITER", 1)
+        with pytest.raises(ArithmeticError, match="uncertified"):
+            dual_mac_power_alloc(_channels(3, 3, 0.8, 4, seed=14), 10.0)
+
     def test_zero_power(self):
         assert dl_sum_rate(np.eye(2, dtype=complex), 0.0) == 0.0
 
     def test_rejects_negative_power(self):
         with pytest.raises(ModelError):
             dual_mac_power_alloc(np.eye(2, dtype=complex), -1.0)
+
+
+class TestAllocationProperties:
+    @given(dims=st.integers(1, 4).flatmap(
+               lambda m: st.tuples(st.just(m), st.integers(1, m))),
+           rho=st.floats(0.0, 0.999999), snr_db=st.floats(-20.0, 60.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_certified_on_the_simplex(self, dims, rho, snr_db, seed):
+        m, k_users = dims
+        rng = np.random.default_rng(seed)
+        shape = (8, m, k_users)
+        w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        h = chan.exp_correlation(m, rho).sqrt() @ (w / np.sqrt(2.0))
+        p_c = 10.0 ** (snr_db / 10.0)
+        p = dual_mac_power_alloc(h, p_c).powers
+        assert np.all(p >= 0.0)
+        assert np.allclose(p.sum(axis=-1), p_c, rtol=1e-12, atol=0.0)
+        q = np.diagonal(dl._gram(h, p), axis1=-2, axis2=-1).real
+        gap = dl._fw_gap(q, p, p_c)
+        assert np.max(gap) <= 1e-9
 
 
 class TestBatchRate:
@@ -147,7 +245,7 @@ class TestDuality:
             assert self._dpc_rate(h, qs) == pytest.approx(
                 dl_sum_rate(h, p_c), abs=1e-6)
 
-    @pytest.mark.parametrize("k_users", [1, 2, 3])
+    @pytest.mark.parametrize("k_users", [1, 2, 3, 4])
     def test_batched_matches_single_channel_calls(self, k_users):
         rng = np.random.default_rng(40 + k_users)
         m = max(2, k_users)
@@ -184,7 +282,7 @@ class TestMeanCovariance:
 
     @pytest.mark.parametrize("m, k_users, block", [
         (2, 1, chan.BLOCK_SIZE), (2, 2, chan.BLOCK_SIZE),
-        (3, 3, 64),  # projected gradient per trial: a small block keeps it cheap
+        (3, 3, 64),  # the reference solves one trial at a time: keep the block small
     ])
     def test_matches_per_trial_loop(self, monkeypatch, m, k_users, block):
         monkeypatch.setattr(chan, "BLOCK_SIZE", block)
