@@ -6,17 +6,9 @@ bandwidth-split baselines for comparison.
 """
 
 from .analysis import SlopeFit, fit_diversity, fit_highsnr_slope
-from .channel import (
-    ChannelDraw,
-    CorrelationMatrix,
-    SimConfig,
-    draw_channels,
-    exp_correlation,
-    sample_channel,
-)
+from .channel import CorrelationMatrix, SimConfig, exp_correlation
 from .downlink import (
     MeanInputCovariance,
-    MonteCarloEstimate,
     PowerAllocation,
     dl_ecr,
     dl_ecr_asymptote,
@@ -28,12 +20,12 @@ from .downlink import (
     estimate_mean_covariance,
     mac_to_bc_covariance,
 )
+from .mc import MonteCarloEstimate
 from .numerics import (
     EigenSystem,
     ModelError,
     WaterfillSolution,
     hermitian_eig,
-    logdet_pd,
     matrix_sqrt_psd,
     waterfill,
 )

@@ -22,13 +22,10 @@ __all__ = [
     "STREAM_COVARIANCE",
     "STREAM_GENERIC",
     "CorrelationMatrix",
-    "ChannelDraw",
     "SimConfig",
     "exp_correlation",
     "block_rng",
     "sample_channel_block",
-    "sample_channel",
-    "draw_channels",
 ]
 
 BLOCK_SIZE = 8192
@@ -72,16 +69,6 @@ class CorrelationMatrix:
 
     def sqrt(self) -> np.ndarray:
         return matrix_sqrt_psd(self.matrix)
-
-
-@dataclass(frozen=True)
-class ChannelDraw:
-    """One Monte Carlo realization of the downlink and uplink channels."""
-
-    h_downlink: np.ndarray  # M x K, column k ~ CN(0, R_k)
-    h_uplink: np.ndarray    # N x K, entries i.i.d. CN(0, 1)
-    trial_index: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -160,17 +147,3 @@ def sample_channel_block(correlation, columns, seed, block, stream=STREAM_GENERI
     root = corr.sqrt()
     return np.einsum("ij,tjk->tik", root, w)
 
-
-def sample_channel(correlation, columns, trial, seed, stream=STREAM_GENERIC):
-    """Channel matrix of a single trial; bit-identical for fixed (seed, trial)."""
-    block, offset = divmod(int(trial), BLOCK_SIZE)
-    return sample_channel_block(correlation, columns, seed, block, stream)[offset]
-
-
-def draw_channels(cfg: SimConfig, trial) -> ChannelDraw:
-    """Downlink and uplink realizations for one trial of a configuration."""
-    h_d = sample_channel(cfg.r_cu(), cfg.K, trial, cfg.seed, STREAM_DOWNLINK)
-    identity = CorrelationMatrix(np.eye(cfg.N, dtype=complex), "receive_identity")
-    h_u = sample_channel(identity, cfg.K, trial, cfg.seed, STREAM_UPLINK)
-    return ChannelDraw(h_downlink=h_d, h_uplink=h_u,
-                       trial_index=int(trial), seed=cfg.seed)

@@ -12,6 +12,7 @@ import json
 import logging
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -131,44 +132,34 @@ def _uplink_profile(cfg):
     return ul.sensing_profile(cfg.r_target().matrix, cfg.N, cfg.L, cfg.p_s)
 
 
-def _run_op_vs_snr(cfg, params):
-    sweep = _sweep(params, 40.0, 2.5)
-    target = params["target_rate"]
-    alpha = params["alpha"]
+def _run_vs_snr(cfg, params, experiment):
+    # outage (op_vs_snr) or ergodic rate (ecr_vs_snr) of the four systems
+    alpha, target = params["alpha"], params["target_rate"]
     kw = dict(min_events=params["min_events"], max_trials=params["max_trials"])
     profile = _uplink_profile(cfg)
-    rows = []
-    for p_db in sweep:
-        p_c = db_to_linear(p_db)
+    if experiment == "op_vs_snr":
         systems = {
-            "disac": dl.dl_outage_prob(cfg, target, p_c, **kw),
-            "dfdsac": dl.dl_outage_prob_fdsac(cfg, target, alpha, p_c, **kw),
-            "uisac": ul.ul_outage_prob(cfg, target, p_c, profile, **kw),
-            "ufdsac": ul.ul_outage_prob_fdsac(cfg, target, alpha, p_c, **kw),
+            "disac": lambda p: dl.dl_outage_prob(cfg, target, p, **kw),
+            "dfdsac": lambda p: dl.dl_outage_prob_fdsac(cfg, target, alpha, p, **kw),
+            "uisac": lambda p: ul.ul_outage_prob(cfg, target, p, profile, **kw),
+            "ufdsac": lambda p: ul.ul_outage_prob_fdsac(cfg, target, alpha, p, **kw),
         }
-        for name, est in systems.items():
-            rows.append((p_db, name, est.mean, est.std_error, est.trials))
-        log.info("op_vs_snr p_c=%.3g dB done", p_db)
-    return ["p_c_db", "system", "op", "std_err", "trials"], rows
-
-
-def _run_ecr_vs_snr(cfg, params):
-    sweep = _sweep(params, 40.0, 2.5)
-    alpha = params["alpha"]
-    profile = _uplink_profile(cfg)
-    rows = []
-    for p_db in sweep:
-        p_c = db_to_linear(p_db)
+    else:
         systems = {
-            "disac": dl.dl_ecr(cfg, p_c),
-            "dfdsac": dl.dl_ecr_fdsac(cfg, alpha, p_c),
-            "uisac": ul.ul_ecr(cfg, p_c, profile),
-            "ufdsac": ul.ul_ecr_fdsac(cfg, alpha, p_c),
+            "disac": lambda p: dl.dl_ecr(cfg, p),
+            "dfdsac": lambda p: dl.dl_ecr_fdsac(cfg, alpha, p),
+            "uisac": lambda p: ul.ul_ecr(cfg, p, profile),
+            "ufdsac": lambda p: ul.ul_ecr_fdsac(cfg, alpha, p),
         }
-        for name, est in systems.items():
+    rows = []
+    for p_db in _sweep(params, 40.0, 2.5):
+        p_c = db_to_linear(p_db)
+        for name, estimate in systems.items():
+            est = estimate(p_c)
             rows.append((p_db, name, est.mean, est.std_error, est.trials))
-        log.info("ecr_vs_snr p_c=%.3g dB done", p_db)
-    return ["p_c_db", "system", "ecr", "std_err", "trials"], rows
+        log.info("%s p_c=%.3g dB done", experiment, p_db)
+    column = experiment.split("_")[0]
+    return ["p_c_db", "system", column, "std_err", "trials"], rows
 
 
 def _run_sr_vs_snr(cfg, params):
@@ -212,20 +203,14 @@ def _log_containment(link, isac, fdsac):
              gaps.max(initial=-np.inf))
 
 
-def _run_region_dl(cfg, params):
-    size = params["grid_size"]
-    isac = rg.dl_isac_region(cfg, cfg.p_c, cfg.p_s, grid_size=size)
-    fdsac = rg.dl_fdsac_region(cfg, cfg.p_c, cfg.p_s, grid_size=size)
-    _log_containment("downlink", isac, fdsac)
-    return ["system", "sweep_param", "sweep_value", "cr", "cr_std_err", "sr"], \
-        _region_rows(isac, fdsac)
-
-
-def _run_region_ul(cfg, params):
-    size = params["grid_size"]
-    isac = rg.ul_isac_region(cfg, cfg.p_c, cfg.p_s, grid_size=size)
-    fdsac = rg.ul_fdsac_region(cfg, cfg.p_c, cfg.p_s, grid_size=size)
-    _log_containment("uplink", isac, fdsac)
+def _run_region(cfg, params, link):
+    if link == "downlink":
+        sweeps = (rg.dl_isac_region, rg.dl_fdsac_region)
+    else:
+        sweeps = (rg.ul_isac_region, rg.ul_fdsac_region)
+    isac, fdsac = (sweep(cfg, cfg.p_c, cfg.p_s, grid_size=params["grid_size"])
+                   for sweep in sweeps)
+    _log_containment(link, isac, fdsac)
     return ["system", "sweep_param", "sweep_value", "cr", "cr_std_err", "sr"], \
         _region_rows(isac, fdsac)
 
@@ -240,11 +225,11 @@ def _run_acceptance(cfg, params):
 
 
 _RUNNERS = {
-    "op_vs_snr": _run_op_vs_snr,
-    "ecr_vs_snr": _run_ecr_vs_snr,
+    "op_vs_snr": partial(_run_vs_snr, experiment="op_vs_snr"),
+    "ecr_vs_snr": partial(_run_vs_snr, experiment="ecr_vs_snr"),
     "sr_vs_snr": _run_sr_vs_snr,
-    "region_dl": _run_region_dl,
-    "region_ul": _run_region_ul,
+    "region_dl": partial(_run_region, link="downlink"),
+    "region_ul": partial(_run_region, link="uplink"),
     "acceptance": _run_acceptance,
 }
 
@@ -271,8 +256,6 @@ def main(argv=None) -> int:
     parser.add_argument("--experiment", required=True, choices=EXPERIMENTS)
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--out", default="out.csv", help="output CSV path")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker hint; affects speed only, never results")
     args = parser.parse_args(argv)
 
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
@@ -285,8 +268,6 @@ def main(argv=None) -> int:
         cfg, params = parse_config(raw)
         if args.seed is not None:
             cfg = SimConfig(**{**cfg.__dict__, "seed": int(args.seed)})
-        if args.threads < 1:
-            raise ModelError("--threads must be >= 1")
         spec = ExperimentSpec(name=args.experiment, config=cfg,
                               params=params, output_path=args.out)
     except (ModelError, OSError, json.JSONDecodeError, ValueError) as exc:

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel as chan
+from . import mc
+from .mc import MonteCarloEstimate
 from .numerics import ModelError
 
 __all__ = [
@@ -53,16 +55,6 @@ class MeanInputCovariance:
     sigma_matrix: np.ndarray
     trials_used: int
     p_c: float
-
-
-@dataclass(frozen=True)
-class MonteCarloEstimate:
-    """Return contract of every stochastic operation."""
-
-    mean: float
-    std_error: float
-    trials: int
-    seed: int
 
 
 # ---------------------------------------------------------------------------
@@ -278,18 +270,9 @@ def estimate_mean_covariance(cfg: chan.SimConfig, p_c=None,
         _sigma_cache[key] = result
         return result
 
-    corr = cfg.r_cu()
     acc = np.zeros((m, m), dtype=complex)
-    done = 0
-    block = 0
-    while done < trials:
-        h_block = chan.sample_channel_block(corr, cfg.K, cfg.seed, block,
-                                            chan.STREAM_COVARIANCE)
-        take = min(chan.BLOCK_SIZE, trials - done)
-        h = h_block[:take]
+    for h in mc.blocks(cfg.r_cu(), cfg.K, cfg.seed, chan.STREAM_COVARIANCE, trials):
         acc += np.sum(mac_to_bc_covariance(h, dual_mac_power_alloc(h, p_c)), axis=0)
-        done += take
-        block += 1
     sigma = acc / trials
     result = MeanInputCovariance(sigma_matrix=sigma, trials_used=trials, p_c=p_c)
     _sigma_cache[key] = result
@@ -297,36 +280,8 @@ def estimate_mean_covariance(cfg: chan.SimConfig, p_c=None,
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo drivers
+# Monte Carlo estimates
 # ---------------------------------------------------------------------------
-
-def _dl_blocks(cfg, trials):
-    """Yield (rates-ready channel blocks, count) covering trial indices 0..trials."""
-    corr = cfg.r_cu()
-    done = 0
-    block = 0
-    while done < trials:
-        h_block = chan.sample_channel_block(corr, cfg.K, cfg.seed, block,
-                                            chan.STREAM_DOWNLINK)
-        take = min(chan.BLOCK_SIZE, trials - done)
-        yield h_block[:take], take
-        done += take
-        block += 1
-
-
-def _adaptive_outage(cfg, rate_fn, r_target, min_events, max_trials):
-    events = 0
-    done = 0
-    for h_block, take in _dl_blocks(cfg, max_trials):
-        rates = rate_fn(h_block)
-        events += int(np.count_nonzero(rates < r_target))
-        done += take
-        if events >= min_events:
-            break
-    p = events / done
-    se = math.sqrt(max(p * (1.0 - p), 0.0) / done)
-    return MonteCarloEstimate(mean=p, std_error=se, trials=done, seed=cfg.seed)
-
 
 def dl_outage_prob(cfg: chan.SimConfig, r_target, p_c, min_events=200,
                    max_trials=10_000_000) -> MonteCarloEstimate:
@@ -336,51 +291,20 @@ def dl_outage_prob(cfg: chan.SimConfig, r_target, p_c, min_events=200,
     ``min_events`` outages have been seen or ``max_trials`` is reached,
     whichever comes first.  The binomial standard error is reported.
     """
-    if r_target < 0.0:
-        raise ModelError("target rate must be nonnegative")
-    if r_target == 0.0:
-        return MonteCarloEstimate(0.0, 0.0, cfg.trials, cfg.seed)
-    if p_c == 0.0:
-        return MonteCarloEstimate(1.0, 0.0, cfg.trials, cfg.seed)
-    return _adaptive_outage(cfg, lambda h: dl_sum_rate_batch(h, p_c),
-                            r_target, min_events, max_trials)
+    return mc.outage(cfg, chan.STREAM_DOWNLINK, dl_sum_rate_batch, r_target,
+                     p_c, 1.0, min_events, max_trials)
 
 
 def dl_outage_prob_fdsac(cfg: chan.SimConfig, r_target, alpha, p_c,
                          min_events=200, max_trials=10_000_000) -> MonteCarloEstimate:
     """Outage of the bandwidth-split baseline rate alpha * R_d(p_c / alpha)."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ModelError("alpha must lie in [0, 1]")
-    if r_target == 0.0:
-        return MonteCarloEstimate(0.0, 0.0, cfg.trials, cfg.seed)
-    if alpha == 0.0 or p_c == 0.0:
-        return MonteCarloEstimate(1.0, 0.0, cfg.trials, cfg.seed)
-    return _adaptive_outage(
-        cfg, lambda h: alpha * dl_sum_rate_batch(h, p_c / alpha),
-        r_target, min_events, max_trials)
-
-
-def _mc_from_rates(cfg, trials, rate_fn):
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    for h_block, take in _dl_blocks(cfg, trials):
-        rates = rate_fn(h_block)
-        total += float(np.sum(rates))
-        total_sq += float(np.sum(rates * rates))
-        done += take
-    mean = total / done
-    var = max(total_sq / done - mean * mean, 0.0)
-    se = math.sqrt(var / done)
-    return MonteCarloEstimate(mean=mean, std_error=se, trials=done, seed=cfg.seed)
+    return mc.outage(cfg, chan.STREAM_DOWNLINK, dl_sum_rate_batch, r_target,
+                     p_c, alpha, min_events, max_trials)
 
 
 def dl_ecr(cfg: chan.SimConfig, p_c, trials=None) -> MonteCarloEstimate:
     """Ergodic downlink sum rate."""
-    trials = cfg.trials if trials is None else int(trials)
-    if p_c == 0.0:
-        return MonteCarloEstimate(0.0, 0.0, trials, cfg.seed)
-    return _mc_from_rates(cfg, trials, lambda h: dl_sum_rate_batch(h, p_c))
+    return mc.ergodic(cfg, chan.STREAM_DOWNLINK, dl_sum_rate_batch, p_c, 1.0, trials)
 
 
 def ed_closed_form_iid(m_antennas, k_users) -> float:
@@ -408,10 +332,4 @@ def dl_ecr_fdsac(cfg: chan.SimConfig, alpha, p_c, trials=None) -> MonteCarloEsti
     Per trial: alpha * dl_sum_rate(H, p_c / alpha); alpha = 0 gives 0 by
     the continuity convention.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ModelError("alpha must lie in [0, 1]")
-    trials = cfg.trials if trials is None else int(trials)
-    if alpha == 0.0 or p_c == 0.0:
-        return MonteCarloEstimate(0.0, 0.0, trials, cfg.seed)
-    return _mc_from_rates(
-        cfg, trials, lambda h: alpha * dl_sum_rate_batch(h, p_c / alpha))
+    return mc.ergodic(cfg, chan.STREAM_DOWNLINK, dl_sum_rate_batch, p_c, alpha, trials)

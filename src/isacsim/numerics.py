@@ -18,7 +18,6 @@ __all__ = [
     "WaterfillSolution",
     "hermitian_eig",
     "matrix_sqrt_psd",
-    "logdet_pd",
     "waterfill",
 ]
 
@@ -90,20 +89,6 @@ def matrix_sqrt_psd(a) -> np.ndarray:
         raise ModelError(f"matrix is indefinite (min eigenvalue {vals[-1]:.3e})")
     vals[vals < 0.0] = 0.0
     return (es.basis * np.sqrt(vals)) @ es.basis.conj().T
-
-
-def logdet_pd(a) -> float:
-    """Base-2 log-determinant of a positive definite Hermitian matrix.
-
-    Computed from the Cholesky factor, never via the raw determinant, so it
-    stays accurate for condition numbers up to ~1e12.
-    """
-    a = _check_hermitian(a)
-    try:
-        chol = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise ModelError("matrix is not positive definite") from exc
-    return float(2.0 * np.sum(np.log2(np.real(np.diag(chol)))))
 
 
 def waterfill(gains, noise, budget) -> WaterfillSolution:

@@ -135,32 +135,29 @@ def ul_isac_region(cfg: SimConfig, p_c_max, p_s_max, grid_size=DEFAULT_GRID,
     return _sorted_region(points, "p_s", grid)
 
 
-def dl_fdsac_region(cfg: SimConfig, p_c, p_s, grid_size=DEFAULT_GRID,
-                    ecr_trials=None) -> RateRegion:
-    """Downlink bandwidth-split region: sweep alpha in [0, 1]."""
+def _fdsac_region(ecr_fdsac, cfg, p_c, p_s, grid_size, ecr_trials) -> RateRegion:
+    # sweep the bandwidth share alpha in [0, 1] of one link's baseline
     _check_grid(grid_size)
     grid = np.linspace(0.0, 1.0, grid_size)
     rt = cfg.r_target()
     points = []
     for alpha in grid:
-        est = dl.dl_ecr_fdsac(cfg, alpha, p_c, trials=ecr_trials)
+        est = ecr_fdsac(cfg, alpha, p_c, trials=ecr_trials)
         sr = sn.fdsac_sr(rt.matrix, cfg.N, cfg.L, p_s, alpha)
         points.append(RatePoint(cr=est.mean, sr=sr, cr_se=est.std_error))
     return _sorted_region(points, "alpha", grid)
+
+
+def dl_fdsac_region(cfg: SimConfig, p_c, p_s, grid_size=DEFAULT_GRID,
+                    ecr_trials=None) -> RateRegion:
+    """Downlink bandwidth-split region: sweep alpha in [0, 1]."""
+    return _fdsac_region(dl.dl_ecr_fdsac, cfg, p_c, p_s, grid_size, ecr_trials)
 
 
 def ul_fdsac_region(cfg: SimConfig, p_c, p_s, grid_size=DEFAULT_GRID,
                     ecr_trials=None) -> RateRegion:
     """Uplink bandwidth-split region: sweep alpha in [0, 1]."""
-    _check_grid(grid_size)
-    grid = np.linspace(0.0, 1.0, grid_size)
-    rt = cfg.r_target()
-    points = []
-    for alpha in grid:
-        est = ul.ul_ecr_fdsac(cfg, alpha, p_c, trials=ecr_trials)
-        sr = sn.fdsac_sr(rt.matrix, cfg.N, cfg.L, p_s, alpha)
-        points.append(RatePoint(cr=est.mean, sr=sr, cr_se=est.std_error))
-    return _sorted_region(points, "alpha", grid)
+    return _fdsac_region(ul.ul_ecr_fdsac, cfg, p_c, p_s, grid_size, ecr_trials)
 
 
 def corner_gaps(outer: RateRegion, points, cr_slack=0.0) -> np.ndarray:

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel as chan
-from .downlink import MonteCarloEstimate, ed_closed_form_iid
+from . import mc
+from .downlink import ed_closed_form_iid
+from .mc import MonteCarloEstimate
 from .numerics import ModelError
 from .sensing import Waveform, build_waveform, ul_sr
 
@@ -113,83 +115,26 @@ def ul_rate_batch(h_batch, p_c, profile: SlotNoiseProfile):
     return total / profile.rho2.size
 
 
-def _ul_blocks(cfg, trials):
-    identity = chan.CorrelationMatrix(np.eye(cfg.N, dtype=complex),
-                                      "receive_identity")
-    done = 0
-    block = 0
-    while done < trials:
-        h_block = chan.sample_channel_block(identity, cfg.K, cfg.seed, block,
-                                            chan.STREAM_UPLINK)
-        take = min(chan.BLOCK_SIZE, trials - done)
-        yield h_block[:take], take
-        done += take
-        block += 1
-
-
-def _adaptive_outage(cfg, rate_fn, r_target, min_events, max_trials):
-    events = 0
-    done = 0
-    for h_block, take in _ul_blocks(cfg, max_trials):
-        rates = rate_fn(h_block)
-        events += int(np.count_nonzero(rates < r_target))
-        done += take
-        if events >= min_events:
-            break
-    p = events / done
-    se = math.sqrt(max(p * (1.0 - p), 0.0) / done)
-    return MonteCarloEstimate(mean=p, std_error=se, trials=done, seed=cfg.seed)
-
-
 def ul_outage_prob(cfg: chan.SimConfig, r_target, p_c, profile: SlotNoiseProfile,
                    min_events=200, max_trials=10_000_000) -> MonteCarloEstimate:
     """Probability that the slot-averaged uplink sum rate falls below target."""
-    if r_target < 0.0:
-        raise ModelError("target rate must be nonnegative")
-    if r_target == 0.0:
-        return MonteCarloEstimate(0.0, 0.0, cfg.trials, cfg.seed)
-    if p_c == 0.0:
-        return MonteCarloEstimate(1.0, 0.0, cfg.trials, cfg.seed)
-    return _adaptive_outage(cfg, lambda h: ul_rate_batch(h, p_c, profile),
-                            r_target, min_events, max_trials)
+    return mc.outage(cfg, chan.STREAM_UPLINK,
+                     lambda h, p: ul_rate_batch(h, p, profile), r_target, p_c,
+                     1.0, min_events, max_trials)
 
 
 def ul_outage_prob_fdsac(cfg: chan.SimConfig, r_target, alpha, p_c,
                          min_events=200, max_trials=10_000_000) -> MonteCarloEstimate:
     """Outage of the bandwidth-split uplink baseline (interference-free)."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ModelError("alpha must lie in [0, 1]")
-    if r_target == 0.0:
-        return MonteCarloEstimate(0.0, 0.0, cfg.trials, cfg.seed)
-    if alpha == 0.0 or p_c == 0.0:
-        return MonteCarloEstimate(1.0, 0.0, cfg.trials, cfg.seed)
-    return _adaptive_outage(
-        cfg, lambda h: alpha * _logdet_batch(h, p_c / alpha),
-        r_target, min_events, max_trials)
-
-
-def _mc_from_rates(cfg, trials, rate_fn):
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    for h_block, take in _ul_blocks(cfg, trials):
-        rates = rate_fn(h_block)
-        total += float(np.sum(rates))
-        total_sq += float(np.sum(rates * rates))
-        done += take
-    mean = total / done
-    var = max(total_sq / done - mean * mean, 0.0)
-    return MonteCarloEstimate(mean=mean, std_error=math.sqrt(var / done),
-                              trials=done, seed=cfg.seed)
+    return mc.outage(cfg, chan.STREAM_UPLINK, _logdet_batch, r_target, p_c,
+                     alpha, min_events, max_trials)
 
 
 def ul_ecr(cfg: chan.SimConfig, p_c, profile: SlotNoiseProfile,
            trials=None) -> MonteCarloEstimate:
     """Ergodic slot-averaged uplink sum rate."""
-    trials = cfg.trials if trials is None else int(trials)
-    if p_c == 0.0:
-        return MonteCarloEstimate(0.0, 0.0, trials, cfg.seed)
-    return _mc_from_rates(cfg, trials, lambda h: ul_rate_batch(h, p_c, profile))
+    return mc.ergodic(cfg, chan.STREAM_UPLINK,
+                      lambda h, p: ul_rate_batch(h, p, profile), p_c, 1.0, trials)
 
 
 def ul_ecr_asymptote(p_c, k_users, n_antennas, profile: SlotNoiseProfile) -> float:
@@ -209,10 +154,4 @@ def ul_ecr_fdsac(cfg: chan.SimConfig, alpha, p_c, trials=None) -> MonteCarloEsti
     Per trial: alpha * log2 det(I_N + (p_c / alpha) H_u H_u^H); the
     communication sub-band sees no radar interference.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ModelError("alpha must lie in [0, 1]")
-    trials = cfg.trials if trials is None else int(trials)
-    if alpha == 0.0 or p_c == 0.0:
-        return MonteCarloEstimate(0.0, 0.0, trials, cfg.seed)
-    return _mc_from_rates(
-        cfg, trials, lambda h: alpha * _logdet_batch(h, p_c / alpha))
+    return mc.ergodic(cfg, chan.STREAM_UPLINK, _logdet_batch, p_c, alpha, trials)

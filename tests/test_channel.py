@@ -8,9 +8,7 @@ from isacsim.channel import (
     STREAM_UPLINK,
     CorrelationMatrix,
     SimConfig,
-    draw_channels,
     exp_correlation,
-    sample_channel,
     sample_channel_block,
 )
 from isacsim.numerics import ModelError
@@ -66,20 +64,14 @@ class TestSimConfig:
 class TestSampling:
     def test_determinism(self):
         r = exp_correlation(2, 0.7)
-        h1 = sample_channel(r, 2, trial=17, seed=42)
-        h2 = sample_channel(r, 2, trial=17, seed=42)
+        h1 = sample_channel_block(r, 2, seed=42, block=0)[17]
+        h2 = sample_channel_block(r, 2, seed=42, block=0)[17]
         assert np.array_equal(h1, h2)
-
-    def test_trial_independent_of_block_requests(self):
-        # trial 3 must come out the same whether taken from a block or alone
-        r = exp_correlation(2, 0.7)
-        block = sample_channel_block(r, 2, seed=9, block=0)
-        assert np.array_equal(block[3], sample_channel(r, 2, 3, seed=9))
 
     def test_streams_differ(self):
         r = exp_correlation(2, 0.7)
-        a = sample_channel(r, 2, 0, seed=5, stream=STREAM_DOWNLINK)
-        b = sample_channel(r, 2, 0, seed=5, stream=STREAM_UPLINK)
+        a = sample_channel_block(r, 2, seed=5, block=0, stream=STREAM_DOWNLINK)[0]
+        b = sample_channel_block(r, 2, seed=5, block=0, stream=STREAM_UPLINK)[0]
         assert not np.allclose(a, b)
 
     def test_empirical_covariance_identity(self):
@@ -114,9 +106,3 @@ class TestSampling:
         corr = abs(num) / (np.std(x) * np.std(y))
         assert corr < 0.03
 
-    def test_draw_channels_shapes(self):
-        cfg = SimConfig(M=3, N=2, K=2, L=4, seed=7)
-        draw = draw_channels(cfg, 5)
-        assert draw.h_downlink.shape == (3, 2)
-        assert draw.h_uplink.shape == (2, 2)
-        assert draw.trial_index == 5

@@ -58,16 +58,6 @@ class TestMain:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_threads_flag_never_changes_results(self, tmp_path):
-        config = write_config(tmp_path)
-        outs = []
-        for threads in ("1", "4"):
-            out = tmp_path / f"t{threads}.csv"
-            assert cli.main(["--experiment", "op_vs_snr", "--config", config,
-                             "--out", str(out), "--threads", threads]) == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
-
     def test_seed_override_changes_results(self, tmp_path):
         config = write_config(tmp_path)
         outs = []
@@ -115,8 +105,3 @@ class TestMain:
                            "--out", "x.csv"])
         assert status == 2
 
-    def test_bad_threads(self, tmp_path):
-        status = cli.main(["--experiment", "op_vs_snr",
-                           "--config", write_config(tmp_path),
-                           "--out", "x.csv", "--threads", "0"])
-        assert status == 2

@@ -4,7 +4,6 @@ import pytest
 from isacsim.numerics import (
     ModelError,
     hermitian_eig,
-    logdet_pd,
     matrix_sqrt_psd,
     waterfill,
 )
@@ -63,30 +62,6 @@ class TestMatrixSqrt:
     def test_rejects_indefinite(self):
         with pytest.raises(ModelError):
             matrix_sqrt_psd(np.diag([1.0, -0.5]))
-
-
-class TestLogdet:
-    def test_identity_is_zero(self):
-        assert logdet_pd(np.eye(5)) == pytest.approx(0.0)
-
-    def test_diagonal(self):
-        assert logdet_pd(np.diag([2.0, 4.0])) == pytest.approx(3.0)
-
-    def test_matches_eigenvalue_product(self):
-        rng = np.random.default_rng(11)
-        w = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        a = w @ w.conj().T + np.eye(4)
-        expected = float(np.sum(np.log2(np.linalg.eigvalsh(a))))
-        assert logdet_pd(a) == pytest.approx(expected, abs=1e-9)
-
-    def test_product_rule_on_diagonals(self):
-        a = np.diag([2.0, 3.0])
-        b = np.diag([0.5, 4.0])
-        assert logdet_pd(a @ b) == pytest.approx(logdet_pd(a) + logdet_pd(b))
-
-    def test_rejects_non_pd(self):
-        with pytest.raises(ModelError):
-            logdet_pd(np.diag([1.0, 0.0]))
 
 
 class TestWaterfill:
