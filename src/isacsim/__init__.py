@@ -34,7 +34,6 @@ from .region import (
     RateRegion,
     dl_fdsac_region,
     dl_isac_region,
-    region_contains,
     ul_fdsac_region,
     ul_isac_region,
 )
@@ -53,12 +52,10 @@ from .uplink import (
     SlotNoiseProfile,
     sensing_profile,
     slot_noise_powers,
-    ul_avg_rate,
     ul_ecr,
     ul_ecr_asymptote,
     ul_ecr_fdsac,
     ul_outage_prob,
-    ul_slot_rate,
 )
 
 __version__ = "0.1.0"

@@ -253,16 +253,32 @@ def criterion_ecr_slopes(seed=DEFAULT_SEED):
 
 
 def criterion_ecr_asymptote(seed=DEFAULT_SEED):
-    """i.i.d. downlink ECR at 40 dB matches its high-SNR line within 0.1."""
+    """ECR at 40 dB matches its high-SNR line within 0.1 on three links.
+
+    The lines are K log2(p_c / K) + E for the i.i.d. downlink; the same
+    with E raised by log2 det R_cu for the correlated downlink, which holds
+    for M = K only (the high-SNR power offset of Lozano, Tulino and Verdu,
+    IEEE T-IT 2005); and the uplink line with its slot-noise penalty at
+    the p_s = 10 waveform.
+    """
     start = time.time()
-    cfg = SimConfig(M=2, N=2, K=2, L=4, rho_target=0.7, rho_cu=0.0,
-                    trials=100_000, seed=seed)
-    mc = dl.dl_ecr(cfg, 1e4).mean
-    line = dl.dl_ecr_asymptote(1e4, 2, dl.ed_closed_form_iid(2, 2))
-    gap = abs(mc - line)
+    cfg = _paper_cfg(seed)
+    e_iid = dl.ed_closed_form_iid(cfg.M, cfg.K)
+    log_det = float(np.linalg.slogdet(cfg.r_cu().matrix)[1]) / math.log(2.0)
+    profile = ul.sensing_profile(cfg.r_target().matrix, cfg.N, cfg.L, 10.0)
+    checks = (
+        ("iid dl", dl.dl_ecr(replace(cfg, rho_cu=0.0), 1e4).mean,
+         dl.dl_ecr_asymptote(1e4, cfg.K, e_iid)),
+        (f"dl rho_cu {cfg.rho_cu:g}", dl.dl_ecr(cfg, 1e4).mean,
+         dl.dl_ecr_asymptote(1e4, cfg.K, e_iid + log_det)),
+        ("ul", ul.ul_ecr(cfg, 1e4, profile).mean,
+         ul.ul_ecr_asymptote(1e4, cfg.K, cfg.N, profile)),
+    )
+    gap = max(abs(mc - line) for _, mc, line in checks)
     elapsed = time.time() - start
-    return CriterionResult("ecr_asymptote", gap <= 0.1, gap,
-                           f"MC {mc:.4f} vs line {line:.4f}", elapsed)
+    return CriterionResult("ecr_asymptote", gap <= 0.1, gap, "; ".join(
+        f"{name} MC {mc:.4f} vs line {line:.4f}" for name, mc, line in checks),
+        elapsed)
 
 
 def criterion_sr_brute_force(seed=DEFAULT_SEED):
@@ -395,7 +411,7 @@ def _dof_step(regions_at, rising, still, dof, fdsac_share):
 def _escape(isac, fdsac):
     """Whether the far ISAC corner lies outside FDSAC by more than the
     3-SE slack, and a note naming the worst FDSAC corner outside ISAC."""
-    slack = 3.0 * max(p.cr_se for p in isac.corners + fdsac.corners)
+    slack = 3.0 * max(p.cr_se for p in isac.sweep_points + fdsac.sweep_points)
     far = float(rg.corner_gaps(fdsac, isac.sweep_points[-1:],
                                cr_slack=slack)[0])
     gaps = rg.corner_gaps(isac, fdsac.sweep_points, cr_slack=slack)
@@ -473,9 +489,7 @@ def criterion_determinism(seed=DEFAULT_SEED):
     with tempfile.TemporaryDirectory() as tmp:
         for i in range(2):
             path = os.path.join(tmp, f"run{i}.csv")
-            spec = cli.ExperimentSpec(name="op_vs_snr", config=cfg,
-                                      params=params, output_path=path)
-            status = cli.run(spec)
+            status = cli.run("op_vs_snr", cfg, params, path)
             assert status == 0
             with open(path, "rb") as fh:
                 outputs.append(fh.read())

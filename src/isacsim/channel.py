@@ -20,11 +20,9 @@ __all__ = [
     "STREAM_DOWNLINK",
     "STREAM_UPLINK",
     "STREAM_COVARIANCE",
-    "STREAM_GENERIC",
     "CorrelationMatrix",
     "SimConfig",
     "exp_correlation",
-    "block_rng",
     "sample_channel_block",
 ]
 
@@ -36,7 +34,6 @@ BLOCK_SIZE = 8192
 STREAM_DOWNLINK = 0
 STREAM_UPLINK = 1
 STREAM_COVARIANCE = 2
-STREAM_GENERIC = 3
 
 
 @dataclass(frozen=True)
@@ -119,7 +116,7 @@ def exp_correlation(dim, rho, label="transmit_cu") -> CorrelationMatrix:
     return CorrelationMatrix(matrix=mat.astype(complex), label=label)
 
 
-def block_rng(seed, stream, block) -> np.random.Generator:
+def _block_rng(seed, stream, block) -> np.random.Generator:
     """Generator for one trial block, a pure function of (seed, stream, block)."""
     return np.random.default_rng((int(seed), int(stream), int(block)))
 
@@ -130,7 +127,7 @@ def _standard_complex(rng, shape):
     return w / np.sqrt(2.0)
 
 
-def sample_channel_block(correlation, columns, seed, block, stream=STREAM_GENERIC):
+def sample_channel_block(corr: CorrelationMatrix, columns, seed, block, stream):
     """Draw one block of correlated channel matrices.
 
     Returns an array of shape (BLOCK_SIZE, dim, columns) whose slice [t] is
@@ -138,9 +135,7 @@ def sample_channel_block(correlation, columns, seed, block, stream=STREAM_GENERI
     each CN(0, R), realized as R^{1/2} w with w i.i.d. standard complex
     Gaussian.
     """
-    corr = correlation if isinstance(correlation, CorrelationMatrix) else \
-        CorrelationMatrix(matrix=np.asarray(correlation, dtype=complex))
-    rng = block_rng(seed, stream, block)
+    rng = _block_rng(seed, stream, block)
     w = _standard_complex(rng, (BLOCK_SIZE, corr.dim, columns))
     if np.allclose(corr.matrix, np.eye(corr.dim)):
         return w

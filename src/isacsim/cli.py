@@ -11,7 +11,6 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -23,12 +22,9 @@ from . import uplink as ul
 from .channel import SimConfig
 from .numerics import ModelError
 
-__all__ = ["ExperimentSpec", "run", "main", "EXPERIMENTS"]
+__all__ = ["run", "main"]
 
 log = logging.getLogger("isacsim")
-
-EXPERIMENTS = ("op_vs_snr", "ecr_vs_snr", "sr_vs_snr",
-               "region_dl", "region_ul", "acceptance")
 
 DEFAULT_CONFIG = {
     "M": 2, "N": 2, "K": 2, "L": 4,
@@ -43,21 +39,6 @@ DEFAULT_CONFIG = {
 
 def db_to_linear(x_db) -> float:
     return float(10.0 ** (x_db / 10.0))
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """A named experiment over one configuration."""
-
-    name: str
-    config: SimConfig
-    params: dict = field(default_factory=dict)
-    output_path: str = "out.csv"
-
-    def __post_init__(self):
-        if self.name not in EXPERIMENTS:
-            raise ModelError(f"unknown experiment {self.name!r}; "
-                             f"choose from {EXPERIMENTS}")
 
 
 def parse_config(raw: dict):
@@ -87,22 +68,6 @@ def parse_config(raw: dict):
         "sweep_db": [float(x) for x in merged.get("sweep_db", [])],
     }
     return cfg, params
-
-
-def serialize_config(cfg: SimConfig, params: dict) -> dict:
-    """Inverse of parse_config (round-trips to the identical pair)."""
-    doc = {
-        "M": cfg.M, "N": cfg.N, "K": cfg.K, "L": cfg.L,
-        "rho_target": cfg.rho_target, "rho_cu": cfg.rho_cu,
-        "p_c_db": params["p_c_db"], "p_s_db": params["p_s_db"],
-        "trials": cfg.trials, "seed": cfg.seed,
-        "target_rate": params["target_rate"], "alpha": params["alpha"],
-        "grid_size": params["grid_size"],
-        "max_trials": params["max_trials"], "min_events": params["min_events"],
-    }
-    if params.get("sweep_db"):
-        doc["sweep_db"] = params["sweep_db"]
-    return doc
 
 
 def _fmt(x) -> str:
@@ -194,8 +159,8 @@ def _region_rows(isac, fdsac):
 def _log_containment(link, isac, fdsac):
     # FDSAC corners near the regions' shared endpoint escape the ISAC region
     # at finite SNR: a property of the model (README.md), not a failed check.
-    se = max([p.cr_se for p in isac.corners + fdsac.corners] or [0.0])
-    gaps = rg.corner_gaps(isac, fdsac.corners, cr_slack=3.0 * se)
+    se = max([p.cr_se for p in isac.sweep_points + fdsac.sweep_points] or [0.0])
+    gaps = rg.corner_gaps(isac, fdsac.sweep_points, cr_slack=3.0 * se)
     outside = int(np.count_nonzero(gaps > 1e-6))
     log.info("%s containment (isac >= fdsac): %s, %d/%d fdsac corners "
              "outside (worst gap %.3g); a known finite-SNR escape of the "
@@ -234,11 +199,14 @@ _RUNNERS = {
 }
 
 
-def run(spec: ExperimentSpec) -> int:
+def run(name, cfg: SimConfig, params: dict, output_path) -> int:
     """Execute one experiment and write its CSV; returns the exit status."""
     try:
-        header, rows = _RUNNERS[spec.name](spec.config, spec.params)
-        _write_csv(spec.output_path, header, rows)
+        if name not in _RUNNERS:
+            raise ModelError(f"unknown experiment {name!r}; "
+                             f"choose from {tuple(_RUNNERS)}")
+        header, rows = _RUNNERS[name](cfg, params)
+        _write_csv(output_path, header, rows)
     except ModelError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
@@ -253,7 +221,7 @@ def main(argv=None) -> int:
         prog="isacsim",
         description="Joint sensing/communication performance experiments")
     parser.add_argument("--config", help="JSON config file (defaults built in)")
-    parser.add_argument("--experiment", required=True, choices=EXPERIMENTS)
+    parser.add_argument("--experiment", required=True, choices=_RUNNERS)
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--out", default="out.csv", help="output CSV path")
     args = parser.parse_args(argv)
@@ -268,12 +236,10 @@ def main(argv=None) -> int:
         cfg, params = parse_config(raw)
         if args.seed is not None:
             cfg = SimConfig(**{**cfg.__dict__, "seed": int(args.seed)})
-        spec = ExperimentSpec(name=args.experiment, config=cfg,
-                              params=params, output_path=args.out)
     except (ModelError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
-    return run(spec)
+    return run(args.experiment, cfg, params, args.out)
 
 
 if __name__ == "__main__":

@@ -196,6 +196,8 @@ def dl_sum_rate_batch(h_batch, p_c):
     """Vectorized dl_sum_rate over a batch of channels (T, M, K)."""
     h = np.asarray(h_batch, dtype=complex)
     k = h.shape[2]
+    if p_c < 0.0:
+        raise ModelError("p_c must be nonnegative")
     if p_c == 0.0:
         return np.zeros(h.shape[0])
     if k == 1:

@@ -1,9 +1,9 @@
-"""Achievable communication-sensing rate regions and containment tests.
+"""Achievable communication-sensing rate regions and their dominance gaps.
 
 Each region is a one-parameter sweep of (ECR, SR) operating points: the
 power split (ISAC) or the bandwidth share alpha (FDSAC).  The region is
 the downward-closed union of the rectangles [0, cr_i] x [0, sr_i], so
-containment reduces to corner dominance.
+containment reduces to corner dominance (``corner_gaps``).
 
 The corners are achievable, not Pareto-optimal: the model can beat them.
 At the paper's operating point (p_c = 5 dB, sensing budget 10) the uplink
@@ -14,7 +14,7 @@ weak one, leaves the same slot noise and reaches (2.803, 2.093).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "dl_fdsac_region",
     "ul_fdsac_region",
     "corner_gaps",
-    "region_contains",
 ]
 
 DEFAULT_GRID = 41
@@ -50,42 +49,12 @@ class RatePoint:
 
 @dataclass(frozen=True)
 class RateRegion:
-    """Staircase region: corners sorted by cr nondecreasing.
+    """Corners of one sweep: ``sweep_points[i]`` is the corner at
+    ``sweep_param`` = ``grid[i]``."""
 
-    ``sweep_points`` keeps the same corners in sweep-grid order, aligned
-    with ``grid``, for serialization.
-    """
-
-    corners: tuple
+    sweep_points: tuple
     sweep_param: str
     grid: np.ndarray
-    sweep_points: tuple = ()
-
-    def area(self) -> float:
-        """Area of the union of corner rectangles."""
-        pts = sorted(self.corners, key=lambda p: p.cr)
-        # max sr over corners with cr >= x, evaluated right to left
-        area = 0.0
-        best_sr = 0.0
-        prev_cr = None
-        for p in reversed(pts):
-            if prev_cr is not None:
-                area += (prev_cr - p.cr) * best_sr
-            best_sr = max(best_sr, p.sr)
-            prev_cr = p.cr
-        if prev_cr is not None:
-            area += prev_cr * best_sr
-        return area
-
-    def contains_point(self, cr, sr, tol=1e-9) -> bool:
-        return any(p.cr >= cr - tol and p.sr >= sr - tol for p in self.corners)
-
-
-def _sorted_region(points, sweep_param, grid) -> RateRegion:
-    corners = tuple(sorted(points, key=lambda p: (p.cr, p.sr)))
-    return RateRegion(corners=corners, sweep_param=sweep_param,
-                      grid=np.asarray(grid, dtype=float),
-                      sweep_points=tuple(points))
 
 
 def _check_grid(grid_size):
@@ -112,7 +81,7 @@ def dl_isac_region(cfg: SimConfig, p_c_max, p_s_max, grid_size=DEFAULT_GRID,
                                       n_slots=cfg.L, sigma2=s2, p_s=p_s_max)
         sr, _ = sn.dl_sr(scenario)
         points.append(RatePoint(cr=est.mean, sr=sr, cr_se=est.std_error))
-    return _sorted_region(points, "p_c", grid)
+    return RateRegion(tuple(points), "p_c", grid)
 
 
 def ul_isac_region(cfg: SimConfig, p_c_max, p_s_max, grid_size=DEFAULT_GRID,
@@ -132,7 +101,7 @@ def ul_isac_region(cfg: SimConfig, p_c_max, p_s_max, grid_size=DEFAULT_GRID,
         profile = ul.slot_noise_powers(wf, rt.matrix)
         est = ul.ul_ecr(cfg, p_c_max, profile, trials=ecr_trials)
         points.append(RatePoint(cr=est.mean, sr=sr, cr_se=est.std_error))
-    return _sorted_region(points, "p_s", grid)
+    return RateRegion(tuple(points), "p_s", grid)
 
 
 def _fdsac_region(ecr_fdsac, cfg, p_c, p_s, grid_size, ecr_trials) -> RateRegion:
@@ -145,7 +114,7 @@ def _fdsac_region(ecr_fdsac, cfg, p_c, p_s, grid_size, ecr_trials) -> RateRegion
         est = ecr_fdsac(cfg, alpha, p_c, trials=ecr_trials)
         sr = sn.fdsac_sr(rt.matrix, cfg.N, cfg.L, p_s, alpha)
         points.append(RatePoint(cr=est.mean, sr=sr, cr_se=est.std_error))
-    return _sorted_region(points, "alpha", grid)
+    return RateRegion(tuple(points), "alpha", grid)
 
 
 def dl_fdsac_region(cfg: SimConfig, p_c, p_s, grid_size=DEFAULT_GRID,
@@ -168,20 +137,7 @@ def corner_gaps(outer: RateRegion, points, cr_slack=0.0) -> np.ndarray:
     it, otherwise the distance it pokes outside along the cheaper axis.
     """
     return np.array([
-        min(max(p.cr - q.cr - cr_slack, p.sr - q.sr) for q in outer.corners)
+        min(max(p.cr - q.cr - cr_slack, p.sr - q.sr) for q in outer.sweep_points)
         for p in points
     ], dtype=float)
 
-
-def region_contains(outer: RateRegion, inner: RateRegion, tol=1e-6,
-                    cr_slack=0.0):
-    """True iff every inner corner is dominated by some outer corner.
-
-    ``cr_slack`` widens the communication-rate comparison (Monte Carlo
-    corners are stochastic; callers typically pass 3 standard errors).
-    Returns (contained, worst_gap): the gap is the largest dominance
-    shortfall over inner corners, <= tol when contained.
-    """
-    worst = float(np.max(corner_gaps(outer, inner.corners, cr_slack),
-                         initial=-np.inf))
-    return bool(worst <= tol), worst

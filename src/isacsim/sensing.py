@@ -65,10 +65,6 @@ class Waveform:
 
     s_matrix: np.ndarray
 
-    @property
-    def gram(self) -> np.ndarray:
-        return self.s_matrix @ self.s_matrix.conj().T
-
 
 def sigma2_effective(r_target, mean_cov) -> float:
     """Effective downlink sensing noise 1 + tr(R_T Sigma)."""

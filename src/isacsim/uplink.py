@@ -23,8 +23,6 @@ __all__ = [
     "SlotNoiseProfile",
     "slot_noise_powers",
     "sensing_profile",
-    "ul_slot_rate",
-    "ul_avg_rate",
     "ul_rate_batch",
     "ul_outage_prob",
     "ul_outage_prob_fdsac",
@@ -46,10 +44,6 @@ class SlotNoiseProfile:
             raise ModelError("slot noise powers must be >= 1")
         object.__setattr__(self, "rho2", np.maximum(arr, 1.0))
 
-    @classmethod
-    def clean(cls, n_slots) -> "SlotNoiseProfile":
-        return cls(rho2=np.ones(n_slots))
-
 
 def slot_noise_powers(waveform, r_target) -> SlotNoiseProfile:
     """rho2_l = 1 + s_l^H R_T s_l for each waveform slot.
@@ -68,22 +62,6 @@ def sensing_profile(r_target, n_rx, n_slots, p_s) -> SlotNoiseProfile:
     _, sol = ul_sr(r_target, n_rx, n_slots, p_s)
     wf = build_waveform(r_target, sol, n_slots)
     return slot_noise_powers(wf, r_target)
-
-
-def ul_slot_rate(h_u, p_c, rho2_l) -> float:
-    """Sum rate of one slot: log2 det(I_N + (p_c / rho2_l) H_u H_u^H)."""
-    if rho2_l < 1.0:
-        raise ModelError("rho2 must be >= 1")
-    h = np.asarray(h_u, dtype=complex)
-    n = h.shape[0]
-    a = np.eye(n, dtype=complex) + (p_c / rho2_l) * (h @ h.conj().T)
-    sign, ld = np.linalg.slogdet(a)
-    return ld / math.log(2.0)
-
-
-def ul_avg_rate(h_u, p_c, profile: SlotNoiseProfile) -> float:
-    """Arithmetic mean of the per-slot rates over the frame."""
-    return float(np.mean([ul_slot_rate(h_u, p_c, r2) for r2 in profile.rho2]))
 
 
 def _logdet_batch(h_batch, scale):
@@ -106,6 +84,8 @@ def _logdet_batch(h_batch, scale):
 
 def ul_rate_batch(h_batch, p_c, profile: SlotNoiseProfile):
     """Vectorized slot-averaged uplink rate over a batch of channels."""
+    if p_c < 0.0:
+        raise ModelError("p_c must be nonnegative")
     if p_c == 0.0:
         return np.zeros(np.asarray(h_batch).shape[0])
     rho2_vals, counts = np.unique(profile.rho2, return_counts=True)

@@ -3,8 +3,8 @@ import pytest
 
 from isacsim.channel import (
     BLOCK_SIZE,
+    STREAM_COVARIANCE,
     STREAM_DOWNLINK,
-    STREAM_GENERIC,
     STREAM_UPLINK,
     CorrelationMatrix,
     SimConfig,
@@ -64,8 +64,8 @@ class TestSimConfig:
 class TestSampling:
     def test_determinism(self):
         r = exp_correlation(2, 0.7)
-        h1 = sample_channel_block(r, 2, seed=42, block=0)[17]
-        h2 = sample_channel_block(r, 2, seed=42, block=0)[17]
+        h1 = sample_channel_block(r, 2, 42, 0, STREAM_DOWNLINK)[17]
+        h2 = sample_channel_block(r, 2, 42, 0, STREAM_DOWNLINK)[17]
         assert np.array_equal(h1, h2)
 
     def test_streams_differ(self):
@@ -80,7 +80,7 @@ class TestSampling:
         ident = CorrelationMatrix(np.eye(2, dtype=complex), "receive_identity")
         acc = np.zeros((2, 2), dtype=complex)
         for b in range(blocks):
-            h = sample_channel_block(ident, 1, seed=0, block=b)[:, :, 0]
+            h = sample_channel_block(ident, 1, 0, b, STREAM_UPLINK)[:, :, 0]
             acc += np.einsum("ti,tj->ij", h, h.conj())
         emp = acc / (blocks * BLOCK_SIZE)
         assert np.max(np.abs(emp - np.eye(2))) < 0.02
@@ -91,7 +91,7 @@ class TestSampling:
         r = exp_correlation(2, 0.7)
         acc = np.zeros((2, 2), dtype=complex)
         for b in range(blocks):
-            h = sample_channel_block(r, 1, seed=1, block=b)[:, :, 0]
+            h = sample_channel_block(r, 1, 1, b, STREAM_DOWNLINK)[:, :, 0]
             acc += np.einsum("ti,tj->ij", h, h.conj())
         emp = acc / (blocks * BLOCK_SIZE)
         assert np.max(np.abs(emp - r.matrix)) < 0.02
@@ -99,8 +99,7 @@ class TestSampling:
     def test_cross_trial_independence(self):
         # consecutive trials' first entries should be uncorrelated
         r = exp_correlation(2, 0.7)
-        h = sample_channel_block(r, 1, seed=2, block=0,
-                                 stream=STREAM_GENERIC)[:, 0, 0]
+        h = sample_channel_block(r, 1, 2, 0, STREAM_COVARIANCE)[:, 0, 0]
         x, y = h[:-1], h[1:]
         num = np.mean(x * y.conj()) - np.mean(x) * np.conj(np.mean(y))
         corr = abs(num) / (np.std(x) * np.std(y))

@@ -17,12 +17,6 @@ def write_config(tmp_path, **overrides):
 
 
 class TestConfig:
-    def test_defaults_round_trip(self):
-        cfg, params = cli.parse_config({})
-        doc = cli.serialize_config(cfg, params)
-        cfg2, params2 = cli.parse_config(doc)
-        assert cfg == cfg2 and params == params2
-
     def test_unknown_key_rejected(self):
         with pytest.raises(cli.ModelError):
             cli.parse_config({"bogus": 1})
@@ -31,10 +25,11 @@ class TestConfig:
         cfg, _ = cli.parse_config({"p_c_db": 10.0})
         assert cfg.p_c == pytest.approx(10.0)
 
-    def test_unknown_experiment_rejected(self):
+    def test_unknown_experiment_rejected(self, tmp_path):
         cfg, params = cli.parse_config({})
-        with pytest.raises(cli.ModelError):
-            cli.ExperimentSpec(name="nope", config=cfg, params=params)
+        out = tmp_path / "nope.csv"
+        assert cli.run("nope", cfg, params, str(out)) == 2
+        assert not out.exists()
 
 
 class TestMain:

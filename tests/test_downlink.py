@@ -304,7 +304,7 @@ class TestMeanCovariance:
         drawn = []
         sample = chan.sample_channel_block
 
-        def counting(corr, columns, seed, block, stream=chan.STREAM_GENERIC):
+        def counting(corr, columns, seed, block, stream):
             drawn.append((block, stream))
             return sample(corr, columns, seed, block, stream)
 

@@ -12,7 +12,7 @@ CFG = SimConfig(M=2, N=2, K=2, L=4, seed=21)
 P_C = 10.0
 ALPHA = 0.5
 PROFILE = SlotNoiseProfile(rho2=np.array([1.0, 2.0, 2.0, 3.0]))
-CLEAN = SlotNoiseProfile.clean(1)
+CLEAN = SlotNoiseProfile(rho2=np.ones(1))
 UL_CORR = chan.CorrelationMatrix(np.eye(CFG.N, dtype=complex), "receive_identity")
 
 # per system: its stream, its channel correlation, its per-trial rate, and
@@ -50,7 +50,7 @@ def drawn(monkeypatch):
     keys = []
     sample = chan.sample_channel_block
 
-    def counting(corr, columns, seed, block, stream=chan.STREAM_GENERIC):
+    def counting(corr, columns, seed, block, stream):
         keys.append((block, stream))
         return sample(corr, columns, seed, block, stream)
 
@@ -132,3 +132,13 @@ def test_zero_input_needs_no_trial(name, arg, value, drawn):
     outage = "outage" in name and arg != "r_target"
     assert (est.mean, est.std_error) == (1.0 if outage else 0.0, 0.0)
     assert drawn == []
+
+
+@pytest.mark.parametrize("kernel, columns", [
+    (dl.dl_sum_rate_batch, 1), (dl.dl_sum_rate_batch, 2),
+    (lambda h, p: ul.ul_rate_batch(h, p, PROFILE), 2)],
+    ids=["dl_k1", "dl_k2", "ul"])
+def test_rate_kernels_reject_negative_power(kernel, columns):
+    # one scalar check per call: a negative power would give nan rates
+    with pytest.raises(ModelError):
+        kernel(np.ones((3, 2, columns), dtype=complex), -1.0)

@@ -7,9 +7,9 @@ from isacsim.numerics import ModelError
 from isacsim.region import (
     RatePoint,
     RateRegion,
+    corner_gaps,
     dl_fdsac_region,
     dl_isac_region,
-    region_contains,
     ul_fdsac_region,
     ul_isac_region,
 )
@@ -18,53 +18,46 @@ from isacsim.uplink import ul_ecr_fdsac
 
 
 def make_region(pairs):
-    pts = [RatePoint(cr=c, sr=s) for c, s in pairs]
-    corners = tuple(sorted(pts, key=lambda p: (p.cr, p.sr)))
-    return RateRegion(corners=corners, sweep_param="x",
-                      grid=np.arange(len(pts), dtype=float),
-                      sweep_points=tuple(pts))
+    pts = tuple(RatePoint(cr=c, sr=s) for c, s in pairs)
+    return RateRegion(pts, "x", np.arange(len(pts), dtype=float))
+
+
+def worst_gap(outer, inner, cr_slack=0.0):
+    return float(np.max(corner_gaps(outer, inner.sweep_points, cr_slack)))
 
 
 class TestStaircaseGeometry:
-    def test_area_union_of_rectangles(self):
-        # [0,1]x[0,2] union [0,2]x[0,1] has area 3
-        reg = make_region([(1.0, 2.0), (2.0, 1.0)])
-        assert reg.area() == pytest.approx(3.0)
-
-    def test_area_single_corner(self):
-        assert make_region([(2.0, 3.0)]).area() == pytest.approx(6.0)
-
-    def test_dominated_corner_adds_nothing(self):
-        big = make_region([(2.0, 2.0)])
-        with_inner = make_region([(1.0, 1.0), (2.0, 2.0)])
-        assert big.area() == pytest.approx(with_inner.area())
-
     def test_contains_point(self):
         reg = make_region([(1.0, 2.0), (2.0, 1.0)])
-        assert reg.contains_point(1.5, 0.9)
-        assert reg.contains_point(0.5, 1.8)
-        assert not reg.contains_point(1.5, 1.5)
+        gaps = corner_gaps(reg, [RatePoint(1.5, 0.9), RatePoint(0.5, 1.8),
+                                 RatePoint(1.5, 1.5)])
+        assert gaps[0] <= 0.0 and gaps[1] <= 0.0
+        assert gaps[2] == pytest.approx(0.5)
+
+    def test_gap_ignores_point_order(self):
+        pairs = [(0.0, 3.0), (1.0, 2.0), (2.0, 1.0), (3.0, 0.0)]
+        points = [RatePoint(c + 0.3, s + 0.1) for c, s in pairs]
+        forward = corner_gaps(make_region(pairs), points)
+        backward = corner_gaps(make_region(pairs[::-1]), points)
+        assert np.array_equal(forward, backward)
 
 
 class TestContainment:
     def test_nested(self):
         outer = make_region([(2.0, 2.0)])
         inner = make_region([(1.0, 1.5), (1.5, 1.0)])
-        ok, gap = region_contains(outer, inner)
-        assert ok and gap <= 0.0
+        assert worst_gap(outer, inner) <= 0.0
 
     def test_violation_reports_gap(self):
         outer = make_region([(1.0, 1.0)])
         inner = make_region([(1.0, 1.4)])
-        ok, gap = region_contains(outer, inner)
-        assert not ok
-        assert gap == pytest.approx(0.4)
+        assert worst_gap(outer, inner) == pytest.approx(0.4)
 
     def test_cr_slack_forgives_stochastic_overshoot(self):
         outer = make_region([(1.0, 1.0)])
         inner = make_region([(1.05, 0.9)])
-        assert not region_contains(outer, inner)[0]
-        assert region_contains(outer, inner, cr_slack=0.1)[0]
+        assert worst_gap(outer, inner) > 0.0
+        assert worst_gap(outer, inner, cr_slack=0.1) <= 0.0
 
 
 @pytest.fixture(scope="module")
@@ -109,8 +102,10 @@ class TestSweeps:
 
     def test_ul_fdsac_region_runs(self, cfg):
         reg = ul_fdsac_region(cfg, 10.0, 10.0, grid_size=5, ecr_trials=4000)
-        assert len(reg.corners) == 5
-        assert reg.area() > 0.0
+        assert len(reg.sweep_points) == 5
+        crs = [p.cr for p in reg.sweep_points]
+        srs = [p.sr for p in reg.sweep_points]
+        assert crs == sorted(crs) and srs == sorted(srs, reverse=True)
 
     def test_rejects_tiny_grid(self, cfg):
         with pytest.raises(ModelError):

@@ -96,7 +96,8 @@ class TestWaveform:
         vecs_desc = np.linalg.eigh(RT)[1][:, ::-1].T
         target = sum(a * np.outer(v, v.conj())
                      for a, v in zip(sol.allocation, vecs_desc))
-        assert np.allclose(wf.gram, target, atol=1e-9)
+        gram = wf.s_matrix @ wf.s_matrix.conj().T
+        assert np.allclose(gram, target, atol=1e-9)
 
     def test_equal_slot_powers(self):
         _, sol = ul_sr(RT, 2, 4, 10.0)

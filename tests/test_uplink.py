@@ -10,17 +10,32 @@ from isacsim.uplink import (
     SlotNoiseProfile,
     sensing_profile,
     slot_noise_powers,
-    ul_avg_rate,
     ul_ecr,
     ul_ecr_asymptote,
     ul_ecr_fdsac,
     ul_outage_prob,
     ul_outage_prob_fdsac,
     ul_rate_batch,
-    ul_slot_rate,
 )
 
 RT = exp_correlation(2, 0.7).matrix
+
+
+def clean(n_slots):
+    # a frame without radar interference
+    return SlotNoiseProfile(rho2=np.ones(n_slots))
+
+
+def ul_slot_rate(h_u, p_c, rho2_l):
+    # scalar oracle: log2 det(I_N + (p_c / rho2_l) H_u H_u^H) of one slot
+    h = np.asarray(h_u, dtype=complex)
+    a = np.eye(h.shape[0]) + (p_c / rho2_l) * (h @ h.conj().T)
+    return np.linalg.slogdet(a)[1] / math.log(2.0)
+
+
+def ul_avg_rate(h_u, p_c, profile):
+    # scalar oracle: the per-slot rates averaged over the frame
+    return float(np.mean([ul_slot_rate(h_u, p_c, r2) for r2 in profile.rho2]))
 
 
 def scalar_cfg(seed=0):
@@ -49,20 +64,19 @@ class TestSlotNoise:
         with pytest.raises(ModelError):
             SlotNoiseProfile(rho2=np.array([0.5, 1.0]))
 
-    def test_clean_profile(self):
-        assert np.all(SlotNoiseProfile.clean(4).rho2 == 1.0)
-
 
 class TestRates:
     def test_single_antenna_slot_rate(self):
         h = np.array([[1.0 + 1.0j]])
         assert ul_slot_rate(h, 3.0, 2.0) == pytest.approx(math.log2(4.0))
+        prof = SlotNoiseProfile(rho2=np.array([2.0]))
+        assert ul_rate_batch(h[None], 3.0, prof)[0] == pytest.approx(math.log2(4.0))
 
     def test_avg_over_slots(self):
         h = np.array([[1.0], [0.5]], dtype=complex)
         prof = SlotNoiseProfile(rho2=np.array([1.0, 4.0]))
         expect = 0.5 * (ul_slot_rate(h, 2.0, 1.0) + ul_slot_rate(h, 2.0, 4.0))
-        assert ul_avg_rate(h, 2.0, prof) == pytest.approx(expect)
+        assert ul_rate_batch(h[None], 2.0, prof)[0] == pytest.approx(expect)
 
     def test_batch_matches_loop(self):
         rng = np.random.default_rng(23)
@@ -75,27 +89,28 @@ class TestRates:
 
     def test_interference_hurts(self):
         h = np.array([[1.0], [1.0]], dtype=complex)
-        clean = ul_avg_rate(h, 4.0, SlotNoiseProfile.clean(2))
-        noisy = ul_avg_rate(h, 4.0, SlotNoiseProfile(rho2=np.array([3.0, 3.0])))
-        assert noisy < clean
+        quiet = ul_rate_batch(h[None], 4.0, clean(2))[0]
+        noisy = ul_rate_batch(h[None], 4.0,
+                              SlotNoiseProfile(rho2=np.array([3.0, 3.0])))[0]
+        assert noisy < quiet
 
 
 class TestOutage:
     def test_scalar_rayleigh_oracle(self):
         cfg = scalar_cfg(seed=31)
-        est = ul_outage_prob(cfg, 1.0, 1.0, SlotNoiseProfile.clean(1),
+        est = ul_outage_prob(cfg, 1.0, 1.0, clean(1),
                              min_events=2000)
         assert est.mean == pytest.approx(1.0 - math.exp(-1.0), abs=0.02)
 
     def test_edge_cases(self):
         cfg = scalar_cfg()
-        prof = SlotNoiseProfile.clean(1)
+        prof = clean(1)
         assert ul_outage_prob(cfg, 0.0, 1.0, prof).mean == 0.0
         assert ul_outage_prob(cfg, 1.0, 0.0, prof).mean == 1.0
 
     def test_fdsac_alpha_one_equals_clean_isac(self):
         cfg = SimConfig(M=2, N=2, K=2, L=4, seed=33)
-        a = ul_outage_prob(cfg, 5.0, 10.0, SlotNoiseProfile.clean(4),
+        a = ul_outage_prob(cfg, 5.0, 10.0, clean(4),
                            min_events=500)
         b = ul_outage_prob_fdsac(cfg, 5.0, 1.0, 10.0, min_events=500)
         assert a.mean == b.mean
@@ -104,7 +119,7 @@ class TestOutage:
 class TestErgodic:
     def test_scalar_rayleigh_oracle(self):
         cfg = scalar_cfg(seed=35)
-        est = ul_ecr(cfg, 1.0, SlotNoiseProfile.clean(1), trials=100_000)
+        est = ul_ecr(cfg, 1.0, clean(1), trials=100_000)
         expect = math.e * float(exp1(1.0)) / math.log(2.0)
         assert est.mean == pytest.approx(expect, abs=3.5 * est.std_error)
 
