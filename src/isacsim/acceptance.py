@@ -136,7 +136,7 @@ def criterion_dual_mac_optimality(seed=DEFAULT_SEED):
     start = time.time()
     cfg = _paper_cfg(seed)
     rng = np.random.default_rng((seed, 102))
-    root = cfg.r_cu().sqrt()
+    root = cfg.r_cu().root
     worst2 = np.inf
     p_c = 10.0
     for i in range(100):
@@ -151,7 +151,7 @@ def criterion_dual_mac_optimality(seed=DEFAULT_SEED):
         det = (1.0 + allocs[:, 0] * a + allocs[:, 1] * b
                + allocs[:, 0] * allocs[:, 1] * gamma)
         worst2 = min(worst2, solver - float(np.max(np.log2(det))))
-    root3 = replace(cfg, M=3, N=3, K=3).r_cu().sqrt()
+    root3 = replace(cfg, M=3, N=3, K=3).r_cu().root
     w = rng.standard_normal((100, 3, 3)) + 1j * rng.standard_normal((100, 3, 3))
     hs = root3 @ (w / np.sqrt(2.0))
     solvers = dl.dl_sum_rate(hs, p_c)

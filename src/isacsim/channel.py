@@ -9,7 +9,7 @@ single trial is recovered by generating its block and indexing into it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,10 +42,15 @@ class CorrelationMatrix:
 
     label is one of 'transmit_cu', 'transmit_target', 'receive_identity'.
     A 'transmit_target' correlation must be strictly positive definite.
+    ``root`` is the Hermitian square root and ``is_identity`` says whether
+    the matrix is the identity within ``np.allclose``; both are computed
+    once, here, and take no part in comparisons.
     """
 
     matrix: np.ndarray
     label: str = "transmit_cu"
+    root: np.ndarray = field(init=False, repr=False, compare=False)
+    is_identity: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -58,14 +63,15 @@ class CorrelationMatrix:
             raise ModelError("correlation matrix must be PSD")
         if self.label == "transmit_target" and eigmin <= 1e-12:
             raise ModelError("target correlation must be strictly PD")
+        root = matrix_sqrt_psd(m)
+        root.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "is_identity", np.allclose(m, np.eye(len(m))))
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def sqrt(self) -> np.ndarray:
-        return matrix_sqrt_psd(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -121,24 +127,28 @@ def _block_rng(seed, stream, block) -> np.random.Generator:
     return np.random.default_rng((int(seed), int(stream), int(block)))
 
 
-def _standard_complex(rng, shape):
-    # unit total variance per entry: real and imaginary parts N(0, 1/2)
-    w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return w / np.sqrt(2.0)
-
-
 def sample_channel_block(corr: CorrelationMatrix, columns, seed, block, stream):
     """Draw one block of correlated channel matrices.
 
     Returns an array of shape (BLOCK_SIZE, dim, columns) whose slice [t] is
     the channel of trial block*BLOCK_SIZE + t.  Columns are independent,
     each CN(0, R), realized as R^{1/2} w with w i.i.d. standard complex
-    Gaussian.
+    Gaussian: real and imaginary parts N(0, 1/2), drawn as all the real
+    parts followed by all the imaginary parts of the block.
     """
-    rng = _block_rng(seed, stream, block)
-    w = _standard_complex(rng, (BLOCK_SIZE, corr.dim, columns))
-    if np.allclose(corr.matrix, np.eye(corr.dim)):
+    shape = (BLOCK_SIZE, corr.dim, columns)
+    parts = _block_rng(seed, stream, block).standard_normal((2,) + shape)
+    parts *= 1.0 / np.sqrt(2.0)
+    w = np.empty(shape, dtype=complex)
+    w.real, w.imag = parts
+    if corr.is_identity:
         return w
-    root = corr.sqrt()
-    return np.einsum("ij,tjk->tik", root, w)
-
+    # h[:, i] = sum_j root[i, j] w[:, j], one term at a time in the order of
+    # j: this rounds exactly as np.einsum("ij,tjk->tik"), which root @ w does
+    # not, so every draw keeps its bytes
+    h = np.empty_like(w)
+    for i, row in enumerate(corr.root):
+        h[:, i] = row[0] * w[:, 0]
+        for j in range(1, corr.dim):
+            h[:, i] += row[j] * w[:, j]
+    return h

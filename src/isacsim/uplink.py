@@ -64,22 +64,48 @@ def sensing_profile(r_target, n_rx, n_slots, p_s) -> SlotNoiseProfile:
     return slot_noise_powers(wf, r_target)
 
 
-def _logdet_batch(h_batch, scale):
-    """log2 det(I_N + scale * H H^H) over a batch (T, N, K)."""
+def _logdet_fn(h_batch):
+    """The map scale -> log2 det(I_N + scale * H H^H) over a batch (T, N, K).
+
+    The Gram matrix H H^H does not depend on the scale, so it is built
+    once and every scale costs only the determinant.  For N = 2 its entries
+    are formed in real arithmetic, x * conj(y) as (xr*yr - xi*(-yi),
+    xr*(-yi) + xi*yr) and |g12| by np.abs of the complex sum: these round
+    exactly as the einsum Gram of the other branches, which numpy's
+    ``x * y.conj()`` and ``np.hypot`` do not.
+    """
     h = np.asarray(h_batch, dtype=complex)
     n = h.shape[1]
+    if n == 2:
+        xr, xi = h[:, 0].real, h[:, 0].imag
+        yr, yi = h[:, 1].real, h[:, 1].imag
+        g11 = _sum_columns(xr * xr - xi * -xi)
+        g22 = _sum_columns(yr * yr - yi * -yi)
+        g12 = np.empty(len(h), dtype=complex)
+        g12.real = _sum_columns(xr * yr - xi * -yi)
+        g12.imag = _sum_columns(xr * -yi + xi * yr)
+        cross = np.abs(g12) ** 2
+        return lambda scale: np.log2((1.0 + scale * g11) * (1.0 + scale * g22)
+                                     - scale * scale * cross)
     gram = np.einsum("tik,tjk->tij", h, h.conj())
     if n == 1:
-        return np.log2(1.0 + scale * np.real(gram[:, 0, 0]))
-    if n == 2:
-        g11 = np.real(gram[:, 0, 0])
-        g22 = np.real(gram[:, 1, 1])
-        cross = np.abs(gram[:, 0, 1]) ** 2
-        det = (1.0 + scale * g11) * (1.0 + scale * g22) - scale * scale * cross
-        return np.log2(det)
+        return lambda scale: np.log2(1.0 + scale * np.real(gram[:, 0, 0]))
     eye = np.eye(n, dtype=complex)
-    sign, ld = np.linalg.slogdet(eye[None, :, :] + scale * gram)
-    return ld / math.log(2.0)
+    return lambda scale: (np.linalg.slogdet(eye[None, :, :] + scale * gram)[1]
+                          / math.log(2.0))
+
+
+def _sum_columns(terms):
+    # the sum over k of a (T, K) array, in the order of k
+    total = terms[:, 0]
+    for k in range(1, terms.shape[1]):
+        total = total + terms[:, k]
+    return total
+
+
+def _logdet_batch(h_batch, scale):
+    """log2 det(I_N + scale * H H^H) over a batch (T, N, K)."""
+    return _logdet_fn(h_batch)(scale)
 
 
 def ul_rate_batch(h_batch, p_c, profile: SlotNoiseProfile):
@@ -88,10 +114,11 @@ def ul_rate_batch(h_batch, p_c, profile: SlotNoiseProfile):
         raise ModelError("p_c must be nonnegative")
     if p_c == 0.0:
         return np.zeros(np.asarray(h_batch).shape[0])
+    logdet = _logdet_fn(h_batch)
     rho2_vals, counts = np.unique(profile.rho2, return_counts=True)
     total = 0.0
     for r2, cnt in zip(rho2_vals, counts):
-        total = total + cnt * _logdet_batch(h_batch, p_c / r2)
+        total = total + cnt * logdet(p_c / r2)
     return total / profile.rho2.size
 
 

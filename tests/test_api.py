@@ -8,7 +8,7 @@ as used when it appears as an ``ast.Name`` or as the attribute of an
 ``ast.Attribute`` anywhere in the package.  It matches names, not
 bindings, so it only finds names that nothing in the package uses: a
 public name that a local variable or another attribute shares passes
-unseen (a method ``gram`` would, as ``uplink._logdet_batch`` has a local
+unseen (a method ``gram`` would, as ``uplink._logdet_fn`` has a local
 ``gram``).
 """
 

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from isacsim import channel as chan
 from isacsim.channel import (
     BLOCK_SIZE,
     STREAM_COVARIANCE,
@@ -11,7 +14,7 @@ from isacsim.channel import (
     exp_correlation,
     sample_channel_block,
 )
-from isacsim.numerics import ModelError
+from isacsim.numerics import ModelError, matrix_sqrt_psd
 
 
 class TestExpCorrelation:
@@ -44,7 +47,7 @@ class TestCorrelationMatrix:
 
     def test_sqrt_reconstructs(self):
         r = exp_correlation(3, 0.6)
-        b = r.sqrt()
+        b = r.root
         assert np.allclose(b @ b.conj().T, r.matrix, atol=1e-9)
 
 
@@ -105,3 +108,44 @@ class TestSampling:
         corr = abs(num) / (np.std(x) * np.std(y))
         assert corr < 0.03
 
+
+def einsum_block(corr, columns, seed, block, stream):
+    # reference sampler: two draws, a complex sum divided by sqrt(2), and
+    # the correlated transform as an einsum with a freshly computed root
+    rng = np.random.default_rng((seed, stream, block))
+    shape = (BLOCK_SIZE, corr.dim, columns)
+    w = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    if np.allclose(corr.matrix, np.eye(corr.dim)):
+        return w
+    return np.einsum("ij,tjk->tik", matrix_sqrt_psd(corr.matrix), w)
+
+
+class TestSamplerBytes:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("columns", [1, 2, 3])
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.8, 0.999])
+    def test_matches_the_einsum_sampler(self, dim, columns, rho):
+        corr = exp_correlation(dim, rho)
+        for stream in (STREAM_DOWNLINK, STREAM_UPLINK, STREAM_COVARIANCE):
+            for block in (0, 1, 7):
+                got = sample_channel_block(corr, columns, 11, block, stream)
+                expect = einsum_block(corr, columns, 11, block, stream)
+                assert got.shape == expect.shape
+                assert np.array_equal(got.view(np.uint8), expect.view(np.uint8))
+
+    def test_root_is_computed_once(self, monkeypatch):
+        corr = exp_correlation(3, 0.8)
+        assert np.array_equal(corr.root, matrix_sqrt_psd(corr.matrix))
+        assert not corr.is_identity
+
+        def fail(a):
+            raise AssertionError("root recomputed")
+
+        monkeypatch.setattr(chan, "matrix_sqrt_psd", fail)
+        sample_channel_block(corr, 2, 0, 0, STREAM_DOWNLINK)
+
+    def test_cached_fields_take_no_part_in_comparison(self):
+        corr = exp_correlation(2, 0.5)
+        assert not corr.root.flags.writeable
+        assert [f.name for f in dataclasses.fields(corr) if f.compare] == [
+            "matrix", "label"]

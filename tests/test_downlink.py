@@ -178,7 +178,7 @@ class TestAllocationProperties:
         rng = np.random.default_rng(seed)
         shape = (8, m, k_users)
         w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        h = chan.exp_correlation(m, rho).sqrt() @ (w / np.sqrt(2.0))
+        h = chan.exp_correlation(m, rho).root @ (w / np.sqrt(2.0))
         p_c = 10.0 ** (snr_db / 10.0)
         p = dual_mac_power_alloc(h, p_c).powers
         assert np.all(p >= 0.0)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from isacsim import channel as chan
 from isacsim import downlink as dl
+from isacsim import mc
 from isacsim import uplink as ul
 from isacsim.channel import SimConfig
 from isacsim.numerics import ModelError
@@ -142,3 +145,15 @@ def test_rate_kernels_reject_negative_power(kernel, columns):
     # one scalar check per call: a negative power would give nan rates
     with pytest.raises(ModelError):
         kernel(np.ones((3, 2, columns), dtype=complex), -1.0)
+
+
+@given(trial=st.integers(0, 3 * chan.BLOCK_SIZE - 1), dim=st.integers(1, 3),
+       rho=st.floats(0.0, 0.999), stream=st.sampled_from(
+           [chan.STREAM_DOWNLINK, chan.STREAM_UPLINK, chan.STREAM_COVARIANCE]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_a_trial_does_not_depend_on_the_trials_requested(trial, dim, rho, stream, seed):
+    corr = chan.exp_correlation(dim, rho)
+    size = chan.BLOCK_SIZE
+    draws = [np.concatenate(list(mc.blocks(corr, 2, seed, stream, trials)))[trial]
+             for trials in (trial + 1, size, size + 1, 3 * size) if trials > trial]
+    assert all(np.array_equal(d, draws[0]) for d in draws)

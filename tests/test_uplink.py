@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import exp1
 
+from isacsim import channel as chan
 from isacsim.channel import SimConfig, exp_correlation
 from isacsim.numerics import ModelError
 from isacsim.uplink import (
@@ -17,6 +20,7 @@ from isacsim.uplink import (
     ul_outage_prob_fdsac,
     ul_rate_batch,
 )
+from isacsim.uplink import _logdet_batch
 
 RT = exp_correlation(2, 0.7).matrix
 
@@ -141,3 +145,77 @@ class TestErgodic:
     def test_fdsac_zero_alpha(self):
         cfg = scalar_cfg()
         assert ul_ecr_fdsac(cfg, 0.0, 1.0).mean == 0.0
+
+
+def einsum_logdet(h, scale):
+    # reference log det: the einsum Gram, then the 2x2 determinant or slogdet
+    gram = np.einsum("tik,tjk->tij", h, h.conj())
+    n = h.shape[1]
+    if n == 1:
+        return np.log2(1.0 + scale * np.real(gram[:, 0, 0]))
+    if n == 2:
+        g11 = np.real(gram[:, 0, 0])
+        g22 = np.real(gram[:, 1, 1])
+        cross = np.abs(gram[:, 0, 1]) ** 2
+        det = (1.0 + scale * g11) * (1.0 + scale * g22) - scale * scale * cross
+        return np.log2(det)
+    eye = np.eye(n, dtype=complex)
+    return np.linalg.slogdet(eye[None, :, :] + scale * gram)[1] / math.log(2.0)
+
+
+def einsum_rate(h, p_c, profile):
+    # reference slot-averaged rate: one einsum Gram per distinct rho2
+    rho2_vals, counts = np.unique(profile.rho2, return_counts=True)
+    total = 0.0
+    for r2, cnt in zip(rho2_vals, counts):
+        total = total + cnt * einsum_logdet(h, p_c / r2)
+    return total / profile.rho2.size
+
+
+def same_bytes(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+PAPER = sensing_profile(RT, 2, 4, 10.0)
+R2 = 3.98039216
+BYTE_PROFILES = {
+    "paper": PAPER,
+    # two values one ULP apart, as the paper profile may hold
+    "ulp_split": SlotNoiseProfile(rho2=np.array([R2, np.nextafter(R2, 4.0),
+                                                 R2, np.nextafter(R2, 4.0)])),
+    "mixed": SlotNoiseProfile(rho2=np.array([1.0, 2.0, 2.0, 3.0])),
+}
+
+
+class TestRateBytes:
+    @pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("rho", [0.0, 0.8])
+    def test_matches_the_einsum_gram(self, n, k, rho):
+        h = chan.sample_channel_block(exp_correlation(n, rho), k, 3, 0,
+                                      chan.STREAM_UPLINK)[:2048]
+        for p_c in np.logspace(-2.0, 6.0, 9):
+            for name, profile in BYTE_PROFILES.items():
+                assert same_bytes(ul_rate_batch(h, p_c, profile),
+                                  einsum_rate(h, p_c, profile)), (name, p_c)
+            assert same_bytes(_logdet_batch(h, p_c), einsum_logdet(h, p_c)), p_c
+
+
+class TestExpansionProperties:
+    @given(columns=st.integers(1, 2), rho=st.floats(0.0, 0.999999),
+           snr_db=st.floats(-20.0, 60.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_two_by_two_matches_slogdet(self, columns, rho, snr_db, seed):
+        # Relative 1e-12, plus the rounding of the determinant's cancellation:
+        # (1 + s g11)(1 + s g22) - s^2 |g12|^2 loses kappa = (1 + s g11)(1 + s g22)
+        # / det ulps, which nears 1e6 for a rank-1 Gram at 60 dB.
+        rng = np.random.default_rng(seed)
+        shape = (8, 2, columns)
+        w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        h = exp_correlation(2, rho).root @ (w / np.sqrt(2.0))
+        scale = 10.0 ** (snr_db / 10.0)
+        gram = h @ h.conj().transpose(0, 2, 1)
+        expect = np.linalg.slogdet(np.eye(2) + scale * gram)[1] / math.log(2.0)
+        diag = np.prod(1.0 + scale * np.real(np.diagonal(gram, axis1=1, axis2=2)),
+                       axis=1)
+        kappa = diag / 2.0 ** expect
+        bound = 1e-12 * np.abs(expect) + 32 * np.finfo(float).eps * kappa / math.log(2.0)
+        assert np.all(np.abs(_logdet_batch(h, scale) - expect) <= bound)
