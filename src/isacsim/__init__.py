@@ -19,6 +19,7 @@ from .downlink import (
     ed_closed_form_iid,
     estimate_mean_covariance,
     mac_to_bc_covariance,
+    sensing_noise,
 )
 from .mc import MonteCarloEstimate
 from .numerics import (
@@ -38,13 +39,10 @@ from .region import (
     ul_isac_region,
 )
 from .sensing import (
-    SensingScenario,
-    Waveform,
     build_waveform,
     dl_sr,
     fdsac_sr,
     sensing_mi,
-    sigma2_effective,
     sr_highsnr,
     ul_sr,
 )

@@ -69,6 +69,10 @@ class CorrelationMatrix:
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "is_identity", np.allclose(m, np.eye(len(m))))
 
+    def __array__(self, dtype=None, copy=None):
+        # lets every function that takes a matrix take a CorrelationMatrix
+        return np.array(self.matrix, dtype=dtype, copy=copy)
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]

@@ -8,6 +8,7 @@ produce byte-identical CSV files.  Exit codes: 0 success, 2 config error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -58,8 +59,6 @@ def parse_config(raw: dict):
         trials=int(merged["trials"]), seed=int(merged["seed"]),
     )
     params = {
-        "p_c_db": float(merged["p_c_db"]),
-        "p_s_db": float(merged["p_s_db"]),
         "target_rate": float(merged["target_rate"]),
         "alpha": float(merged["alpha"]),
         "grid_size": int(merged["grid_size"]),
@@ -93,15 +92,11 @@ def _sweep(params, default_stop, default_step):
             np.arange(0.0, default_stop + 1e-9, default_step)]
 
 
-def _uplink_profile(cfg):
-    return ul.sensing_profile(cfg.r_target().matrix, cfg.N, cfg.L, cfg.p_s)
-
-
 def _run_vs_snr(cfg, params, experiment):
     # outage (op_vs_snr) or ergodic rate (ecr_vs_snr) of the four systems
     alpha, target = params["alpha"], params["target_rate"]
     kw = dict(min_events=params["min_events"], max_trials=params["max_trials"])
-    profile = _uplink_profile(cfg)
+    profile = ul.sensing_profile(cfg.r_target(), cfg.N, cfg.L, cfg.p_s)
     if experiment == "op_vs_snr":
         systems = {
             "disac": lambda p: dl.dl_outage_prob(cfg, target, p, **kw),
@@ -131,16 +126,13 @@ def _run_sr_vs_snr(cfg, params):
     sweep = _sweep(params, 30.0, 2.5)
     alpha = params["alpha"]
     rt = cfg.r_target()
-    sigma = dl.estimate_mean_covariance(cfg)
-    s2 = sn.sigma2_effective(rt, sigma)
+    noise = dl.sensing_noise(cfg, cfg.p_c)
     rows = []
     for p_db in sweep:
         p_s = db_to_linear(p_db)
-        scenario = sn.SensingScenario(r_target=rt.matrix, n_rx=cfg.N,
-                                      n_slots=cfg.L, sigma2=s2, p_s=p_s)
-        d_sr, _ = sn.dl_sr(scenario)
-        u_sr, _ = sn.ul_sr(rt.matrix, cfg.N, cfg.L, p_s)
-        f_sr = sn.fdsac_sr(rt.matrix, cfg.N, cfg.L, p_s, alpha)
+        d_sr, _ = sn.dl_sr(rt, cfg.N, cfg.L, p_s, noise)
+        u_sr, _ = sn.ul_sr(rt, cfg.N, cfg.L, p_s)
+        f_sr = sn.fdsac_sr(rt, cfg.N, cfg.L, p_s, alpha)
         for name, val in (("disac", d_sr), ("dfdsac", f_sr),
                           ("uisac", u_sr), ("ufdsac", f_sr)):
             rows.append((p_db, name, val))
@@ -235,7 +227,7 @@ def main(argv=None) -> int:
                 raw = json.load(fh)
         cfg, params = parse_config(raw)
         if args.seed is not None:
-            cfg = SimConfig(**{**cfg.__dict__, "seed": int(args.seed)})
+            cfg = dataclasses.replace(cfg, seed=args.seed)
     except (ModelError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2

@@ -3,7 +3,7 @@
 Sum rate of the dirty-paper-coded broadcast link via its dual multiple
 access problem, outage probability and ergodic rate by Monte Carlo, the
 high-SNR ergodic-rate asymptote, the bandwidth-split baseline, and the
-mean transmit covariance that feeds the sensing-noise level.
+mean transmit covariance with the downlink sensing noise it sets.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ __all__ = [
     "dl_sum_rate_batch",
     "mac_to_bc_covariance",
     "estimate_mean_covariance",
+    "sensing_noise",
     "dl_outage_prob",
     "dl_outage_prob_fdsac",
     "dl_ecr",
@@ -257,7 +258,7 @@ def estimate_mean_covariance(cfg: chan.SimConfig, p_c=None,
 
     Each block of draws is allocated and mapped through the duality in one
     batched call.  Cached per (config, p_c, trials): the result feeds every
-    downlink sensing-rate evaluation.
+    downlink sensing-noise evaluation.
     """
     p_c = cfg.p_c if p_c is None else float(p_c)
     key = (cfg, p_c, int(trials))
@@ -279,6 +280,19 @@ def estimate_mean_covariance(cfg: chan.SimConfig, p_c=None,
     result = MeanInputCovariance(sigma_matrix=sigma, trials_used=trials, p_c=p_c)
     _sigma_cache[key] = result
     return result
+
+
+def sensing_noise(cfg: chan.SimConfig, p_c, trials=10_000) -> float:
+    """Downlink sensing noise 1 + tr(R_T Sigma) at communication power p_c.
+
+    Sigma is the mean input covariance over ``trials`` channel draws: the
+    sensing receiver sees the communication signal as Gaussian noise.
+    """
+    sigma = estimate_mean_covariance(cfg, p_c=p_c, trials=trials).sigma_matrix
+    val = 1.0 + float(np.real(np.trace(cfg.r_target().matrix @ sigma)))
+    if val < 1.0 - 1e-9:
+        raise ModelError("mean covariance must be PSD")
+    return max(val, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -75,11 +75,8 @@ def dl_isac_region(cfg: SimConfig, p_c_max, p_s_max, grid_size=DEFAULT_GRID,
     points = []
     for p_c in grid:
         est = dl.dl_ecr(cfg, p_c, trials=ecr_trials)
-        sigma = dl.estimate_mean_covariance(cfg, p_c=p_c, trials=sigma_trials)
-        s2 = sn.sigma2_effective(rt, sigma)
-        scenario = sn.SensingScenario(r_target=rt.matrix, n_rx=cfg.N,
-                                      n_slots=cfg.L, sigma2=s2, p_s=p_s_max)
-        sr, _ = sn.dl_sr(scenario)
+        noise = dl.sensing_noise(cfg, p_c, trials=sigma_trials)
+        sr, _ = sn.dl_sr(rt, cfg.N, cfg.L, p_s_max, noise)
         points.append(RatePoint(cr=est.mean, sr=sr, cr_se=est.std_error))
     return RateRegion(tuple(points), "p_c", grid)
 
@@ -96,9 +93,8 @@ def ul_isac_region(cfg: SimConfig, p_c_max, p_s_max, grid_size=DEFAULT_GRID,
     rt = cfg.r_target()
     points = []
     for p_s in grid:
-        sr, sol = sn.ul_sr(rt.matrix, cfg.N, cfg.L, p_s)
-        wf = sn.build_waveform(rt.matrix, sol, cfg.L)
-        profile = ul.slot_noise_powers(wf, rt.matrix)
+        sr, _ = sn.ul_sr(rt, cfg.N, cfg.L, p_s)
+        profile = ul.sensing_profile(rt, cfg.N, cfg.L, p_s)
         est = ul.ul_ecr(cfg, p_c_max, profile, trials=ecr_trials)
         points.append(RatePoint(cr=est.mean, sr=sr, cr_se=est.std_error))
     return RateRegion(tuple(points), "p_s", grid)
@@ -112,7 +108,7 @@ def _fdsac_region(ecr_fdsac, cfg, p_c, p_s, grid_size, ecr_trials) -> RateRegion
     points = []
     for alpha in grid:
         est = ecr_fdsac(cfg, alpha, p_c, trials=ecr_trials)
-        sr = sn.fdsac_sr(rt.matrix, cfg.N, cfg.L, p_s, alpha)
+        sr = sn.fdsac_sr(rt, cfg.N, cfg.L, p_s, alpha)
         points.append(RatePoint(cr=est.mean, sr=sr, cr_se=est.std_error))
     return RateRegion(tuple(points), "alpha", grid)
 

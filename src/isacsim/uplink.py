@@ -17,7 +17,7 @@ from . import mc
 from .downlink import ed_closed_form_iid
 from .mc import MonteCarloEstimate
 from .numerics import ModelError
-from .sensing import Waveform, build_waveform, ul_sr
+from .sensing import build_waveform, ul_sr
 
 __all__ = [
     "SlotNoiseProfile",
@@ -45,14 +45,13 @@ class SlotNoiseProfile:
         object.__setattr__(self, "rho2", np.maximum(arr, 1.0))
 
 
-def slot_noise_powers(waveform, r_target) -> SlotNoiseProfile:
-    """rho2_l = 1 + s_l^H R_T s_l for each waveform slot.
+def slot_noise_powers(s, r_target) -> SlotNoiseProfile:
+    """rho2_l = 1 + s_l^H R_T s_l for each slot of a waveform S (M, L).
 
     The quadratic form is real and nonnegative for PSD R_T, so no absolute
     value is needed.
     """
-    s = waveform.s_matrix if isinstance(waveform, Waveform) else np.asarray(waveform)
-    rt = np.asarray(getattr(r_target, "matrix", r_target), dtype=complex)
+    rt = np.asarray(r_target, dtype=complex)
     quad = np.real(np.einsum("ml,mn,nl->l", s.conj(), rt, s))
     return SlotNoiseProfile(rho2=1.0 + quad)
 

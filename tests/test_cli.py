@@ -1,10 +1,14 @@
 import json
 import logging
 import re
+from pathlib import Path
 
 import pytest
 
 from isacsim import cli
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def write_config(tmp_path, **overrides):
@@ -100,3 +104,22 @@ class TestMain:
                            "--out", "x.csv"])
         assert status == 2
 
+
+
+# Small runs whose CSVs were written by an earlier version: a change meant
+# to keep every output byte must reproduce them exactly.
+GOLDEN = {
+    "sr_vs_snr": {"trials": 2000},
+    "region_dl": {"grid_size": 5, "trials": 2000},
+    "region_ul": {"grid_size": 5, "trials": 2000},
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(GOLDEN))
+def test_csv_bytes_unchanged(tmp_path, experiment):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(GOLDEN[experiment]))
+    out = tmp_path / "out.csv"
+    assert cli.main(["--experiment", experiment, "--config", str(config),
+                     "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"{experiment}.csv").read_bytes()

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from isacsim.channel import exp_correlation
+from isacsim import downlink as dl
+from isacsim.channel import SimConfig, exp_correlation
 from isacsim.numerics import ModelError
 from isacsim.sensing import (
-    SensingScenario,
     build_waveform,
     dl_sr,
     fdsac_sr,
     sensing_mi,
-    sigma2_effective,
     sr_highsnr,
     ul_sr,
 )
@@ -26,12 +25,17 @@ def hand_rate(p_s, sigma2):
     return 0.5 * float(np.sum(np.log2(1.0 + lam * alloc / sigma2))), alloc
 
 
-class TestSigma2:
-    def test_trace_formula(self):
-        assert sigma2_effective(np.eye(2), 0.5 * np.eye(2)) == pytest.approx(2.0)
+class TestSensingNoise:
+    CFG = SimConfig(M=2, N=2, K=2, L=4, seed=5)
 
-    def test_zero_covariance(self):
-        assert sigma2_effective(RT, np.zeros((2, 2))) == pytest.approx(1.0)
+    def test_no_communication_power(self):
+        assert dl.sensing_noise(self.CFG, 0.0) == 1.0
+
+    def test_trace_formula(self):
+        sigma = dl.estimate_mean_covariance(self.CFG, p_c=4.0, trials=3000)
+        expect = 1.0 + np.trace(RT @ sigma.sigma_matrix).real
+        assert dl.sensing_noise(self.CFG, 4.0, trials=3000) == expect
+        assert expect > 1.0
 
 
 class TestSensingMI:
@@ -39,16 +43,13 @@ class TestSensingMI:
         # det(I_L + S^H R S) = det(I_M + R S S^H)
         rng = np.random.default_rng(13)
         s = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-        scen = SensingScenario(r_target=RT, n_rx=2, n_slots=4,
-                               sigma2=1.5, p_s=1.0)
         small = np.eye(2) + RT @ (s @ s.conj().T) / 1.5
         _, ld = np.linalg.slogdet(small)
-        assert sensing_mi(scen, s) == pytest.approx(2.0 * ld / np.log(2.0),
-                                                    abs=1e-9)
+        assert sensing_mi(RT, 2, 1.5, s) == pytest.approx(
+            2.0 * ld / np.log(2.0), abs=1e-9)
 
     def test_zero_waveform(self):
-        scen = SensingScenario(r_target=RT, n_rx=2, n_slots=4)
-        assert sensing_mi(scen, np.zeros((2, 4))) == pytest.approx(0.0)
+        assert sensing_mi(RT, 2, 1.0, np.zeros((2, 4))) == pytest.approx(0.0)
 
 
 class TestSensingRate:
@@ -60,32 +61,43 @@ class TestSensingRate:
         assert np.allclose(sol.allocation, alloc, atol=1e-9)
 
     def test_dl_matches_ul_at_unit_noise(self):
-        scen = SensingScenario(r_target=RT, n_rx=2, n_slots=4,
-                               sigma2=1.0, p_s=7.0)
-        assert dl_sr(scen)[0] == pytest.approx(ul_sr(RT, 2, 4, 7.0)[0])
+        assert dl_sr(RT, 2, 4, 7.0, 1.0)[0] == pytest.approx(
+            ul_sr(RT, 2, 4, 7.0)[0])
 
     def test_noise_hurts(self):
-        quiet = SensingScenario(r_target=RT, n_rx=2, n_slots=4,
-                                sigma2=1.0, p_s=5.0)
-        loud = SensingScenario(r_target=RT, n_rx=2, n_slots=4,
-                               sigma2=3.0, p_s=5.0)
-        assert dl_sr(loud)[0] < dl_sr(quiet)[0]
+        assert dl_sr(RT, 2, 4, 5.0, 3.0)[0] < dl_sr(RT, 2, 4, 5.0, 1.0)[0]
 
     def test_beats_random_waveforms(self):
-        scen = SensingScenario(r_target=RT, n_rx=2, n_slots=4,
-                               sigma2=2.0, p_s=6.0)
-        best, _ = dl_sr(scen)
+        best, _ = dl_sr(RT, 2, 4, 6.0, 2.0)
         rng = np.random.default_rng(19)
         for _ in range(200):
             s = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
             s *= np.sqrt(6.0 / np.sum(np.abs(s) ** 2))
-            assert best >= sensing_mi(scen, s) / 4.0 - 1e-9
+            assert best >= sensing_mi(RT, 2, 2.0, s) / 4.0 - 1e-9
 
     def test_rejects_singular_target(self):
         singular = np.ones((2, 2))
         with pytest.raises(ModelError):
-            dl_sr(SensingScenario(r_target=singular, n_rx=2, n_slots=4,
-                                  p_s=1.0))
+            dl_sr(singular, 2, 4, 1.0, 1.0)
+
+    def test_takes_a_correlation_matrix(self):
+        assert ul_sr(exp_correlation(2, 0.7), 2, 4, 10.0)[0] == ul_sr(
+            RT, 2, 4, 10.0)[0]
+
+    @pytest.mark.parametrize("rate", [
+        lambda: dl_sr(RT, 2, 4, 1.0, 0.5),        # sigma2 < 1
+        lambda: dl_sr(RT, 2, 4, -1.0, 1.0),       # p_s < 0
+        lambda: ul_sr(RT, 2, 1, 10.0),            # L < M
+        lambda: ul_sr(RT, 5, 4, 10.0),            # L < N
+        lambda: fdsac_sr(RT, 2, 1, 10.0, 0.5),
+        lambda: fdsac_sr(RT, 5, 4, 10.0, 0.5),
+        lambda: fdsac_sr(RT, 2, 1, 10.0, 1.0),    # no sensing band
+        lambda: sr_highsnr(RT, 2, 1, 10.0),
+        lambda: sr_highsnr(RT, 5, 4, 10.0),
+    ])
+    def test_rejects_bad_inputs(self, rate):
+        with pytest.raises(ModelError):
+            rate()
 
 
 class TestWaveform:
@@ -96,21 +108,19 @@ class TestWaveform:
         vecs_desc = np.linalg.eigh(RT)[1][:, ::-1].T
         target = sum(a * np.outer(v, v.conj())
                      for a, v in zip(sol.allocation, vecs_desc))
-        gram = wf.s_matrix @ wf.s_matrix.conj().T
+        gram = wf @ wf.conj().T
         assert np.allclose(gram, target, atol=1e-9)
 
     def test_equal_slot_powers(self):
         _, sol = ul_sr(RT, 2, 4, 10.0)
         wf = build_waveform(RT, sol, 4)
-        powers = np.sum(np.abs(wf.s_matrix) ** 2, axis=0)
+        powers = np.sum(np.abs(wf) ** 2, axis=0)
         assert np.allclose(powers, 10.0 / 4.0, atol=1e-9)
 
     def test_waveform_achieves_rate(self):
         rate, sol = ul_sr(RT, 2, 4, 10.0)
         wf = build_waveform(RT, sol, 4)
-        scen = SensingScenario(r_target=RT, n_rx=2, n_slots=4,
-                               sigma2=1.0, p_s=10.0)
-        assert sensing_mi(scen, wf) / 4.0 == pytest.approx(rate, abs=1e-9)
+        assert sensing_mi(RT, 2, 1.0, wf) / 4.0 == pytest.approx(rate, abs=1e-9)
 
 
 class TestAsymptoteAndBaseline:
