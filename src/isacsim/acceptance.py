@@ -208,7 +208,7 @@ def criterion_dl_diversity(seed=DEFAULT_SEED):
 def criterion_ul_diversity(seed=DEFAULT_SEED):
     """Uplink outage decay order = NK = 4 within +-0.5."""
     cfg = _paper_cfg(seed)
-    profile = ul.sensing_profile(cfg.r_target().matrix, cfg.N, cfg.L, 10.0)
+    _, profile = ul.sensing_profile(cfg.r_target().matrix, cfg.N, cfg.L, 10.0)
     ops = [ul.ul_outage_prob(cfg, 5.0, 10 ** (g / 10.0), profile,
                              min_events=_DIVERSITY_EVENTS,
                              max_trials=_DIVERSITY_CAP).mean
@@ -223,7 +223,7 @@ def criterion_ecr_slopes(seed=DEFAULT_SEED):
     cfg = _paper_cfg(seed)
     target = 2.0 * math.log2(10.0)
     d = dl.dl_ecr(cfg, 1e4).mean - dl.dl_ecr(cfg, 1e3).mean
-    profile = ul.sensing_profile(cfg.r_target().matrix, cfg.N, cfg.L, 10.0)
+    _, profile = ul.sensing_profile(cfg.r_target().matrix, cfg.N, cfg.L, 10.0)
     u = (ul.ul_ecr(cfg, 1e4, profile).mean
          - ul.ul_ecr(cfg, 1e3, profile).mean)
     err = max(abs(d - target), abs(u - target)) / target
@@ -243,7 +243,7 @@ def criterion_ecr_asymptote(seed=DEFAULT_SEED):
     cfg = _paper_cfg(seed)
     e_iid = dl.ed_closed_form_iid(cfg.M, cfg.K)
     log_det = float(np.linalg.slogdet(cfg.r_cu().matrix)[1]) / math.log(2.0)
-    profile = ul.sensing_profile(cfg.r_target().matrix, cfg.N, cfg.L, 10.0)
+    _, profile = ul.sensing_profile(cfg.r_target().matrix, cfg.N, cfg.L, 10.0)
     checks = (
         ("iid dl", dl.dl_ecr(replace(cfg, rho_cu=0.0), 1e4).mean,
          dl.dl_ecr_asymptote(1e4, cfg.K, e_iid)),

@@ -2,13 +2,19 @@
 
 Reproducibility model: trials are grouped into fixed-size blocks of
 ``BLOCK_SIZE`` consecutive trial indices.  The generator for a block is
-seeded from (seed, stream, block) only, so draws never depend on how many
-trials a caller requests, on evaluation order, or on any threading.  A
-single trial is recovered by generating its block and indexing into it.
+seeded from (seed, stream, block) only, and its normals are laid out as all
+the real parts of the block's entries followed by all their imaginary
+parts.  The generator fills its output one value at a time, so a shorter
+request is a prefix of a longer one: the first n trials of a block are
+drawn, byte for byte, as the first n trials of the whole block, and need
+the block's real parts but only n trials of imaginary parts.  Draws never
+depend on how many trials a caller requests, on evaluation order, or on
+any threading.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,20 +137,29 @@ def _block_rng(seed, stream, block) -> np.random.Generator:
     return np.random.default_rng((int(seed), int(stream), int(block)))
 
 
-def sample_channel_block(corr: CorrelationMatrix, columns, seed, block, stream):
-    """Draw one block of correlated channel matrices.
+def sample_channel_block(corr: CorrelationMatrix, columns, seed, block, stream,
+                         trials=None):
+    """Draw the first ``trials`` trials (default: all) of one block of
+    correlated channel matrices.
 
-    Returns an array of shape (BLOCK_SIZE, dim, columns) whose slice [t] is
-    the channel of trial block*BLOCK_SIZE + t.  Columns are independent,
-    each CN(0, R), realized as R^{1/2} w with w i.i.d. standard complex
-    Gaussian: real and imaginary parts N(0, 1/2), drawn as all the real
-    parts followed by all the imaginary parts of the block.
+    Returns an array of shape (trials, dim, columns) whose slice [t] is the
+    channel of trial block*BLOCK_SIZE + t, the same bytes whatever
+    ``trials`` is.  Columns are independent, each CN(0, R), realized as
+    R^{1/2} w with w i.i.d. standard complex Gaussian: real and imaginary
+    parts N(0, 1/2).  Only the requested trials are scaled and transformed.
     """
-    shape = (BLOCK_SIZE, corr.dim, columns)
-    parts = _block_rng(seed, stream, block).standard_normal((2,) + shape)
-    parts *= 1.0 / np.sqrt(2.0)
+    size = BLOCK_SIZE
+    trials = size if trials is None else trials
+    if not isinstance(trials, numbers.Integral) or not 1 <= trials <= size:
+        raise ModelError(f"trials must be an integer in [1, {size}]")
+    entries = corr.dim * columns
+    draws = _block_rng(seed, stream, block).standard_normal((size + trials) * entries)
+    shape = (trials, corr.dim, columns)
     w = np.empty(shape, dtype=complex)
-    w.real, w.imag = parts
+    scale = 1.0 / np.sqrt(2.0)
+    # the imaginary parts start after the real parts of the whole block
+    np.multiply(draws[:trials * entries].reshape(shape), scale, out=w.real)
+    np.multiply(draws[size * entries:].reshape(shape), scale, out=w.imag)
     if corr.is_identity:
         return w
     # h[:, i] = sum_j root[i, j] w[:, j], one term at a time in the order of

@@ -96,7 +96,7 @@ def _run_vs_snr(cfg, params, experiment):
     # outage (op_vs_snr) or ergodic rate (ecr_vs_snr) of the four systems
     alpha, target = params["alpha"], params["target_rate"]
     kw = dict(min_events=params["min_events"], max_trials=params["max_trials"])
-    profile = ul.sensing_profile(cfg.r_target(), cfg.N, cfg.L, cfg.p_s)
+    _, profile = ul.sensing_profile(cfg.r_target(), cfg.N, cfg.L, cfg.p_s)
     if experiment == "op_vs_snr":
         systems = {
             "disac": lambda p: dl.dl_outage_prob(cfg, target, p, **kw),

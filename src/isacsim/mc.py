@@ -35,13 +35,13 @@ class MonteCarloEstimate:
 def blocks(corr, columns, seed, stream, trials):
     """Yield the channels of trials 0 .. trials-1, one block at a time.
 
-    Each block is drawn whole and cut to the trials still wanted, so trial
-    t is the same draw whatever ``trials`` is.
+    Each block is drawn only up to the trials still wanted; trial t is the
+    same draw whatever ``trials`` is.
     """
     size, trials = chan.BLOCK_SIZE, int(trials)
     for start in range(0, trials, size):
         yield chan.sample_channel_block(corr, columns, seed, start // size,
-                                        stream)[:trials - start]
+                                        stream, min(size, trials - start))
 
 
 def _link_blocks(cfg, stream, trials):

@@ -93,8 +93,7 @@ def ul_isac_region(cfg: SimConfig, p_c_max, p_s_max, grid_size=DEFAULT_GRID,
     rt = cfg.r_target()
     points = []
     for p_s in grid:
-        sr, _ = sn.ul_sr(rt, cfg.N, cfg.L, p_s)
-        profile = ul.sensing_profile(rt, cfg.N, cfg.L, p_s)
+        sr, profile = ul.sensing_profile(rt, cfg.N, cfg.L, p_s)
         est = ul.ul_ecr(cfg, p_c_max, profile, trials=ecr_trials)
         points.append(RatePoint(cr=est.mean, sr=sr, cr_se=est.std_error))
     return RateRegion(tuple(points), "p_s", grid)

@@ -56,11 +56,12 @@ def slot_noise_powers(s, r_target) -> SlotNoiseProfile:
     return SlotNoiseProfile(rho2=1.0 + quad)
 
 
-def sensing_profile(r_target, n_rx, n_slots, p_s) -> SlotNoiseProfile:
-    """Slot noise produced by the sensing-rate-optimal uplink waveform."""
-    _, sol = ul_sr(r_target, n_rx, n_slots, p_s)
+def sensing_profile(r_target, n_rx, n_slots, p_s) -> tuple[float, SlotNoiseProfile]:
+    """The maximal uplink sensing rate and the slot noise of the waveform
+    that reaches it, from one solve."""
+    sr, sol = ul_sr(r_target, n_rx, n_slots, p_s)
     wf = build_waveform(r_target, sol, n_slots)
-    return slot_noise_powers(wf, r_target)
+    return sr, slot_noise_powers(wf, r_target)
 
 
 def _logdet_fn(h_batch):

@@ -125,13 +125,29 @@ class TestSamplerBytes:
     @pytest.mark.parametrize("columns", [1, 2, 3])
     @pytest.mark.parametrize("rho", [0.0, 0.5, 0.8, 0.999])
     def test_matches_the_einsum_sampler(self, dim, columns, rho):
+        # a prefix of n trials holds the bytes of the whole block's first n
         corr = exp_correlation(dim, rho)
         for stream in (STREAM_DOWNLINK, STREAM_UPLINK, STREAM_COVARIANCE):
             for block in (0, 1, 7):
-                got = sample_channel_block(corr, columns, 11, block, stream)
-                expect = einsum_block(corr, columns, 11, block, stream)
-                assert got.shape == expect.shape
-                assert np.array_equal(got.view(np.uint8), expect.view(np.uint8))
+                whole = einsum_block(corr, columns, 11, block, stream)
+                for n in (None, 1, 37, 150, BLOCK_SIZE - 1, BLOCK_SIZE):
+                    got = sample_channel_block(corr, columns, 11, block, stream, n)
+                    expect = whole[:n]
+                    assert got.shape == expect.shape
+                    assert np.array_equal(got.view(np.uint8), expect.view(np.uint8))
+
+    @pytest.mark.parametrize("trials", [0, -1, BLOCK_SIZE + 1, 2.0, "3"])
+    def test_rejects_trials_outside_one_block(self, trials):
+        with pytest.raises(ModelError):
+            sample_channel_block(exp_correlation(2, 0.5), 2, 0, 0,
+                                 STREAM_DOWNLINK, trials)
+
+    def test_reads_the_block_size_when_called(self, monkeypatch):
+        monkeypatch.setattr(chan, "BLOCK_SIZE", 64)
+        corr = exp_correlation(2, 0.5)
+        assert sample_channel_block(corr, 2, 0, 0, STREAM_DOWNLINK).shape == (64, 2, 2)
+        with pytest.raises(ModelError):
+            sample_channel_block(corr, 2, 0, 0, STREAM_DOWNLINK, 65)
 
     def test_root_is_computed_once(self, monkeypatch):
         corr = exp_correlation(3, 0.8)

@@ -68,6 +68,19 @@ def _per_user_covariances(h, powers):
     return qs
 
 
+def _dpc_rate(h, covariances):
+    # independent evaluation: user k is encoded against users l < k
+    total = 0.0
+    running = np.zeros((h.shape[0], h.shape[0]), dtype=complex)
+    for k, q in enumerate(covariances):
+        hk = h[:, k]
+        interf = 1.0 + float(np.real(hk.conj() @ running @ hk))
+        signal = float(np.real(hk.conj() @ q @ hk))
+        total += math.log2(1.0 + signal / interf)
+        running += q
+    return total
+
+
 class TestDualMacAlloc:
     def test_symmetric_orthogonal(self):
         alloc = dual_mac_power_alloc(np.eye(2, dtype=complex), 2.0)
@@ -168,6 +181,14 @@ class TestDualMacAlloc:
             dual_mac_power_alloc(np.eye(2, dtype=complex), -1.0)
 
 
+def _stack(m, k_users, rho, seed):
+    # eight correlated channels (M, K) from a fresh generator
+    rng = np.random.default_rng(seed)
+    shape = (8, m, k_users)
+    w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return chan.exp_correlation(m, rho).root @ (w / np.sqrt(2.0))
+
+
 class TestAllocationProperties:
     @given(dims=st.integers(1, 4).flatmap(
                lambda m: st.tuples(st.just(m), st.integers(1, m))),
@@ -175,10 +196,7 @@ class TestAllocationProperties:
            seed=st.integers(0, 2 ** 32 - 1))
     def test_certified_on_the_simplex(self, dims, rho, snr_db, seed):
         m, k_users = dims
-        rng = np.random.default_rng(seed)
-        shape = (8, m, k_users)
-        w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        h = chan.exp_correlation(m, rho).root @ (w / np.sqrt(2.0))
+        h = _stack(m, k_users, rho, seed)
         p_c = 10.0 ** (snr_db / 10.0)
         p = dual_mac_power_alloc(h, p_c).powers
         assert np.all(p >= 0.0)
@@ -186,6 +204,26 @@ class TestAllocationProperties:
         q = np.diagonal(dl._gram(h, p), axis1=-2, axis2=-1).real
         gap = dl._fw_gap(q, p, p_c)
         assert np.max(gap) <= 1e-9
+
+    @given(dims=st.integers(1, 4).flatmap(
+               lambda m: st.tuples(st.just(m), st.integers(1, min(m, 3)))),
+           rho=st.floats(0.0, 0.999), snr_db=st.floats(-20.0, 60.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_duality_preserves_trace_and_rate(self, dims, rho, snr_db, seed):
+        m, k_users = dims
+        h = _stack(m, k_users, rho, seed)
+        p_c = 10.0 ** (snr_db / 10.0)
+        alloc = dual_mac_power_alloc(h, p_c)
+        sigma = mac_to_bc_covariance(h, alloc)
+        trace = np.trace(sigma, axis1=-2, axis2=-1)
+        # rounding grows with the conditioning: 3e-10 relative and 1e-9 bits
+        # at worst over 600 draws at rho = 0.999 and 60 dB
+        assert np.allclose(trace.real, alloc.powers.sum(axis=-1), rtol=1e-8, atol=0.0)
+        mac_rate = dl_sum_rate(h, p_c)
+        for t in range(len(h)):
+            qs = _per_user_covariances(h[t], alloc.powers[t])
+            assert np.max(np.abs(sum(qs) - sigma[t])) <= 1e-8 * p_c
+            assert _dpc_rate(h[t], qs) == pytest.approx(mac_rate[t], abs=1e-8)
 
 
 class TestBatchRate:
@@ -205,18 +243,6 @@ class TestBatchRate:
 
 
 class TestDuality:
-    def _dpc_rate(self, h, covariances):
-        # independent evaluation: user k is encoded against users l < k
-        total = 0.0
-        running = np.zeros((h.shape[0], h.shape[0]), dtype=complex)
-        for k, q in enumerate(covariances):
-            hk = h[:, k]
-            interf = 1.0 + float(np.real(hk.conj() @ running @ hk))
-            signal = float(np.real(hk.conj() @ q @ hk))
-            total += math.log2(1.0 + signal / interf)
-            running += q
-        return total
-
     def test_single_user_beamforming(self):
         h = np.array([[1.0], [2.0]], dtype=complex)
         alloc = dual_mac_power_alloc(h, 3.0)
@@ -242,7 +268,7 @@ class TestDuality:
             assert np.min(np.linalg.eigvalsh(sigma)) > -1e-9
             qs = _per_user_covariances(h, alloc.powers)
             assert np.allclose(sum(qs), sigma, atol=1e-8)
-            assert self._dpc_rate(h, qs) == pytest.approx(
+            assert _dpc_rate(h, qs) == pytest.approx(
                 dl_sum_rate(h, p_c), abs=1e-6)
 
     @pytest.mark.parametrize("k_users", [1, 2, 3, 4])
@@ -304,18 +330,19 @@ class TestMeanCovariance:
         drawn = []
         sample = chan.sample_channel_block
 
-        def counting(corr, columns, seed, block, stream):
-            drawn.append((block, stream))
-            return sample(corr, columns, seed, block, stream)
+        def counting(corr, columns, seed, block, stream, trials=None):
+            drawn.append((block, stream, trials))
+            return sample(corr, columns, seed, block, stream, trials)
 
         monkeypatch.setattr(chan, "sample_channel_block", counting)
         monkeypatch.setattr(dl, "_sigma_cache", {})
         cfg = SimConfig(M=2, N=2, K=2, L=4, seed=3)
-        for trials in (1, chan.BLOCK_SIZE, 2 * chan.BLOCK_SIZE + 1):
+        size, cov = chan.BLOCK_SIZE, chan.STREAM_COVARIANCE
+        for trials, counts in ((1, [1]), (size, [size]),
+                               (2 * size + 1, [size, size, 1])):
             drawn.clear()
             estimate_mean_covariance(cfg, p_c=4.0, trials=trials)
-            blocks = math.ceil(trials / chan.BLOCK_SIZE)
-            assert drawn == [(b, chan.STREAM_COVARIANCE) for b in range(blocks)]
+            assert drawn == [(b, cov, n) for b, n in enumerate(counts)]
 
     def test_cached(self):
         cfg = SimConfig(M=2, N=2, K=2, L=4, seed=3)

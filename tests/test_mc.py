@@ -49,55 +49,62 @@ def _block_rates(system, block, count=None):
 
 @pytest.fixture
 def drawn(monkeypatch):
-    # (block, stream) of every block the estimators draw
+    # (block, stream, trials) of every block the estimators draw
     keys = []
     sample = chan.sample_channel_block
 
-    def counting(corr, columns, seed, block, stream):
-        keys.append((block, stream))
-        return sample(corr, columns, seed, block, stream)
+    def counting(corr, columns, seed, block, stream, trials=None):
+        keys.append((block, stream, trials))
+        return sample(corr, columns, seed, block, stream, trials)
 
     monkeypatch.setattr(chan, "sample_channel_block", counting)
     return keys
 
 
+# trials requested -> trials drawn from each block: the last block is drawn
+# only as far as the estimate uses it
+PREFIXES = [(1, [1]), (chan.BLOCK_SIZE + 37, [chan.BLOCK_SIZE, 37])]
+
+
 @pytest.mark.parametrize("system", SYSTEMS)
-def test_outage_stops_after_the_first_block_with_enough_events(system):
+def test_outage_stops_after_the_first_block_with_enough_events(system, drawn):
     # about 30% of the trials are outages, so half a block of events is
     # first reached inside the second block; the estimate ends with it
+    stream, _, _, outage, _ = SYSTEMS[system]
     rates = [_block_rates(system, b) for b in range(2)]
     r_target = float(np.quantile(rates[0], 0.3))
     events = [int(np.count_nonzero(r < r_target)) for r in rates]
     min_events = chan.BLOCK_SIZE // 2
     assert events[0] < min_events <= sum(events)
-    _, _, _, outage, _ = SYSTEMS[system]
+    drawn.clear()
     est = outage(r_target, min_events=min_events, max_trials=10 * chan.BLOCK_SIZE)
     assert est.trials == 2 * chan.BLOCK_SIZE
+    assert drawn == [(0, stream, chan.BLOCK_SIZE), (1, stream, chan.BLOCK_SIZE)]
     assert est.mean == sum(events) / est.trials
 
 
 @pytest.mark.parametrize("system", SYSTEMS)
 def test_outage_with_rare_events_stops_at_the_trial_cap(system, drawn):
     stream, _, _, outage, _ = SYSTEMS[system]
-    trials = chan.BLOCK_SIZE + 37
-    rates = np.concatenate([_block_rates(system, 0), _block_rates(system, 1, 37)])
-    drawn.clear()
-    est = outage(0.05, min_events=200, max_trials=trials)
-    assert est.trials == trials
-    assert drawn == [(0, stream), (1, stream)]
-    assert est.mean == np.count_nonzero(rates < 0.05) / trials < 200 / trials
+    for trials, counts in PREFIXES:
+        rates = np.concatenate([_block_rates(system, b, n) for b, n in enumerate(counts)])
+        drawn.clear()
+        est = outage(0.05, min_events=200, max_trials=trials)
+        assert est.trials == trials
+        assert drawn == [(b, stream, n) for b, n in enumerate(counts)]
+        assert est.mean == np.count_nonzero(rates < 0.05) / trials < 200 / trials
 
 
 @pytest.mark.parametrize("system", SYSTEMS)
 def test_ergodic_runs_exactly_the_requested_trials(system, drawn):
     stream, _, _, _, ergodic = SYSTEMS[system]
-    trials = chan.BLOCK_SIZE + 37
-    first, second = _block_rates(system, 0), _block_rates(system, 1, 37)
-    drawn.clear()
-    est = ergodic(trials)
-    assert est.trials == trials
-    assert drawn == [(0, stream), (1, stream)]
-    assert est.mean == (float(np.sum(first)) + float(np.sum(second))) / trials
+    for trials, counts in PREFIXES:
+        sums = [float(np.sum(_block_rates(system, b, n))) for b, n in enumerate(counts)]
+        drawn.clear()
+        est = ergodic(trials)
+        assert est.trials == trials
+        assert drawn == [(b, stream, n) for b, n in enumerate(counts)]
+        assert est.mean == sum(sums) / trials
 
 
 OUTAGE = dict(r_target=1.0, min_events=200, max_trials=chan.BLOCK_SIZE)
@@ -156,4 +163,5 @@ def test_a_trial_does_not_depend_on_the_trials_requested(trial, dim, rho, stream
     size = chan.BLOCK_SIZE
     draws = [np.concatenate(list(mc.blocks(corr, 2, seed, stream, trials)))[trial]
              for trials in (trial + 1, size, size + 1, 3 * size) if trials > trial]
-    assert all(np.array_equal(d, draws[0]) for d in draws)
+    assert all(np.array_equal(d.view(np.uint8), draws[0].view(np.uint8))
+               for d in draws)

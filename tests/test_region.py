@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from isacsim import sensing as sn
 from isacsim.channel import SimConfig
 from isacsim.downlink import dl_ecr_fdsac
 from isacsim.numerics import ModelError
@@ -82,6 +83,19 @@ class TestSweeps:
         assert srs == sorted(srs)          # sweep raises sensing power
         assert crs == sorted(crs, reverse=True)
         assert srs[0] == 0.0
+
+    def test_ul_solves_each_point_once(self, cfg, monkeypatch):
+        # one water-fill gives a point's sensing rate and its slot noise
+        calls = []
+        waterfill = sn.waterfill
+
+        def counting(*args):
+            calls.append(args)
+            return waterfill(*args)
+
+        monkeypatch.setattr(sn, "waterfill", counting)
+        ul_isac_region(cfg, 10.0, 10.0, grid_size=5, ecr_trials=100)
+        assert len(calls) == 5
 
     def test_fdsac_endpoints(self, cfg):
         reg = dl_fdsac_region(cfg, 10.0, 10.0, grid_size=5, ecr_trials=4000)

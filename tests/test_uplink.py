@@ -54,7 +54,7 @@ class TestSlotNoise:
 
     def test_optimal_waveform_equal_slots(self):
         # the power-spreading waveform loads every slot identically
-        prof = sensing_profile(RT, 2, 4, 10.0)
+        _, prof = sensing_profile(RT, 2, 4, 10.0)
         assert np.allclose(prof.rho2, prof.rho2[0])
         # rho2 = 1 + (sum_m lambda_m a_m) / L with the hand-solved allocation
         lam = np.array([1.7, 0.3])
@@ -137,7 +137,7 @@ class TestErgodic:
 
     def test_asymptote_tracks_ecr(self):
         cfg = SimConfig(M=2, N=2, K=2, L=4, seed=37)
-        prof = sensing_profile(RT, 2, 4, 10.0)
+        _, prof = sensing_profile(RT, 2, 4, 10.0)
         mc = ul_ecr(cfg, 1e4, prof, trials=100_000)
         line = ul_ecr_asymptote(1e4, 2, 2, prof)
         assert mc.mean == pytest.approx(line, abs=0.1)
@@ -176,7 +176,7 @@ def same_bytes(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint8), b.view(np.uint8))
 
 
-PAPER = sensing_profile(RT, 2, 4, 10.0)
+_, PAPER = sensing_profile(RT, 2, 4, 10.0)
 R2 = 3.98039216
 BYTE_PROFILES = {
     "paper": PAPER,
