@@ -25,7 +25,6 @@ from .mc import MonteCarloEstimate
 from .numerics import (
     EigenSystem,
     ModelError,
-    WaterfillSolution,
     hermitian_eig,
     matrix_sqrt_psd,
     waterfill,

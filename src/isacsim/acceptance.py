@@ -39,9 +39,9 @@ class CriterionResult:
     elapsed: float
 
 
-def _paper_cfg(seed, trials=100_000) -> SimConfig:
+def _paper_cfg(seed) -> SimConfig:
     return SimConfig(M=2, N=2, K=2, L=4, rho_target=0.7, rho_cu=0.8,
-                     trials=trials, seed=seed)
+                     trials=100_000, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -52,22 +52,21 @@ def _wf_objective(gains, noise, alloc):
     return np.sum(np.log2(1.0 + gains * alloc / noise), axis=-1)
 
 
-def grid_search_waterfill(gains, noise, budget, resolution=1e-3):
-    """Best objective over a simplex grid of allocations.
+def grid_search_waterfill(gains, noise, budget):
+    """Best objective over a simplex grid of allocations, step 1e-3 budget.
 
-    Exhaustive at the requested resolution for two modes; for three or
-    more modes the full 1e-3 grid is infeasible (1.7e8 points at M = 4),
-    so the search proceeds coarse to fine: each stage shrinks the step
-    eightfold and scans a window around the incumbent.  The objective is
-    concave, so the refinement reaches the best grid point of the final
-    resolution.
+    Exhaustive for two modes; for three or more modes the full grid is
+    infeasible (1.7e8 points at M = 4), so the search proceeds coarse to
+    fine: each stage shrinks the step eightfold and scans a window around
+    the incumbent.  The objective is concave, so the refinement reaches the
+    best point of the final grid.
     """
     gains = np.asarray(gains, dtype=float)
     noise = np.asarray(noise, dtype=float)
     m = gains.size
     if budget == 0.0:
         return 0.0
-    target_step = resolution * budget
+    target_step = 1e-3 * budget
 
     if m == 2:
         x = np.arange(0.0, budget + target_step / 2, target_step)
@@ -119,8 +118,7 @@ def criterion_waterfill_oracle(seed=DEFAULT_SEED):
         gains = rng.uniform(0.1, 5.0, m)
         noise = rng.uniform(0.5, 3.0, m)
         budget = float(rng.uniform(0.2, 10.0))
-        sol = waterfill(gains, noise, budget)
-        solver = float(_wf_objective(gains, noise, sol.allocation))
+        solver = float(_wf_objective(gains, noise, waterfill(gains, noise, budget)))
         oracle = grid_search_waterfill(gains, noise, budget)
         worst = min(worst, solver - oracle)
     return worst >= -1e-6, worst, f"worst solver-grid margin {worst:.3e} bits"
@@ -364,11 +362,9 @@ def _dof_step(regions_at, rising, still, dof, fdsac_share):
 def _escape(isac, fdsac):
     """Whether the far ISAC corner lies outside FDSAC by more than the
     3-SE slack, and a note naming the worst FDSAC corner outside ISAC."""
-    slack = 3.0 * max(p.cr_se for p in isac.sweep_points + fdsac.sweep_points)
+    slack, gaps, escaping = rg.fdsac_escapes(isac, fdsac)
     far = float(rg.corner_gaps(fdsac, isac.sweep_points[-1:],
                                cr_slack=slack)[0])
-    gaps = rg.corner_gaps(isac, fdsac.sweep_points, cr_slack=slack)
-    escaping = int(np.sum(gaps > 1e-6))
     i = int(np.argmax(gaps))
     worst = fdsac.sweep_points[i]
     note = (f"far corner gap {far:.3f} (slack {slack:.3f}); "

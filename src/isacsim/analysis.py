@@ -17,9 +17,7 @@ class SlopeFit:
     """Least-squares line fit on a declared abscissa transform."""
 
     slope: float
-    intercept: float
     r_squared: float
-    window: tuple
 
 
 def _least_squares(x, y):
@@ -28,7 +26,7 @@ def _least_squares(x, y):
     ss_res = float(np.sum((y - pred) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
-    return float(slope), float(intercept), min(r2, 1.0)
+    return SlopeFit(slope=float(slope), r_squared=min(r2, 1.0))
 
 
 def fit_highsnr_slope(snr_db, rate, window_db) -> SlopeFit:
@@ -44,16 +42,14 @@ def fit_highsnr_slope(snr_db, rate, window_db) -> SlopeFit:
     if np.count_nonzero(mask) < 3:
         raise ModelError("need at least 3 points inside the fit window")
     x = snr_db[mask] * (np.log2(10.0) / 10.0)  # log2 of the linear SNR
-    slope, intercept, r2 = _least_squares(x, rate[mask])
-    return SlopeFit(slope=slope, intercept=intercept, r_squared=r2,
-                    window=(float(snr_db[mask].min()), float(snr_db[mask].max())))
+    return _least_squares(x, rate[mask])
 
 
-def fit_diversity(p_db, op, op_window=(1e-4, 1e-1)) -> SlopeFit:
+def fit_diversity(p_db, op) -> SlopeFit:
     """Diversity order from the log-log decay of outage vs SNR.
 
     Fits log10(op) against log10 of the linear SNR, restricted to points
-    with op inside ``op_window``; the diversity estimate is -slope.
+    with 1e-4 <= op <= 1e-1; the diversity estimate is -slope.
     Zero-probability bins (no observed events) are dropped with a warning,
     never imputed.
     """
@@ -63,11 +59,8 @@ def fit_diversity(p_db, op, op_window=(1e-4, 1e-1)) -> SlopeFit:
     if np.count_nonzero(~nonzero):
         warnings.warn("dropping outage bins with zero observed events",
                       stacklevel=2)
-    lo, hi = op_window
-    mask = nonzero & (op >= lo) & (op <= hi)
+    mask = nonzero & (op >= 1e-4) & (op <= 1e-1)
     if np.count_nonzero(mask) < 3:
         raise ModelError("need at least 3 outage points inside the window")
     x = p_db[mask] / 10.0  # log10 of the linear SNR
-    slope, intercept, r2 = _least_squares(x, np.log10(op[mask]))
-    return SlopeFit(slope=slope, intercept=intercept, r_squared=r2,
-                    window=(float(p_db[mask].min()), float(p_db[mask].max())))
+    return _least_squares(x, np.log10(op[mask]))

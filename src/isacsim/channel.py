@@ -44,31 +44,22 @@ STREAM_COVARIANCE = 2
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
-    """Hermitian PSD spatial correlation with a role label.
+    """Hermitian PSD spatial correlation.
 
-    label is one of 'transmit_cu', 'transmit_target', 'receive_identity'.
-    A 'transmit_target' correlation must be strictly positive definite.
     ``root`` is the Hermitian square root and ``is_identity`` says whether
     the matrix is the identity within ``np.allclose``; both are computed
-    once, here, and take no part in comparisons.
+    once, here, and take no part in comparisons.  Computing the root checks
+    that the matrix is square, Hermitian and PSD (``matrix_sqrt_psd``).  A
+    sensing target's correlation must also be strictly positive definite,
+    which every sensing rate checks.
     """
 
     matrix: np.ndarray
-    label: str = "transmit_cu"
     root: np.ndarray = field(init=False, repr=False, compare=False)
     is_identity: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ModelError("correlation matrix must be square")
-        if np.max(np.abs(m - m.conj().T)) > 1e-9:
-            raise ModelError("correlation matrix must be Hermitian")
-        eigmin = float(np.min(np.linalg.eigvalsh(m)))
-        if eigmin < -1e-10:
-            raise ModelError("correlation matrix must be PSD")
-        if self.label == "transmit_target" and eigmin <= 1e-12:
-            raise ModelError("target correlation must be strictly PD")
         root = matrix_sqrt_psd(m)
         root.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -116,20 +107,20 @@ class SimConfig:
 
     def r_cu(self) -> CorrelationMatrix:
         """Common transmit correlation of the communication users."""
-        return exp_correlation(self.M, self.rho_cu, label="transmit_cu")
+        return exp_correlation(self.M, self.rho_cu)
 
     def r_target(self) -> CorrelationMatrix:
         """Transmit correlation of the target response."""
-        return exp_correlation(self.M, self.rho_target, label="transmit_target")
+        return exp_correlation(self.M, self.rho_target)
 
 
-def exp_correlation(dim, rho, label="transmit_cu") -> CorrelationMatrix:
+def exp_correlation(dim, rho) -> CorrelationMatrix:
     """Exponential correlation model: entry (i, j) = rho^|i-j|."""
     if not 0.0 <= rho < 1.0:
         raise ModelError("rho must lie in [0, 1)")
     idx = np.arange(dim)
     mat = rho ** np.abs(idx[:, None] - idx[None, :])
-    return CorrelationMatrix(matrix=mat.astype(complex), label=label)
+    return CorrelationMatrix(matrix=mat.astype(complex))
 
 
 def _block_rng(seed, stream, block) -> np.random.Generator:

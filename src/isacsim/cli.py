@@ -151,9 +151,7 @@ def _region_rows(isac, fdsac):
 def _log_containment(link, isac, fdsac):
     # FDSAC corners near the regions' shared endpoint escape the ISAC region
     # at finite SNR: a property of the model (README.md), not a failed check.
-    se = max([p.cr_se for p in isac.sweep_points + fdsac.sweep_points] or [0.0])
-    gaps = rg.corner_gaps(isac, fdsac.sweep_points, cr_slack=3.0 * se)
-    outside = int(np.count_nonzero(gaps > 1e-6))
+    _, gaps, outside = rg.fdsac_escapes(isac, fdsac)
     log.info("%s containment (isac >= fdsac): %s, %d/%d fdsac corners "
              "outside (worst gap %.3g); a known finite-SNR escape of the "
              "model, see README.md", link, outside == 0, outside, gaps.size,

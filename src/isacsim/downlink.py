@@ -258,7 +258,8 @@ def estimate_mean_covariance(cfg: chan.SimConfig, p_c=None,
 
     Each block of draws is allocated and mapped through the duality in one
     batched call.  Cached per (config, p_c, trials): the result feeds every
-    downlink sensing-noise evaluation.
+    downlink sensing-noise evaluation.  At p_c = 0 the covariance is 0 and
+    no trial is drawn: trials_used = 0.
     """
     p_c = cfg.p_c if p_c is None else float(p_c)
     key = (cfg, p_c, int(trials))
@@ -269,7 +270,7 @@ def estimate_mean_covariance(cfg: chan.SimConfig, p_c=None,
 
     m = cfg.M
     if p_c == 0.0:
-        result = MeanInputCovariance(np.zeros((m, m), dtype=complex), trials, p_c)
+        result = MeanInputCovariance(np.zeros((m, m), dtype=complex), 0, p_c)
         _sigma_cache[key] = result
         return result
 
@@ -282,13 +283,13 @@ def estimate_mean_covariance(cfg: chan.SimConfig, p_c=None,
     return result
 
 
-def sensing_noise(cfg: chan.SimConfig, p_c, trials=10_000) -> float:
+def sensing_noise(cfg: chan.SimConfig, p_c) -> float:
     """Downlink sensing noise 1 + tr(R_T Sigma) at communication power p_c.
 
-    Sigma is the mean input covariance over ``trials`` channel draws: the
+    Sigma is the mean input covariance over 10,000 channel draws: the
     sensing receiver sees the communication signal as Gaussian noise.
     """
-    sigma = estimate_mean_covariance(cfg, p_c=p_c, trials=trials).sigma_matrix
+    sigma = estimate_mean_covariance(cfg, p_c=p_c).sigma_matrix
     val = 1.0 + float(np.real(np.trace(cfg.r_target().matrix @ sigma)))
     if val < 1.0 - 1e-9:
         raise ModelError("mean covariance must be PSD")
@@ -318,9 +319,9 @@ def dl_outage_prob_fdsac(cfg: chan.SimConfig, r_target, alpha, p_c,
                      p_c, alpha, min_events, max_trials)
 
 
-def dl_ecr(cfg: chan.SimConfig, p_c, trials=None) -> MonteCarloEstimate:
+def dl_ecr(cfg: chan.SimConfig, p_c) -> MonteCarloEstimate:
     """Ergodic downlink sum rate."""
-    return mc.ergodic(cfg, chan.STREAM_DOWNLINK, dl_sum_rate_batch, p_c, 1.0, trials)
+    return mc.ergodic(cfg, chan.STREAM_DOWNLINK, dl_sum_rate_batch, p_c, 1.0)
 
 
 def ed_closed_form_iid(m_antennas, k_users) -> float:
@@ -342,10 +343,10 @@ def dl_ecr_asymptote(p_c, k_users, e_d) -> float:
     return k_users * math.log2(p_c / k_users) + e_d
 
 
-def dl_ecr_fdsac(cfg: chan.SimConfig, alpha, p_c, trials=None) -> MonteCarloEstimate:
+def dl_ecr_fdsac(cfg: chan.SimConfig, alpha, p_c) -> MonteCarloEstimate:
     """Ergodic rate of the bandwidth-split baseline with fraction ``alpha``.
 
     Per trial: alpha * dl_sum_rate(H, p_c / alpha); alpha = 0 gives 0 by
     the continuity convention.
     """
-    return mc.ergodic(cfg, chan.STREAM_DOWNLINK, dl_sum_rate_batch, p_c, alpha, trials)
+    return mc.ergodic(cfg, chan.STREAM_DOWNLINK, dl_sum_rate_batch, p_c, alpha)

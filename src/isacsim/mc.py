@@ -29,7 +29,6 @@ class MonteCarloEstimate:
     mean: float
     std_error: float
     trials: int
-    seed: int
 
 
 def blocks(corr, columns, seed, stream, trials):
@@ -47,8 +46,7 @@ def blocks(corr, columns, seed, stream, trials):
 def _link_blocks(cfg, stream, trials):
     # downlink channels are correlated at the BS, uplink ones i.i.d.
     if stream == chan.STREAM_UPLINK:
-        corr = chan.CorrelationMatrix(np.eye(cfg.N, dtype=complex),
-                                      "receive_identity")
+        corr = chan.CorrelationMatrix(np.eye(cfg.N, dtype=complex))
     else:
         corr = cfg.r_cu()
     return blocks(corr, cfg.K, cfg.seed, stream, trials)
@@ -75,10 +73,10 @@ def outage(cfg, stream, rate, r_target, p_c, alpha=1.0, min_events=200,
     Whole blocks are processed until at least ``min_events`` outages have
     been seen or ``max_trials`` is reached, whichever comes first; the
     binomial standard error is reported.  A zero target is never missed and
-    a silent link always is, so both return without a trial.
+    a silent link always is, so both return without a trial: trials = 0.
     """
     if _silent(p_c, alpha, r_target, max_trials) or r_target == 0.0:
-        return MonteCarloEstimate(float(r_target > 0.0), 0.0, cfg.trials, cfg.seed)
+        return MonteCarloEstimate(float(r_target > 0.0), 0.0, 0)
     events = done = 0
     for h in _link_blocks(cfg, stream, max_trials):
         events += int(np.count_nonzero(alpha * rate(h, p_c / alpha) < r_target))
@@ -87,14 +85,15 @@ def outage(cfg, stream, rate, r_target, p_c, alpha=1.0, min_events=200,
             break
     p = events / done
     se = math.sqrt(max(p * (1.0 - p), 0.0) / done)
-    return MonteCarloEstimate(mean=p, std_error=se, trials=done, seed=cfg.seed)
+    return MonteCarloEstimate(mean=p, std_error=se, trials=done)
 
 
-def ergodic(cfg, stream, rate, p_c, alpha=1.0, trials=None) -> MonteCarloEstimate:
-    """Mean of alpha * rate(H, p_c / alpha) over exactly ``trials`` trials."""
-    trials = cfg.trials if trials is None else int(trials)
+def ergodic(cfg, stream, rate, p_c, alpha=1.0) -> MonteCarloEstimate:
+    """Mean of alpha * rate(H, p_c / alpha) over exactly ``cfg.trials``
+    trials; a silent link carries rate 0 without a trial."""
+    trials = cfg.trials
     if _silent(p_c, alpha, 0.0, trials):
-        return MonteCarloEstimate(0.0, 0.0, trials, cfg.seed)
+        return MonteCarloEstimate(0.0, 0.0, 0)
     total = total_sq = 0.0
     for h in _link_blocks(cfg, stream, trials):
         rates = alpha * rate(h, p_c / alpha)
@@ -103,4 +102,4 @@ def ergodic(cfg, stream, rate, p_c, alpha=1.0, trials=None) -> MonteCarloEstimat
     mean = total / trials
     var = max(total_sq / trials - mean * mean, 0.0)
     return MonteCarloEstimate(mean=mean, std_error=math.sqrt(var / trials),
-                              trials=trials, seed=cfg.seed)
+                              trials=trials)

@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "ModelError",
     "EigenSystem",
-    "WaterfillSolution",
     "hermitian_eig",
     "matrix_sqrt_psd",
     "waterfill",
@@ -32,11 +31,11 @@ class ModelError(ValueError):
     """An input violates a model precondition (shape, symmetry, sign, ...)."""
 
 
-def _check_hermitian(a, atol=HERMITIAN_ATOL):
+def _check_hermitian(a):
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ModelError(f"expected a square matrix, got shape {a.shape}")
-    if a.size and np.max(np.abs(a - a.conj().T)) > atol:
+    if a.size and np.max(np.abs(a - a.conj().T)) > HERMITIAN_ATOL:
         raise ModelError("matrix is not Hermitian within tolerance")
     return a
 
@@ -51,21 +50,6 @@ class EigenSystem:
 
     values: np.ndarray
     basis: np.ndarray
-
-
-@dataclass(frozen=True)
-class WaterfillSolution:
-    """Power allocation over parallel eigen-modes.
-
-    allocation[m] = max(0, water_level - noise[m] / gains[m]) and the
-    allocations sum to the budget.  ``active_set`` holds the indices with
-    strictly positive power, in input order.
-    """
-
-    allocation: np.ndarray
-    water_level: float
-    active_set: tuple
-    budget_used: float
 
 
 def hermitian_eig(a) -> EigenSystem:
@@ -91,14 +75,16 @@ def matrix_sqrt_psd(a) -> np.ndarray:
     return (es.basis * np.sqrt(vals)) @ es.basis.conj().T
 
 
-def waterfill(gains, noise, budget) -> WaterfillSolution:
+def waterfill(gains, noise, budget) -> np.ndarray:
     """Water-filling of ``budget`` over modes with the given gains and noises.
 
     Maximizes sum_m log2(1 + gains[m] * x[m] / noise[m]) subject to
-    sum(x) = budget, x >= 0.  Solved exactly: modes are sorted by
-    noise/gain ascending, the water level is computed in closed form for
-    each candidate active prefix, and the largest prefix with all-positive
-    allocations wins.
+    sum(x) = budget, x >= 0, and returns the allocation x in input order:
+    x[m] = max(0, level - noise[m] / gains[m]) for one water level, so the
+    active modes, those with x[m] > 0, share that level.  Solved exactly:
+    modes are sorted by noise/gain ascending, the water level is computed
+    in closed form for each candidate active prefix, and the largest prefix
+    with all-positive allocations wins.
     """
     gains = np.asarray(gains, dtype=float)
     noise = np.asarray(noise, dtype=float)
@@ -109,38 +95,17 @@ def waterfill(gains, noise, budget) -> WaterfillSolution:
     if budget < 0.0:
         raise ModelError("budget must be nonnegative")
 
+    allocation = np.zeros(gains.size)
+    if budget == 0.0:
+        return allocation
     floors = noise / gains  # water must exceed this for a mode to be active
     order = np.argsort(floors, kind="stable")
     sorted_floors = floors[order]
-    m = gains.size
-
-    if budget == 0.0:
-        return WaterfillSolution(
-            allocation=np.zeros(m),
-            water_level=float(sorted_floors[0]),
-            active_set=(),
-            budget_used=0.0,
-        )
-
     # Water level when the k cheapest modes are active:
     # level_k = (budget + sum of their floors) / k.
-    prefix = np.cumsum(sorted_floors)
-    counts = np.arange(1, m + 1)
-    levels = (budget + prefix) / counts
-    # Largest k whose level still covers the k-th floor.
-    feasible = levels > sorted_floors
-    k = int(np.max(np.nonzero(feasible)[0])) + 1
-    level = float(levels[k - 1])
-
-    allocation = np.maximum(0.0, level - floors)
-    # Zero-out inactive modes explicitly (guards against floor ties).
-    inactive = np.ones(m, dtype=bool)
-    inactive[order[:k]] = False
-    allocation[inactive] = 0.0
-    active = tuple(int(i) for i in np.sort(order[:k]))
-    return WaterfillSolution(
-        allocation=allocation,
-        water_level=level,
-        active_set=active,
-        budget_used=float(allocation.sum()),
-    )
+    levels = (budget + np.cumsum(sorted_floors)) / np.arange(1, gains.size + 1)
+    # Largest k whose level still covers the k-th floor; the modes past it
+    # stay at zero (also on a floor tie).
+    k = int(np.max(np.nonzero(levels > sorted_floors)[0])) + 1
+    allocation[order[:k]] = levels[k - 1] - sorted_floors[:k]
+    return allocation

@@ -32,6 +32,7 @@ __all__ = [
     "dl_fdsac_region",
     "ul_fdsac_region",
     "corner_gaps",
+    "fdsac_escapes",
 ]
 
 DEFAULT_GRID = 41
@@ -62,8 +63,8 @@ def _check_grid(grid_size):
         raise ModelError("grid_size must be >= 2")
 
 
-def dl_isac_region(cfg: SimConfig, p_c_max, p_s_max, grid_size=DEFAULT_GRID,
-                   ecr_trials=None, sigma_trials=10_000) -> RateRegion:
+def dl_isac_region(cfg: SimConfig, p_c_max, p_s_max,
+                   grid_size=DEFAULT_GRID) -> RateRegion:
     """Downlink region: sweep p_c in [0, p_c_max] at fixed p_s = p_s_max.
 
     Higher communication power raises the sensing interference through the
@@ -74,15 +75,15 @@ def dl_isac_region(cfg: SimConfig, p_c_max, p_s_max, grid_size=DEFAULT_GRID,
     rt = cfg.r_target()
     points = []
     for p_c in grid:
-        est = dl.dl_ecr(cfg, p_c, trials=ecr_trials)
-        noise = dl.sensing_noise(cfg, p_c, trials=sigma_trials)
+        est = dl.dl_ecr(cfg, p_c)
+        noise = dl.sensing_noise(cfg, p_c)
         sr, _ = sn.dl_sr(rt, cfg.N, cfg.L, p_s_max, noise)
         points.append(RatePoint(cr=est.mean, sr=sr, cr_se=est.std_error))
     return RateRegion(tuple(points), "p_c", grid)
 
 
-def ul_isac_region(cfg: SimConfig, p_c_max, p_s_max, grid_size=DEFAULT_GRID,
-                   ecr_trials=None) -> RateRegion:
+def ul_isac_region(cfg: SimConfig, p_c_max, p_s_max,
+                   grid_size=DEFAULT_GRID) -> RateRegion:
     """Uplink region: sweep p_s in [0, p_s_max] at fixed p_c = p_c_max.
 
     Higher sensing power raises the slot noise seen by the uplink decoder,
@@ -94,34 +95,32 @@ def ul_isac_region(cfg: SimConfig, p_c_max, p_s_max, grid_size=DEFAULT_GRID,
     points = []
     for p_s in grid:
         sr, profile = ul.sensing_profile(rt, cfg.N, cfg.L, p_s)
-        est = ul.ul_ecr(cfg, p_c_max, profile, trials=ecr_trials)
+        est = ul.ul_ecr(cfg, p_c_max, profile)
         points.append(RatePoint(cr=est.mean, sr=sr, cr_se=est.std_error))
     return RateRegion(tuple(points), "p_s", grid)
 
 
-def _fdsac_region(ecr_fdsac, cfg, p_c, p_s, grid_size, ecr_trials) -> RateRegion:
+def _fdsac_region(ecr_fdsac, cfg, p_c, p_s, grid_size) -> RateRegion:
     # sweep the bandwidth share alpha in [0, 1] of one link's baseline
     _check_grid(grid_size)
     grid = np.linspace(0.0, 1.0, grid_size)
     rt = cfg.r_target()
     points = []
     for alpha in grid:
-        est = ecr_fdsac(cfg, alpha, p_c, trials=ecr_trials)
+        est = ecr_fdsac(cfg, alpha, p_c)
         sr = sn.fdsac_sr(rt, cfg.N, cfg.L, p_s, alpha)
         points.append(RatePoint(cr=est.mean, sr=sr, cr_se=est.std_error))
     return RateRegion(tuple(points), "alpha", grid)
 
 
-def dl_fdsac_region(cfg: SimConfig, p_c, p_s, grid_size=DEFAULT_GRID,
-                    ecr_trials=None) -> RateRegion:
+def dl_fdsac_region(cfg: SimConfig, p_c, p_s, grid_size=DEFAULT_GRID) -> RateRegion:
     """Downlink bandwidth-split region: sweep alpha in [0, 1]."""
-    return _fdsac_region(dl.dl_ecr_fdsac, cfg, p_c, p_s, grid_size, ecr_trials)
+    return _fdsac_region(dl.dl_ecr_fdsac, cfg, p_c, p_s, grid_size)
 
 
-def ul_fdsac_region(cfg: SimConfig, p_c, p_s, grid_size=DEFAULT_GRID,
-                    ecr_trials=None) -> RateRegion:
+def ul_fdsac_region(cfg: SimConfig, p_c, p_s, grid_size=DEFAULT_GRID) -> RateRegion:
     """Uplink bandwidth-split region: sweep alpha in [0, 1]."""
-    return _fdsac_region(ul.ul_ecr_fdsac, cfg, p_c, p_s, grid_size, ecr_trials)
+    return _fdsac_region(ul.ul_ecr_fdsac, cfg, p_c, p_s, grid_size)
 
 
 def corner_gaps(outer: RateRegion, points, cr_slack=0.0) -> np.ndarray:
@@ -136,3 +135,14 @@ def corner_gaps(outer: RateRegion, points, cr_slack=0.0) -> np.ndarray:
         for p in points
     ], dtype=float)
 
+
+def fdsac_escapes(isac: RateRegion, fdsac: RateRegion):
+    """The FDSAC corners outside the ISAC region beyond Monte Carlo noise.
+
+    The CR slack is three times the largest ``cr_se`` of either sweep.
+    Returns the slack, each FDSAC corner's gap against the ISAC region
+    (``corner_gaps``) and the number of corners whose gap exceeds 1e-6.
+    """
+    slack = 3.0 * max(p.cr_se for p in isac.sweep_points + fdsac.sweep_points)
+    gaps = corner_gaps(isac, fdsac.sweep_points, cr_slack=slack)
+    return slack, gaps, int(np.count_nonzero(gaps > 1e-6))

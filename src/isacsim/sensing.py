@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import ModelError, WaterfillSolution, hermitian_eig, waterfill
+from .numerics import ModelError, hermitian_eig, waterfill
 
 __all__ = [
     "sensing_mi",
@@ -42,10 +42,10 @@ def _rate(r_target, n_rx, n_slots, p_s, noise, share):
     if p_s < 0.0:
         raise ModelError("p_s must be nonnegative")
     lam = _eigenvalues(r_target, n_rx, n_slots)
-    sol = waterfill(lam, np.full(lam.size, noise), p_s)
+    alloc = waterfill(lam, np.full(lam.size, noise), p_s)
     rate = (n_rx * share / n_slots) * float(
-        np.sum(np.log2(1.0 + lam * sol.allocation / noise)))
-    return rate, sol
+        np.sum(np.log2(1.0 + lam * alloc / noise)))
+    return rate, alloc
 
 
 def sensing_mi(r_target, n_rx, sigma2, s) -> float:
@@ -70,7 +70,7 @@ def dl_sr(r_target, n_rx, n_slots, p_s, sigma2):
     return _rate(r_target, n_rx, n_slots, p_s, sigma2, 1.0)
 
 
-def build_waveform(r_target, alloc: WaterfillSolution, n_slots) -> np.ndarray:
+def build_waveform(r_target, alloc, n_slots) -> np.ndarray:
     """Waveform S (M, n_slots) whose Gram matches an eigen-mode allocation.
 
     S = U sqrt(diag(alloc)) V with U the eigenbasis of R_T and V the first
@@ -84,7 +84,7 @@ def build_waveform(r_target, alloc: WaterfillSolution, n_slots) -> np.ndarray:
     idx_m = np.arange(m)[:, None]
     idx_l = np.arange(n_slots)[None, :]
     v = np.exp(-2j * np.pi * idx_m * idx_l / n_slots) / np.sqrt(n_slots)
-    return (es.basis * np.sqrt(alloc.allocation)) @ v
+    return (es.basis * np.sqrt(alloc)) @ v
 
 
 def ul_sr(r_target, n_rx, n_slots, p_s):

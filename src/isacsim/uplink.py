@@ -59,8 +59,8 @@ def slot_noise_powers(s, r_target) -> SlotNoiseProfile:
 def sensing_profile(r_target, n_rx, n_slots, p_s) -> tuple[float, SlotNoiseProfile]:
     """The maximal uplink sensing rate and the slot noise of the waveform
     that reaches it, from one solve."""
-    sr, sol = ul_sr(r_target, n_rx, n_slots, p_s)
-    wf = build_waveform(r_target, sol, n_slots)
+    sr, alloc = ul_sr(r_target, n_rx, n_slots, p_s)
+    wf = build_waveform(r_target, alloc, n_slots)
     return sr, slot_noise_powers(wf, r_target)
 
 
@@ -137,11 +137,10 @@ def ul_outage_prob_fdsac(cfg: chan.SimConfig, r_target, alpha, p_c,
                      alpha, min_events, max_trials)
 
 
-def ul_ecr(cfg: chan.SimConfig, p_c, profile: SlotNoiseProfile,
-           trials=None) -> MonteCarloEstimate:
+def ul_ecr(cfg: chan.SimConfig, p_c, profile: SlotNoiseProfile) -> MonteCarloEstimate:
     """Ergodic slot-averaged uplink sum rate."""
     return mc.ergodic(cfg, chan.STREAM_UPLINK,
-                      lambda h, p: ul_rate_batch(h, p, profile), p_c, 1.0, trials)
+                      lambda h, p: ul_rate_batch(h, p, profile), p_c, 1.0)
 
 
 def ul_ecr_asymptote(p_c, k_users, n_antennas, profile: SlotNoiseProfile) -> float:
@@ -155,10 +154,10 @@ def ul_ecr_asymptote(p_c, k_users, n_antennas, profile: SlotNoiseProfile) -> flo
     return base - penalty
 
 
-def ul_ecr_fdsac(cfg: chan.SimConfig, alpha, p_c, trials=None) -> MonteCarloEstimate:
+def ul_ecr_fdsac(cfg: chan.SimConfig, alpha, p_c) -> MonteCarloEstimate:
     """Ergodic rate of the bandwidth-split uplink baseline.
 
     Per trial: alpha * log2 det(I_N + (p_c / alpha) H_u H_u^H); the
     communication sub-band sees no radar interference.
     """
-    return mc.ergodic(cfg, chan.STREAM_UPLINK, _logdet_batch, p_c, alpha, trials)
+    return mc.ergodic(cfg, chan.STREAM_UPLINK, _logdet_batch, p_c, alpha)

@@ -1,23 +1,51 @@
-"""Every public name of the package has a caller inside the package.
+"""Every public name, parameter and result field of the package has a user
+inside the package.
 
-A public top-level function or class, or a public method, that nothing in
-``src/isacsim`` refers to serves only the tests: it is either dead code or
-a test oracle, which belongs in the tests.  The scan parses every module
-except ``__init__.py`` (whose re-exports are not uses) and counts a name
-as used when it appears as an ``ast.Name`` or as the attribute of an
-``ast.Attribute`` anywhere in the package.  It matches names, not
-bindings, so it only finds names that nothing in the package uses: a
-public name that a local variable or another attribute shares passes
-unseen (a method ``gram`` would, as ``uplink._logdet_fn`` has a local
-``gram``).
+Three scans parse every module except ``__init__.py`` (whose re-exports are
+not uses), and each fails on what serves only the tests: dead code, a test
+oracle that belongs in the tests, or an option that doubles the
+configurations to test for no caller.
+
+- Names: a public top-level function or class, or a public method, counts
+  as used when its name appears as an ``ast.Name`` or as the attribute of
+  an ``ast.Attribute`` anywhere in the package.
+- Parameters: a defaulted parameter of a function, or a defaulted field of
+  a dataclass (a constructor parameter), counts as used when some call in
+  the package passes it, by keyword or by position.  Calls are resolved by
+  the function or class name they call, through an attribute or not.  A
+  call through a local name (a callable held in a variable) counts for
+  every parameter of each keyword it passes, and a ``**kwargs`` call
+  counts for every parameter of its callee.  Special methods such as
+  ``__array__`` are skipped: Python or numpy calls them.
+- Fields: a dataclass field counts as read when it appears as the
+  attribute of a loaded ``ast.Attribute``, or as a ``getattr`` string.
+
+The scans match names, not bindings, so they only find what nothing in the
+package uses: a public name, a parameter or a field that another binding
+of the same name shares passes unseen (an unread ``seed`` field on a
+result would hide behind every ``cfg.seed``).
+``EXEMPT`` lists what is kept on purpose, with the reason; an exemption
+that no longer names a flagged item fails the test.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 import isacsim
 
 PACKAGE = Path(isacsim.__file__).parent
+
+EXEMPT = {
+    "cli.main(argv)": "the console entry point; the interpreter passes "
+                      "sys.argv when argv is None, the tests pass a list",
+    "downlink.estimate_mean_covariance(trials)":
+        "bench/ estimates a small covariance with it; it goes with "
+        "_sigma_cache (ROADMAP item 1)",
+    "downlink.MeanInputCovariance.trials_used":
+        "bench/ counts the covariance trials from it; it goes with "
+        "_sigma_cache (ROADMAP item 1)",
+}
 
 
 def _modules():
@@ -59,3 +87,185 @@ def test_every_public_name_has_a_caller_in_the_package():
               for module, tree in modules.items()
               for qualified, name in _public(tree) if name not in used]
     assert unused == []
+
+
+# ---------------------------------------------------------------------------
+# Parameters and fields
+# ---------------------------------------------------------------------------
+
+def _decorator_names(node):
+    for dec in node.decorator_list:
+        dec = dec.func if isinstance(dec, ast.Call) else dec
+        yield dec.attr if isinstance(dec, ast.Attribute) else getattr(dec, "id", None)
+
+
+def _field_options(value):
+    # the keywords of a ``field(...)`` declaration, or None for a plain default
+    if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+        return {k.arg: k.value for k in value.keywords}
+    return None
+
+
+class _Callable:
+    """One function or dataclass: its parameters in positional order, the
+    defaulted ones, and (for a dataclass) its fields."""
+
+    def __init__(self, label, positional, keyword_only, defaulted, fields=()):
+        self.label = label
+        self.positional = positional
+        self.params = positional + keyword_only
+        self.defaulted = defaulted
+        self.fields = fields
+        self.passed = set()
+
+
+def _function(label, node, method):
+    args = node.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    if method and "staticmethod" not in _decorator_names(node):
+        positional = positional[1:]  # self or cls, bound by the call
+    defaulted = positional[len(positional) - len(args.defaults):]
+    defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                  if d is not None]
+    return _Callable(label, positional, [a.arg for a in args.kwonlyargs], defaulted)
+
+
+def _dataclass(label, node):
+    # its fields in order; a field(init=False) is no constructor parameter
+    fields, init, defaulted = [], [], []
+    for item in node.body:
+        if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
+            continue
+        name, options = item.target.id, _field_options(item.value)
+        fields.append(name)
+        if options is not None and getattr(options.get("init"), "value", True) is False:
+            continue
+        init.append(name)
+        if (item.value is not None if options is None
+                else {"default", "default_factory"} & options.keys()):
+            defaulted.append(name)
+    return _Callable(label, init, [], defaulted, fields)
+
+
+def _definitions(trees):
+    # bare name -> every function and dataclass of that name in the package
+    defs = {}
+
+    def visit(module, prefix, body, in_class):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                special = node.name.startswith("__") and node.name.endswith("__")
+                if not special:
+                    label = f"{module}.{prefix}{node.name}"
+                    defs.setdefault(node.name, []).append(
+                        _function(label, node, in_class))
+                visit(module, f"{prefix}{node.name}.", node.body, False)
+            elif isinstance(node, ast.ClassDef):
+                if "dataclass" in _decorator_names(node):
+                    defs.setdefault(node.name, []).append(
+                        _dataclass(f"{module}.{prefix}{node.name}", node))
+                visit(module, f"{prefix}{node.name}.", node.body, True)
+
+    for module, tree in trees.items():
+        visit(module, "", tree.body, False)
+    return defs
+
+
+def _local_callee(call, imported):
+    # whether a call not resolved to a package definition goes through a
+    # variable: a bare name that is neither imported nor a builtin
+    return (isinstance(call.func, ast.Name) and call.func.id not in imported
+            and not hasattr(builtins, call.func.id))
+
+
+def _unused_options(trees):
+    """Labels of the defaulted parameters that no call in ``trees`` passes,
+    as ``module.function(param)``, and of the dataclass fields that nothing
+    reads, as ``module.Class.field``."""
+    defs = _definitions(trees)
+    everything = [d for group in defs.values() for d in group]
+    imported, reads = set(), set()
+    calls = []
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif isinstance(node, ast.Call):
+                calls.append(node)
+                if (getattr(node.func, "id", None) == "getattr" and len(node.args) > 1
+                        and isinstance(node.args[1], ast.Constant)):
+                    reads.add(node.args[1].value)
+    for call in calls:
+        name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+        keywords = {k.arg for k in call.keywords}
+        if name in defs:
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            for d in defs[name]:
+                if None in keywords:  # **kwargs reaches every parameter
+                    d.passed.update(d.params)
+                n = len(d.positional) if starred else len(call.args)
+                d.passed.update(d.positional[:n])
+                d.passed.update(keywords)
+        elif _local_callee(call, imported):
+            for d in everything:
+                d.passed.update(keywords)
+    unused = {f"{d.label}({p})" for d in everything for p in d.defaulted
+              if p not in d.passed}
+    unused |= {f"{d.label}.{f}" for d in everything for f in d.fields if f not in reads}
+    return unused
+
+
+def test_no_parameter_or_field_serves_only_the_tests():
+    flagged = _unused_options(_modules())
+    assert sorted(flagged - set(EXEMPT)) == []
+
+
+def test_every_exemption_names_a_flagged_item():
+    assert sorted(set(EXEMPT) - _unused_options(_modules())) == []
+
+
+SAMPLE = '''
+from dataclasses import dataclass, field
+from functools import partial
+
+
+@dataclass(frozen=True)
+class Result:
+    value: float
+    note: str
+    scale: float = 1.0
+    cache: dict = field(default=None, init=False)
+
+
+def solve(x, scale=1.0, shift=0.0, *, mode="fast"):
+    return Result(x * scale + shift, "ok", scale=scale)
+
+
+def fit(data, weights=None, order=1):
+    return data
+
+
+def mean(xs, axis=0):
+    return xs
+
+
+def run(step=1.0, **kw):
+    pair = ([], 0)
+    return fit([], **kw), mean(*pair), solve(2.0, 3.0).value + step
+
+
+def sweep(fn=solve):
+    go = partial(fn)
+    return go(0.0, shift=1.0, mode="slow").cache, run(0.5), Result(1.0, "").scale
+'''
+
+
+def test_the_scan_reports_an_unused_option_and_an_unread_field():
+    # Passed: solve(scale) and run(step) by position, Result(scale) by
+    # keyword, fit(weights, order) by **kw, mean(axis) by a starred call,
+    # solve(shift, mode) through the local name go.  Not passed: sweep(fn).
+    # Read: Result.value, .scale and .cache.  Not read: Result.note.
+    flagged = _unused_options({"sample": ast.parse(SAMPLE)})
+    assert flagged == {"sample.sweep(fn)", "sample.Result.note"}

@@ -15,6 +15,7 @@ from isacsim.channel import (
     sample_channel_block,
 )
 from isacsim.numerics import ModelError, matrix_sqrt_psd
+from isacsim.sensing import dl_sr
 
 
 class TestExpCorrelation:
@@ -35,11 +36,12 @@ class TestExpCorrelation:
 
 
 class TestCorrelationMatrix:
-    def test_target_label_requires_pd(self):
-        singular = np.ones((2, 2))
-        CorrelationMatrix(matrix=singular)  # PSD is fine for generic label
+    def test_singular_target_rejected_by_sensing_rate(self):
+        # a singular PSD matrix is a valid channel correlation, but as a
+        # sensing target it has a mode that no power reaches
+        singular = CorrelationMatrix(matrix=np.ones((2, 2)))
         with pytest.raises(ModelError):
-            CorrelationMatrix(matrix=singular, label="transmit_target")
+            dl_sr(singular, 2, 4, 1.0, 1.0)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ModelError):
@@ -80,7 +82,7 @@ class TestSampling:
     def test_empirical_covariance_identity(self):
         n = 100_000
         blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
-        ident = CorrelationMatrix(np.eye(2, dtype=complex), "receive_identity")
+        ident = CorrelationMatrix(np.eye(2, dtype=complex))
         acc = np.zeros((2, 2), dtype=complex)
         for b in range(blocks):
             h = sample_channel_block(ident, 1, 0, b, STREAM_UPLINK)[:, :, 0]
@@ -164,4 +166,4 @@ class TestSamplerBytes:
         corr = exp_correlation(2, 0.5)
         assert not corr.root.flags.writeable
         assert [f.name for f in dataclasses.fields(corr) if f.compare] == [
-            "matrix", "label"]
+            "matrix"]

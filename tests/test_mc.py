@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,7 +18,7 @@ P_C = 10.0
 ALPHA = 0.5
 PROFILE = SlotNoiseProfile(rho2=np.array([1.0, 2.0, 2.0, 3.0]))
 CLEAN = SlotNoiseProfile(rho2=np.ones(1))
-UL_CORR = chan.CorrelationMatrix(np.eye(CFG.N, dtype=complex), "receive_identity")
+UL_CORR = chan.CorrelationMatrix(np.eye(CFG.N, dtype=complex))
 
 # per system: its stream, its channel correlation, its per-trial rate, and
 # its outage and ergodic estimators at P_C (FDSAC at bandwidth share ALPHA)
@@ -24,19 +26,19 @@ SYSTEMS = {
     "disac": (chan.STREAM_DOWNLINK, CFG.r_cu(),
               lambda h: dl.dl_sum_rate_batch(h, P_C),
               lambda r, **kw: dl.dl_outage_prob(CFG, r, P_C, **kw),
-              lambda trials: dl.dl_ecr(CFG, P_C, trials=trials)),
+              lambda trials: dl.dl_ecr(replace(CFG, trials=trials), P_C)),
     "dfdsac": (chan.STREAM_DOWNLINK, CFG.r_cu(),
                lambda h: ALPHA * dl.dl_sum_rate_batch(h, P_C / ALPHA),
                lambda r, **kw: dl.dl_outage_prob_fdsac(CFG, r, ALPHA, P_C, **kw),
-               lambda trials: dl.dl_ecr_fdsac(CFG, ALPHA, P_C, trials=trials)),
+               lambda trials: dl.dl_ecr_fdsac(replace(CFG, trials=trials), ALPHA, P_C)),
     "uisac": (chan.STREAM_UPLINK, UL_CORR,
               lambda h: ul.ul_rate_batch(h, P_C, PROFILE),
               lambda r, **kw: ul.ul_outage_prob(CFG, r, P_C, PROFILE, **kw),
-              lambda trials: ul.ul_ecr(CFG, P_C, PROFILE, trials=trials)),
+              lambda trials: ul.ul_ecr(replace(CFG, trials=trials), P_C, PROFILE)),
     "ufdsac": (chan.STREAM_UPLINK, UL_CORR,
                lambda h: ALPHA * ul.ul_rate_batch(h, P_C / ALPHA, CLEAN),
                lambda r, **kw: ul.ul_outage_prob_fdsac(CFG, r, ALPHA, P_C, **kw),
-               lambda trials: ul.ul_ecr_fdsac(CFG, ALPHA, P_C, trials=trials)),
+               lambda trials: ul.ul_ecr_fdsac(replace(CFG, trials=trials), ALPHA, P_C)),
 }
 
 
@@ -111,12 +113,12 @@ OUTAGE = dict(r_target=1.0, min_events=200, max_trials=chan.BLOCK_SIZE)
 ESTIMATORS = {
     "dl_outage_prob": (dl.dl_outage_prob, dict(OUTAGE, p_c=1.0)),
     "dl_outage_prob_fdsac": (dl.dl_outage_prob_fdsac, dict(OUTAGE, alpha=0.5, p_c=1.0)),
-    "dl_ecr": (dl.dl_ecr, dict(p_c=1.0, trials=1000)),
-    "dl_ecr_fdsac": (dl.dl_ecr_fdsac, dict(alpha=0.5, p_c=1.0, trials=1000)),
+    "dl_ecr": (dl.dl_ecr, dict(p_c=1.0)),
+    "dl_ecr_fdsac": (dl.dl_ecr_fdsac, dict(alpha=0.5, p_c=1.0)),
     "ul_outage_prob": (ul.ul_outage_prob, dict(OUTAGE, p_c=1.0, profile=PROFILE)),
     "ul_outage_prob_fdsac": (ul.ul_outage_prob_fdsac, dict(OUTAGE, alpha=0.5, p_c=1.0)),
-    "ul_ecr": (ul.ul_ecr, dict(p_c=1.0, profile=PROFILE, trials=1000)),
-    "ul_ecr_fdsac": (ul.ul_ecr_fdsac, dict(alpha=0.5, p_c=1.0, trials=1000)),
+    "ul_ecr": (ul.ul_ecr, dict(p_c=1.0, profile=PROFILE)),
+    "ul_ecr_fdsac": (ul.ul_ecr_fdsac, dict(alpha=0.5, p_c=1.0)),
 }
 
 
@@ -136,11 +138,12 @@ def test_every_estimator_rejects_bad_input(name, arg, value):
 @pytest.mark.parametrize("name, arg, value", _cases([
     ("r_target", 0.0), ("p_c", 0.0), ("alpha", 0.0)]))
 def test_zero_input_needs_no_trial(name, arg, value, drawn):
-    # a zero target is never missed; zero power or bandwidth carries no rate
+    # a zero target is never missed; zero power or bandwidth carries no rate;
+    # the closed-form value claims no trial
     estimator, kwargs = ESTIMATORS[name]
     est = estimator(CFG, **{**kwargs, arg: value})
     outage = "outage" in name and arg != "r_target"
-    assert (est.mean, est.std_error) == (1.0 if outage else 0.0, 0.0)
+    assert (est.mean, est.std_error, est.trials) == (1.0 if outage else 0.0, 0.0, 0)
     assert drawn == []
 
 

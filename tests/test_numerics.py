@@ -14,6 +14,17 @@ def exp_corr(dim, rho):
     return rho ** np.abs(idx[:, None] - idx[None, :])
 
 
+def water_levels(gains, noise, alloc):
+    # alloc + noise / gains: the water level on an active mode, the mode's
+    # floor on an inactive one
+    return alloc + np.asarray(noise, dtype=float) / np.asarray(gains, dtype=float)
+
+
+def active_set(alloc):
+    # the modes with positive power, in input order
+    return tuple(int(i) for i in np.flatnonzero(alloc > 0.0))
+
+
 class TestHermitianEig:
     def test_identity(self):
         es = hermitian_eig(np.eye(2))
@@ -66,19 +77,22 @@ class TestMatrixSqrt:
 
 class TestWaterfill:
     def test_hand_solved_instance(self):
-        sol = waterfill([2.0, 1.0], [1.0, 1.0], 1.0)
-        assert np.allclose(sol.allocation, [0.75, 0.25])
-        assert sol.water_level == pytest.approx(1.25)
-        assert sol.active_set == (0, 1)
+        gains, noise = [2.0, 1.0], [1.0, 1.0]
+        alloc = waterfill(gains, noise, 1.0)
+        assert np.allclose(alloc, [0.75, 0.25])
+        assert np.allclose(water_levels(gains, noise, alloc), 1.25)
+        assert active_set(alloc) == (0, 1)
 
     def test_symmetric(self):
-        sol = waterfill([1.0, 1.0], [1.0, 1.0], 2.0)
-        assert np.allclose(sol.allocation, [1.0, 1.0])
+        assert np.allclose(waterfill([1.0, 1.0], [1.0, 1.0], 2.0), [1.0, 1.0])
 
     def test_inactive_mode(self):
-        sol = waterfill([10.0, 0.1], [1.0, 1.0], 0.5)
-        assert np.allclose(sol.allocation, [0.5, 0.0])
-        assert sol.active_set == (0,)
+        gains, noise = [10.0, 0.1], [1.0, 1.0]
+        alloc = waterfill(gains, noise, 0.5)
+        assert np.allclose(alloc, [0.5, 0.0])
+        assert active_set(alloc) == (0,)
+        # the inactive mode's floor 10 lies above the water level 0.6
+        assert np.allclose(water_levels(gains, noise, alloc), [0.6, 10.0])
 
     def test_budget_conservation_and_kkt(self):
         rng = np.random.default_rng(5)
@@ -87,23 +101,29 @@ class TestWaterfill:
             gains = rng.uniform(0.1, 4.0, m)
             noise = rng.uniform(0.3, 2.0, m)
             budget = float(rng.uniform(0.1, 8.0))
-            sol = waterfill(gains, noise, budget)
-            assert sol.budget_used == pytest.approx(budget, abs=1e-9)
-            expected = np.maximum(0.0, sol.water_level - noise / gains)
-            assert np.allclose(sol.allocation, expected, atol=1e-9)
+            alloc = waterfill(gains, noise, budget)
+            assert alloc.sum() == pytest.approx(budget, abs=1e-9)
+            levels = water_levels(gains, noise, alloc)
+            active = alloc > 0.0
+            level = levels[active][0]
+            # one water level over the active modes, no inactive floor below it
+            assert np.allclose(levels[active], level, rtol=0.0, atol=1e-9)
+            assert np.all(levels[~active] >= level - 1e-9)
+            expected = np.maximum(0.0, level - noise / gains)
+            assert np.allclose(alloc, expected, atol=1e-9)
 
     def test_zero_budget(self):
-        sol = waterfill([1.0, 2.0], [1.0, 1.0], 0.0)
-        assert np.all(sol.allocation == 0.0)
-        assert sol.active_set == ()
+        alloc = waterfill([1.0, 2.0], [1.0, 1.0], 0.0)
+        assert np.all(alloc == 0.0)
+        assert active_set(alloc) == ()
 
     def test_scale_consistency(self):
         gains = np.array([2.0, 1.0, 0.5])
         noise = np.array([1.0, 1.0, 1.0])
         base = waterfill(gains, noise, 2.0)
         scaled = waterfill(gains, 3.0 * noise, 6.0)
-        assert np.allclose(scaled.allocation, 3.0 * base.allocation)
-        assert scaled.active_set == base.active_set
+        assert np.allclose(scaled, 3.0 * base)
+        assert active_set(scaled) == active_set(base) == (0, 1)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ModelError):

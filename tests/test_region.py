@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -68,8 +70,7 @@ def cfg():
 
 class TestSweeps:
     def test_dl_tradeoff_direction(self, cfg):
-        reg = dl_isac_region(cfg, 10.0, 10.0, grid_size=5,
-                             ecr_trials=4000, sigma_trials=2000)
+        reg = dl_isac_region(cfg, 10.0, 10.0, grid_size=5)
         crs = [p.cr for p in reg.sweep_points]
         srs = [p.sr for p in reg.sweep_points]
         assert crs == sorted(crs)          # more comm power, more rate
@@ -77,7 +78,7 @@ class TestSweeps:
         assert crs[0] == 0.0
 
     def test_ul_tradeoff_direction(self, cfg):
-        reg = ul_isac_region(cfg, 10.0, 10.0, grid_size=5, ecr_trials=4000)
+        reg = ul_isac_region(cfg, 10.0, 10.0, grid_size=5)
         crs = [p.cr for p in reg.sweep_points]
         srs = [p.sr for p in reg.sweep_points]
         assert srs == sorted(srs)          # sweep raises sensing power
@@ -94,28 +95,27 @@ class TestSweeps:
             return waterfill(*args)
 
         monkeypatch.setattr(sn, "waterfill", counting)
-        ul_isac_region(cfg, 10.0, 10.0, grid_size=5, ecr_trials=100)
+        ul_isac_region(replace(cfg, trials=100), 10.0, 10.0, grid_size=5)
         assert len(calls) == 5
 
     def test_fdsac_endpoints(self, cfg):
-        reg = dl_fdsac_region(cfg, 10.0, 10.0, grid_size=5, ecr_trials=4000)
+        reg = dl_fdsac_region(cfg, 10.0, 10.0, grid_size=5)
         assert reg.sweep_points[0].cr == 0.0   # alpha = 0: no communication
         assert reg.sweep_points[-1].sr == 0.0  # alpha = 1: no sensing
 
     def test_dl_regions_share_endpoints(self, cfg):
         # p_c = 0 and alpha = 0 both mean interference-free sensing only;
         # p_c = p_c_max and alpha = 1 both mean full-band communication.
-        isac = dl_isac_region(cfg, 10.0, 10.0, grid_size=5,
-                              ecr_trials=20_000, sigma_trials=2000)
-        fdsac = dl_fdsac_region(cfg, 10.0, 10.0, grid_size=5,
-                                ecr_trials=20_000)
+        cfg = replace(cfg, trials=20_000)
+        isac = dl_isac_region(cfg, 10.0, 10.0, grid_size=5)
+        fdsac = dl_fdsac_region(cfg, 10.0, 10.0, grid_size=5)
         assert isac.sweep_points[0].sr == pytest.approx(
             fdsac.sweep_points[0].sr, abs=1e-9)
         assert isac.sweep_points[-1].cr == pytest.approx(
             fdsac.sweep_points[-1].cr, abs=1e-9)
 
     def test_ul_fdsac_region_runs(self, cfg):
-        reg = ul_fdsac_region(cfg, 10.0, 10.0, grid_size=5, ecr_trials=4000)
+        reg = ul_fdsac_region(cfg, 10.0, 10.0, grid_size=5)
         assert len(reg.sweep_points) == 5
         crs = [p.cr for p in reg.sweep_points]
         srs = [p.sr for p in reg.sweep_points]
@@ -157,8 +157,7 @@ class TestEscapeCause:
             [dl_ecr_fdsac(cfg, a, self.P).mean for a in HALVINGS],
             [sr_max - fdsac_sr(rt, cfg.N, cfg.L, self.P, a) for a in HALVINGS])
         _assert_unbounded(fd)
-        ends = [dl_isac_region(cfg, p_c, self.P, grid_size=2,
-                               sigma_trials=500).sweep_points
+        ends = [dl_isac_region(cfg, p_c, self.P, grid_size=2).sweep_points
                 for p_c in HALVINGS]
         isac = np.divide([far.cr for _, far in ends],
                          [zero.sr - far.sr for zero, far in ends])

@@ -123,7 +123,7 @@ class TestOutage:
 class TestErgodic:
     def test_scalar_rayleigh_oracle(self):
         cfg = scalar_cfg(seed=35)
-        est = ul_ecr(cfg, 1.0, clean(1), trials=100_000)
+        est = ul_ecr(cfg, 1.0, clean(1))
         expect = math.e * float(exp1(1.0)) / math.log(2.0)
         assert est.mean == pytest.approx(expect, abs=3.5 * est.std_error)
 
@@ -138,7 +138,7 @@ class TestErgodic:
     def test_asymptote_tracks_ecr(self):
         cfg = SimConfig(M=2, N=2, K=2, L=4, seed=37)
         _, prof = sensing_profile(RT, 2, 4, 10.0)
-        mc = ul_ecr(cfg, 1e4, prof, trials=100_000)
+        mc = ul_ecr(cfg, 1e4, prof)
         line = ul_ecr_asymptote(1e4, 2, 2, prof)
         assert mc.mean == pytest.approx(line, abs=0.1)
 
