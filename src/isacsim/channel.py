@@ -10,6 +10,12 @@ drawn, byte for byte, as the first n trials of the whole block, and need
 the block's real parts but only n trials of imaginary parts.  Draws never
 depend on how many trials a caller requests, on evaluation order, or on
 any threading.
+
+Memory layout: a block of shape (trials, dim, columns) is a view of a
+C-contiguous (dim, columns, trials) buffer, so each (row, column) entry's
+trials are one contiguous plane and the elementwise rate kernels run
+their inner loops over trials.  The layout changes no value: every entry
+is the same bytes as in a C-contiguous array of the same draws.
 """
 
 from __future__ import annotations
@@ -138,6 +144,10 @@ def sample_channel_block(corr: CorrelationMatrix, columns, seed, block, stream,
     ``trials`` is.  Columns are independent, each CN(0, R), realized as
     R^{1/2} w with w i.i.d. standard complex Gaussian: real and imaginary
     parts N(0, 1/2).  Only the requested trials are scaled and transformed.
+
+    The array is a view of a C-contiguous (dim, columns, trials) buffer: its
+    trial axis has stride ``itemsize``.  Compare blocks by ``tobytes()``,
+    which reads them in C order whatever the layout.
     """
     size = BLOCK_SIZE
     trials = size if trials is None else trials
@@ -145,20 +155,30 @@ def sample_channel_block(corr: CorrelationMatrix, columns, seed, block, stream,
         raise ModelError(f"trials must be an integer in [1, {size}]")
     entries = corr.dim * columns
     draws = _block_rng(seed, stream, block).standard_normal((size + trials) * entries)
-    shape = (trials, corr.dim, columns)
-    w = np.empty(shape, dtype=complex)
+    # the normals are trial-major, the block entry-major: each scale reads
+    # them transposed into one entry's trials at a time
+    w = _trial_minor(corr.dim, columns, trials)
+    planes = w.transpose(1, 2, 0).reshape(entries, trials)
     scale = 1.0 / np.sqrt(2.0)
     # the imaginary parts start after the real parts of the whole block
-    np.multiply(draws[:trials * entries].reshape(shape), scale, out=w.real)
-    np.multiply(draws[size * entries:].reshape(shape), scale, out=w.imag)
+    np.multiply(draws[:trials * entries].reshape(trials, entries).T, scale,
+                out=planes.real)
+    np.multiply(draws[size * entries:].reshape(trials, entries).T, scale,
+                out=planes.imag)
     if corr.is_identity:
         return w
     # h[:, i] = sum_j root[i, j] w[:, j], one term at a time in the order of
     # j: this rounds exactly as np.einsum("ij,tjk->tik"), which root @ w does
     # not, so every draw keeps its bytes
-    h = np.empty_like(w)
+    h = _trial_minor(corr.dim, columns, trials)
     for i, row in enumerate(corr.root):
         h[:, i] = row[0] * w[:, 0]
         for j in range(1, corr.dim):
             h[:, i] += row[j] * w[:, j]
     return h
+
+
+def _trial_minor(dim, columns, trials):
+    # a (trials, dim, columns) view of a C-contiguous (dim, columns, trials)
+    # buffer: each entry's trials are one contiguous plane
+    return np.empty((dim, columns, trials), dtype=complex).transpose(2, 0, 1)

@@ -238,8 +238,11 @@ def mac_to_bc_covariance(h_d, alloc: PowerAllocation):
     sigma = np.zeros(h.shape[:-1] + (m,), dtype=complex)
     for k in range(k_users):
         hk, rest = h[..., k:k + 1], h[..., k + 1:]
-        b = np.eye(m) + (rest * powers[..., None, k + 1:]) @ _herm(rest)
-        b_inv_h = np.linalg.solve(b, hk)
+        if rest.shape[-1]:
+            b = np.eye(m) + (rest * powers[..., None, k + 1:]) @ _herm(rest)
+            b_inv_h = np.linalg.solve(b, hk)
+        else:
+            b_inv_h = hk  # the last user's B is exactly I
         a_k = 1.0 + np.real(_herm(hk) @ sigma @ hk)
         quad = np.real(_herm(hk) @ b_inv_h)
         p_k = powers[..., k, None, None]

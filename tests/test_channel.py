@@ -136,7 +136,22 @@ class TestSamplerBytes:
                     got = sample_channel_block(corr, columns, 11, block, stream, n)
                     expect = whole[:n]
                     assert got.shape == expect.shape
-                    assert np.array_equal(got.view(np.uint8), expect.view(np.uint8))
+                    assert got.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("rho", [0.0, 0.8])
+    def test_each_entry_holds_its_trials_contiguously(self, monkeypatch, rho):
+        # a block is a (trials, dim, columns) view of a C-contiguous
+        # (dim, columns, trials) buffer, at every prefix length
+        monkeypatch.setattr(chan, "BLOCK_SIZE", 16)
+        for dim in (1, 2, 3):
+            corr = exp_correlation(dim, rho)
+            assert corr.is_identity == (rho == 0.0 or dim == 1)
+            for columns in (1, 2, 3):
+                for n in range(1, 17):
+                    h = sample_channel_block(corr, columns, 4, 0, STREAM_DOWNLINK, n)
+                    assert h.shape == (n, dim, columns)
+                    assert h.strides[0] == h.itemsize
+                    assert h.transpose(1, 2, 0).flags.c_contiguous
 
     @pytest.mark.parametrize("trials", [0, -1, BLOCK_SIZE + 1, 2.0, "3"])
     def test_rejects_trials_outside_one_block(self, trials):

@@ -300,6 +300,28 @@ class TestDuality:
             mac_to_bc_covariance(h, bad)
 
 
+class TestLayoutBytes:
+    # a block is a trial-minor view (channel.sample_channel_block); every
+    # kernel returns the bytes it returns on a C-contiguous copy of it
+    @pytest.mark.parametrize("m, k_users",
+                             [(m, k) for m in range(1, 5) for k in range(1, m + 1)])
+    @pytest.mark.parametrize("rho", [0.0, 0.8, 0.999])
+    def test_kernels_ignore_the_layout(self, m, k_users, rho):
+        count = 1024 if k_users <= 2 else 128
+        h = chan.sample_channel_block(chan.exp_correlation(m, rho), k_users, 7,
+                                      0, chan.STREAM_COVARIANCE, count)
+        copy = np.ascontiguousarray(h)
+        assert h.strides[0] == h.itemsize
+        for p_c in (1e-2, 1.0, 1e2, 1e6):
+            assert dl_sum_rate_batch(h, p_c).tobytes() == \
+                dl_sum_rate_batch(copy, p_c).tobytes()
+            alloc = dual_mac_power_alloc(h, p_c)
+            assert alloc.powers.tobytes() == \
+                dual_mac_power_alloc(copy, p_c).powers.tobytes()
+            assert mac_to_bc_covariance(h, alloc).tobytes() == \
+                mac_to_bc_covariance(copy, alloc).tobytes()
+
+
 class TestMeanCovariance:
     def test_trace_equals_budget(self):
         cfg = SimConfig(M=2, N=2, K=2, L=4, seed=3)

@@ -20,7 +20,7 @@ from isacsim.uplink import (
     ul_outage_prob_fdsac,
     ul_rate_batch,
 )
-from isacsim.uplink import _logdet_batch
+from isacsim.uplink import _logdet_batch, _logdet_fn
 
 RT = exp_correlation(2, 0.7).matrix
 
@@ -198,6 +198,23 @@ class TestRateBytes:
                 assert same_bytes(ul_rate_batch(h, p_c, profile),
                                   einsum_rate(h, p_c, profile)), (name, p_c)
             assert same_bytes(_logdet_batch(h, p_c), einsum_logdet(h, p_c)), p_c
+
+
+class TestLayoutBytes:
+    # a block is a trial-minor view (channel.sample_channel_block); every
+    # kernel returns the bytes it returns on a C-contiguous copy of it
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("rho", [0.0, 0.8, 0.999])
+    def test_kernels_ignore_the_layout(self, n, rho):
+        for k in range(1, n + 1):
+            h = chan.sample_channel_block(exp_correlation(n, rho), k, 5, 0,
+                                          chan.STREAM_UPLINK, 1024)
+            copy = np.ascontiguousarray(h)
+            logdet, logdet_copy = _logdet_fn(h), _logdet_fn(copy)
+            for p_c in np.logspace(-2.0, 6.0, 9):
+                assert same_bytes(logdet(p_c), logdet_copy(p_c)), (k, p_c)
+                assert same_bytes(ul_rate_batch(h, p_c, PAPER),
+                                  ul_rate_batch(copy, p_c, PAPER)), (k, p_c)
 
 
 class TestExpansionProperties:
