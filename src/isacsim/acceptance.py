@@ -40,8 +40,9 @@ class CriterionResult:
 
 
 def _paper_cfg(seed) -> SimConfig:
+    # p_c = 0 dB and p_s = 10 dB: the operating point the criteria read
     return SimConfig(M=2, N=2, K=2, L=4, rho_target=0.7, rho_cu=0.8,
-                     trials=100_000, seed=seed)
+                     p_c=1.0, p_s=10.0, trials=100_000, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +207,8 @@ def criterion_dl_diversity(seed=DEFAULT_SEED):
 def criterion_ul_diversity(seed=DEFAULT_SEED):
     """Uplink outage decay order = NK = 4 within +-0.5."""
     cfg = _paper_cfg(seed)
-    _, profile = ul.sensing_profile(cfg.r_target().matrix, cfg.N, cfg.L, 10.0)
-    ops = [ul.ul_outage_prob(cfg, 5.0, 10 ** (g / 10.0), profile,
+    _, rho2 = ul.sensing_profile(cfg.r_target().matrix, cfg.N, cfg.L, cfg.p_s)
+    ops = [ul.ul_outage_prob(cfg, 5.0, 10 ** (g / 10.0), rho2,
                              min_events=_DIVERSITY_EVENTS,
                              max_trials=_DIVERSITY_CAP).mean
            for g in _UL_DIVERSITY_GRID_DB]
@@ -221,9 +222,8 @@ def criterion_ecr_slopes(seed=DEFAULT_SEED):
     cfg = _paper_cfg(seed)
     target = 2.0 * math.log2(10.0)
     d = dl.dl_ecr(cfg, 1e4).mean - dl.dl_ecr(cfg, 1e3).mean
-    _, profile = ul.sensing_profile(cfg.r_target().matrix, cfg.N, cfg.L, 10.0)
-    u = (ul.ul_ecr(cfg, 1e4, profile).mean
-         - ul.ul_ecr(cfg, 1e3, profile).mean)
+    _, rho2 = ul.sensing_profile(cfg.r_target().matrix, cfg.N, cfg.L, cfg.p_s)
+    u = ul.ul_ecr(cfg, 1e4, rho2).mean - ul.ul_ecr(cfg, 1e3, rho2).mean
     err = max(abs(d - target), abs(u - target)) / target
     return (err <= 0.02, err,
             f"dl step {d:.4f}, ul step {u:.4f}, target {target:.4f}")
@@ -236,19 +236,19 @@ def criterion_ecr_asymptote(seed=DEFAULT_SEED):
     with E raised by log2 det R_cu for the correlated downlink, which holds
     for M = K only (the high-SNR power offset of Lozano, Tulino and Verdu,
     IEEE T-IT 2005); and the uplink line with its slot-noise penalty at
-    the p_s = 10 waveform.
+    the p_s = 10 dB waveform.
     """
     cfg = _paper_cfg(seed)
     e_iid = dl.ed_closed_form_iid(cfg.M, cfg.K)
     log_det = float(np.linalg.slogdet(cfg.r_cu().matrix)[1]) / math.log(2.0)
-    _, profile = ul.sensing_profile(cfg.r_target().matrix, cfg.N, cfg.L, 10.0)
+    _, rho2 = ul.sensing_profile(cfg.r_target().matrix, cfg.N, cfg.L, cfg.p_s)
     checks = (
         ("iid dl", dl.dl_ecr(replace(cfg, rho_cu=0.0), 1e4).mean,
          dl.dl_ecr_asymptote(1e4, cfg.K, e_iid)),
         (f"dl rho_cu {cfg.rho_cu:g}", dl.dl_ecr(cfg, 1e4).mean,
          dl.dl_ecr_asymptote(1e4, cfg.K, e_iid + log_det)),
-        ("ul", ul.ul_ecr(cfg, 1e4, profile).mean,
-         ul.ul_ecr_asymptote(1e4, cfg.K, cfg.N, profile)),
+        ("ul", ul.ul_ecr(cfg, 1e4, rho2).mean,
+         ul.ul_ecr_asymptote(1e4, cfg.K, cfg.N, rho2)),
     )
     gap = max(abs(mc - line) for _, mc, line in checks)
     return gap <= 0.1, gap, "; ".join(
@@ -256,10 +256,11 @@ def criterion_ecr_asymptote(seed=DEFAULT_SEED):
 
 
 def criterion_sr_brute_force(seed=DEFAULT_SEED):
-    """Closed-form sensing rates beat 1e4 random feasible waveforms."""
+    """Closed-form sensing rates beat 1e4 random feasible waveforms at
+    p_s = 10 dB, with the downlink sensing noise evaluated at p_c = 0 dB."""
     cfg = _paper_cfg(seed)
     rt = cfg.r_target().matrix
-    p_s = 10.0
+    p_s = cfg.p_s
     sr_u, _ = sn.ul_sr(rt, cfg.N, cfg.L, p_s)
     s2 = dl.sensing_noise(cfg, cfg.p_c)
     sr_d, _ = sn.dl_sr(rt, cfg.N, cfg.L, p_s, s2)
@@ -278,7 +279,8 @@ def criterion_sr_brute_force(seed=DEFAULT_SEED):
 
 
 def criterion_sr_slopes(seed=DEFAULT_SEED):
-    """Sensing-rate slopes NM/L = 1, split baseline 0.5, high-SNR form."""
+    """Sensing-rate slopes NM/L = 1, split baseline 0.5, high-SNR form,
+    with the downlink sensing noise evaluated at p_c = 0 dB."""
     cfg = _paper_cfg(seed)
     rt = cfg.r_target().matrix
     s2 = dl.sensing_noise(cfg, cfg.p_c)
@@ -303,7 +305,8 @@ def criterion_sr_slopes(seed=DEFAULT_SEED):
 
 
 def criterion_sr_orderings(seed=DEFAULT_SEED):
-    """Sensing-rate crossover (downlink) and uniform dominance (uplink)."""
+    """Sensing-rate crossover (downlink) and uniform dominance (uplink),
+    with the downlink sensing noise evaluated at p_c = 0 dB."""
     cfg = _paper_cfg(seed)
     rt = cfg.r_target().matrix
     s2 = dl.sensing_noise(cfg, cfg.p_c)

@@ -110,6 +110,8 @@ class SimConfig:
             raise ModelError("SNRs must be nonnegative")
         if self.trials < 1:
             raise ModelError("trials must be positive")
+        if self.seed < 0:
+            raise ModelError("seed must be nonnegative")
 
     def r_cu(self) -> CorrelationMatrix:
         """Common transmit correlation of the communication users."""

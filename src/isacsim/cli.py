@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import sys
 from functools import partial
 
@@ -42,6 +43,21 @@ def db_to_linear(x_db) -> float:
     return float(10.0 ** (x_db / 10.0))
 
 
+def _whole(key, value) -> int:
+    # int() would truncate 2.7 to 2; NaN and infinity are not whole either
+    if isinstance(value, float) and not value.is_integer():
+        raise ModelError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def _finite(key, value) -> float:
+    # Python's json reads NaN and Infinity
+    number = float(value)
+    if not math.isfinite(number):
+        raise ModelError(f"{key} must be finite, got {value!r}")
+    return number
+
+
 def parse_config(raw: dict):
     """Build (SimConfig, params) from a raw JSON document."""
     merged = dict(DEFAULT_CONFIG)
@@ -49,22 +65,22 @@ def parse_config(raw: dict):
     if unknown:
         raise ModelError(f"unknown config keys: {sorted(unknown)}")
     merged.update(raw)
+    # a key is an integer or a float as its default is
+    val = {k: (_whole if isinstance(d, int) else _finite)(k, merged[k])
+           for k, d in DEFAULT_CONFIG.items()}
     cfg = SimConfig(
-        M=int(merged["M"]), N=int(merged["N"]),
-        K=int(merged["K"]), L=int(merged["L"]),
-        rho_target=float(merged["rho_target"]),
-        rho_cu=float(merged["rho_cu"]),
-        p_c=db_to_linear(float(merged["p_c_db"])),
-        p_s=db_to_linear(float(merged["p_s_db"])),
-        trials=int(merged["trials"]), seed=int(merged["seed"]),
+        M=val["M"], N=val["N"], K=val["K"], L=val["L"],
+        rho_target=val["rho_target"], rho_cu=val["rho_cu"],
+        p_c=db_to_linear(val["p_c_db"]), p_s=db_to_linear(val["p_s_db"]),
+        trials=val["trials"], seed=val["seed"],
     )
     params = {
-        "target_rate": float(merged["target_rate"]),
-        "alpha": float(merged["alpha"]),
-        "grid_size": int(merged["grid_size"]),
-        "max_trials": int(merged["max_trials"]),
-        "min_events": int(merged["min_events"]),
-        "sweep_db": [float(x) for x in merged.get("sweep_db", [])],
+        "target_rate": val["target_rate"],
+        "alpha": val["alpha"],
+        "grid_size": val["grid_size"],
+        "max_trials": val["max_trials"],
+        "min_events": val["min_events"],
+        "sweep_db": [_finite("sweep_db", x) for x in merged.get("sweep_db", [])],
     }
     return cfg, params
 
@@ -96,19 +112,19 @@ def _run_vs_snr(cfg, params, experiment):
     # outage (op_vs_snr) or ergodic rate (ecr_vs_snr) of the four systems
     alpha, target = params["alpha"], params["target_rate"]
     kw = dict(min_events=params["min_events"], max_trials=params["max_trials"])
-    _, profile = ul.sensing_profile(cfg.r_target(), cfg.N, cfg.L, cfg.p_s)
+    _, rho2 = ul.sensing_profile(cfg.r_target(), cfg.N, cfg.L, cfg.p_s)
     if experiment == "op_vs_snr":
         systems = {
             "disac": lambda p: dl.dl_outage_prob(cfg, target, p, **kw),
             "dfdsac": lambda p: dl.dl_outage_prob_fdsac(cfg, target, alpha, p, **kw),
-            "uisac": lambda p: ul.ul_outage_prob(cfg, target, p, profile, **kw),
+            "uisac": lambda p: ul.ul_outage_prob(cfg, target, p, rho2, **kw),
             "ufdsac": lambda p: ul.ul_outage_prob_fdsac(cfg, target, alpha, p, **kw),
         }
     else:
         systems = {
             "disac": lambda p: dl.dl_ecr(cfg, p),
             "dfdsac": lambda p: dl.dl_ecr_fdsac(cfg, alpha, p),
-            "uisac": lambda p: ul.ul_ecr(cfg, p, profile),
+            "uisac": lambda p: ul.ul_ecr(cfg, p, rho2),
             "ufdsac": lambda p: ul.ul_ecr_fdsac(cfg, alpha, p),
         }
     rows = []

@@ -94,8 +94,8 @@ def ul_isac_region(cfg: SimConfig, p_c_max, p_s_max,
     rt = cfg.r_target()
     points = []
     for p_s in grid:
-        sr, profile = ul.sensing_profile(rt, cfg.N, cfg.L, p_s)
-        est = ul.ul_ecr(cfg, p_c_max, profile)
+        sr, rho2 = ul.sensing_profile(rt, cfg.N, cfg.L, p_s)
+        est = ul.ul_ecr(cfg, p_c_max, rho2)
         points.append(RatePoint(cr=est.mean, sr=sr, cr_se=est.std_error))
     return RateRegion(tuple(points), "p_s", grid)
 

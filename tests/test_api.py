@@ -30,6 +30,10 @@ that no longer names a flagged item fails the test.
 
 import ast
 import builtins
+import dataclasses
+import importlib
+import importlib.util
+import inspect
 from pathlib import Path
 
 import isacsim
@@ -269,3 +273,43 @@ def test_the_scan_reports_an_unused_option_and_an_unread_field():
     # Read: Result.value, .scale and .cache.  Not read: Result.note.
     flagged = _unused_options({"sample": ast.parse(SAMPLE)})
     assert flagged == {"sample.sweep(fn)", "sample.Result.note"}
+
+
+# ---------------------------------------------------------------------------
+# The surface the benchmark's tracer binds
+# ---------------------------------------------------------------------------
+
+def _bench_tracer():
+    # bench/tracer.py, loaded from its file without touching bench/
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _package_function(qualified):
+    layer, name = qualified.split(".")
+    return getattr(importlib.import_module(f"isacsim.{layer}"), name)
+
+
+def test_the_bench_tracer_still_binds_what_it_counts():
+    # The tracer counts trials by binding the estimators' p_c by name and
+    # reading the covariance estimate's p_c and trials_used; a rename here
+    # would break its trial count, which only bench/tests would see.
+    tracer = _bench_tracer()
+    estimators = tracer.DL_MC + tracer.UL_MC + (tracer.COVARIANCE,)
+    originals = {name: _package_function(name) for name in estimators}
+    for names in (None, tracer.COUNTED):
+        spans = tracer.Tracer(names).install()
+        try:
+            for name in estimators:
+                wrapped = _package_function(name)
+                assert wrapped is not originals[name], name
+                assert "p_c" in inspect.signature(wrapped).parameters, name
+        finally:
+            spans.uninstall()
+        assert {name: _package_function(name) for name in estimators} == originals
+    from isacsim.downlink import MeanInputCovariance
+    fields = {f.name for f in dataclasses.fields(MeanInputCovariance)}
+    assert {"p_c", "trials_used"} <= fields

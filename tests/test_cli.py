@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 import re
 from pathlib import Path
 
@@ -103,6 +104,33 @@ class TestMain:
                            "--config", str(tmp_path / "nope.json"),
                            "--out", "x.csv"])
         assert status == 2
+
+    def test_negative_seed_is_a_config_error(self, tmp_path):
+        out = tmp_path / "x.csv"
+        by_key = cli.main(["--experiment", "sr_vs_snr",
+                           "--config", write_config(tmp_path, seed=-1),
+                           "--out", str(out)])
+        by_flag = cli.main(["--experiment", "sr_vs_snr", "--seed", "-5",
+                            "--out", str(out)])
+        assert (by_key, by_flag) == (2, 2)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("M", 2.7), ("trials", 100.5), ("seed", 1.5), ("grid_size", 4.5),
+        ("min_events", math.nan), ("max_trials", math.inf),
+        ("p_c_db", math.nan), ("p_s_db", math.inf), ("rho_cu", math.nan),
+        ("alpha", -math.inf), ("target_rate", math.nan),
+        ("sweep_db", [0.0, math.nan])])
+    def test_non_whole_or_non_finite_number_is_a_config_error(
+            self, tmp_path, key, value):
+        with pytest.raises(cli.ModelError):
+            cli.parse_config({key: value})
+        out = tmp_path / "x.csv"
+        # json writes NaN and Infinity, and reads them back
+        assert cli.main(["--experiment", "region_dl",
+                         "--config", write_config(tmp_path, **{key: value}),
+                         "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 

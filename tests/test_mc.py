@@ -11,13 +11,12 @@ from isacsim import mc
 from isacsim import uplink as ul
 from isacsim.channel import SimConfig
 from isacsim.numerics import ModelError
-from isacsim.uplink import SlotNoiseProfile
 
 CFG = SimConfig(M=2, N=2, K=2, L=4, seed=21)
 P_C = 10.0
 ALPHA = 0.5
-PROFILE = SlotNoiseProfile(rho2=np.array([1.0, 2.0, 2.0, 3.0]))
-CLEAN = SlotNoiseProfile(rho2=np.ones(1))
+PROFILE = 2.0  # an uplink ISAC slot noise rho2
+CLEAN = 1.0
 UL_CORR = chan.CorrelationMatrix(np.eye(CFG.N, dtype=complex))
 
 # per system: its stream, its channel correlation, its per-trial rate, and
@@ -115,9 +114,9 @@ ESTIMATORS = {
     "dl_outage_prob_fdsac": (dl.dl_outage_prob_fdsac, dict(OUTAGE, alpha=0.5, p_c=1.0)),
     "dl_ecr": (dl.dl_ecr, dict(p_c=1.0)),
     "dl_ecr_fdsac": (dl.dl_ecr_fdsac, dict(alpha=0.5, p_c=1.0)),
-    "ul_outage_prob": (ul.ul_outage_prob, dict(OUTAGE, p_c=1.0, profile=PROFILE)),
+    "ul_outage_prob": (ul.ul_outage_prob, dict(OUTAGE, p_c=1.0, rho2=PROFILE)),
     "ul_outage_prob_fdsac": (ul.ul_outage_prob_fdsac, dict(OUTAGE, alpha=0.5, p_c=1.0)),
-    "ul_ecr": (ul.ul_ecr, dict(p_c=1.0, profile=PROFILE)),
+    "ul_ecr": (ul.ul_ecr, dict(p_c=1.0, rho2=PROFILE)),
     "ul_ecr_fdsac": (ul.ul_ecr_fdsac, dict(alpha=0.5, p_c=1.0)),
 }
 

@@ -9,10 +9,9 @@ from scipy.special import exp1
 from isacsim import channel as chan
 from isacsim.channel import SimConfig, exp_correlation
 from isacsim.numerics import ModelError
+from isacsim.sensing import build_waveform, ul_sr
 from isacsim.uplink import (
-    SlotNoiseProfile,
     sensing_profile,
-    slot_noise_powers,
     ul_ecr,
     ul_ecr_asymptote,
     ul_ecr_fdsac,
@@ -20,14 +19,18 @@ from isacsim.uplink import (
     ul_outage_prob_fdsac,
     ul_rate_batch,
 )
-from isacsim.uplink import _logdet_batch, _logdet_fn
+from isacsim.uplink import _logdet_batch
 
 RT = exp_correlation(2, 0.7).matrix
+CLEAN = 1.0  # the slot noise of a frame without radar interference
 
 
-def clean(n_slots):
-    # a frame without radar interference
-    return SlotNoiseProfile(rho2=np.ones(n_slots))
+def slot_noises(r_target, n_rx, n_slots, p_s):
+    # oracle: each slot's 1 + s_l^H R_T s_l of the built optimal waveform
+    _, alloc = ul_sr(r_target, n_rx, n_slots, p_s)
+    s = build_waveform(r_target, alloc, n_slots)
+    rt = np.asarray(r_target, dtype=complex)
+    return 1.0 + np.real(np.einsum("ml,mn,nl->l", s.conj(), rt, s))
 
 
 def ul_slot_rate(h_u, p_c, rho2_l):
@@ -37,9 +40,9 @@ def ul_slot_rate(h_u, p_c, rho2_l):
     return np.linalg.slogdet(a)[1] / math.log(2.0)
 
 
-def ul_avg_rate(h_u, p_c, profile):
+def ul_avg_rate(h_u, p_c, rho2_slots):
     # scalar oracle: the per-slot rates averaged over the frame
-    return float(np.mean([ul_slot_rate(h_u, p_c, r2) for r2 in profile.rho2]))
+    return float(np.mean([ul_slot_rate(h_u, p_c, r2) for r2 in rho2_slots]))
 
 
 def scalar_cfg(seed=0):
@@ -48,74 +51,82 @@ def scalar_cfg(seed=0):
 
 class TestSlotNoise:
     def test_quadratic_form(self):
-        s = np.array([[2.0, 0.0], [0.0, 1.0]], dtype=complex)
-        prof = slot_noise_powers(s, np.eye(2))
-        assert np.allclose(prof.rho2, [5.0, 2.0])
+        # the one rho2 is every slot's 1 + s_l^H R_T s_l: the evenly spread
+        # waveform loads every slot alike, over the whole allowed range
+        for m in range(1, 5):
+            for n_slots in (m, m + 1, 2 * m + 3):
+                for rho in (0.0, 0.5, 0.95):
+                    rt = exp_correlation(m, rho)
+                    for p_s in (0.0, 0.1, 10.0, 1e6):
+                        _, rho2 = sensing_profile(rt, m, n_slots, p_s)
+                        slots = slot_noises(rt, m, n_slots, p_s)
+                        assert np.allclose(slots, rho2, rtol=1e-12, atol=0.0), \
+                            (m, n_slots, rho, p_s)
 
     def test_optimal_waveform_equal_slots(self):
-        # the power-spreading waveform loads every slot identically
-        _, prof = sensing_profile(RT, 2, 4, 10.0)
-        assert np.allclose(prof.rho2, prof.rho2[0])
+        _, rho2 = sensing_profile(RT, 2, 4, 10.0)
         # rho2 = 1 + (sum_m lambda_m a_m) / L with the hand-solved allocation
         lam = np.array([1.7, 0.3])
         level = (10.0 + np.sum(1.0 / lam)) / 2.0
         alloc = level - 1.0 / lam
-        assert prof.rho2[0] == pytest.approx(1.0 + np.sum(lam * alloc) / 4.0,
-                                             abs=1e-9)
-        assert prof.rho2[0] == pytest.approx(3.98039216, abs=1e-6)
+        assert rho2 == pytest.approx(1.0 + np.sum(lam * alloc) / 4.0, abs=1e-9)
+        assert rho2 == pytest.approx(3.98039216, abs=1e-6)
 
     def test_rejects_sub_unit_noise(self):
+        h = np.ones((1, 2, 2), dtype=complex)
         with pytest.raises(ModelError):
-            SlotNoiseProfile(rho2=np.array([0.5, 1.0]))
+            ul_rate_batch(h, 1.0, np.nextafter(1.0, 0.0))
 
 
 class TestRates:
     def test_single_antenna_slot_rate(self):
         h = np.array([[1.0 + 1.0j]])
         assert ul_slot_rate(h, 3.0, 2.0) == pytest.approx(math.log2(4.0))
-        prof = SlotNoiseProfile(rho2=np.array([2.0]))
-        assert ul_rate_batch(h[None], 3.0, prof)[0] == pytest.approx(math.log2(4.0))
+        assert ul_rate_batch(h[None], 3.0, 2.0)[0] == pytest.approx(math.log2(4.0))
 
     def test_avg_over_slots(self):
-        h = np.array([[1.0], [0.5]], dtype=complex)
-        prof = SlotNoiseProfile(rho2=np.array([1.0, 4.0]))
-        expect = 0.5 * (ul_slot_rate(h, 2.0, 1.0) + ul_slot_rate(h, 2.0, 4.0))
-        assert ul_rate_batch(h[None], 2.0, prof)[0] == pytest.approx(expect)
+        # the per-slot average over the built waveform's own slot noises is
+        # the rate at the one rho2, within 1e-12 bit
+        rng = np.random.default_rng(19)
+        h = (rng.standard_normal((16, 2, 2))
+             + 1j * rng.standard_normal((16, 2, 2))) / np.sqrt(2.0)
+        for p_s in (0.1, 10.0, 1e4):
+            _, rho2 = sensing_profile(RT, 2, 4, p_s)
+            slots = slot_noises(RT, 2, 4, p_s)
+            for p_c in (0.1, 10.0, 1e4):
+                batch = ul_rate_batch(h, p_c, rho2)
+                loops = [ul_avg_rate(h[i], p_c, slots) for i in range(16)]
+                assert np.allclose(batch, loops, rtol=0.0, atol=1e-12), (p_s, p_c)
 
     def test_batch_matches_loop(self):
         rng = np.random.default_rng(23)
         h = (rng.standard_normal((32, 2, 2))
              + 1j * rng.standard_normal((32, 2, 2))) / np.sqrt(2.0)
-        prof = SlotNoiseProfile(rho2=np.array([1.0, 2.0, 2.0, 3.0]))
-        batch = ul_rate_batch(h, 5.0, prof)
-        loops = [ul_avg_rate(h[i], 5.0, prof) for i in range(32)]
+        batch = ul_rate_batch(h, 5.0, 2.0)
+        loops = [ul_slot_rate(h[i], 5.0, 2.0) for i in range(32)]
         assert np.allclose(batch, loops, atol=1e-9)
 
     def test_interference_hurts(self):
         h = np.array([[1.0], [1.0]], dtype=complex)
-        quiet = ul_rate_batch(h[None], 4.0, clean(2))[0]
-        noisy = ul_rate_batch(h[None], 4.0,
-                              SlotNoiseProfile(rho2=np.array([3.0, 3.0])))[0]
+        quiet = ul_rate_batch(h[None], 4.0, CLEAN)[0]
+        noisy = ul_rate_batch(h[None], 4.0, 3.0)[0]
         assert noisy < quiet
 
 
 class TestOutage:
     def test_scalar_rayleigh_oracle(self):
         cfg = scalar_cfg(seed=31)
-        est = ul_outage_prob(cfg, 1.0, 1.0, clean(1),
-                             min_events=2000)
+        est = ul_outage_prob(cfg, 1.0, 1.0, CLEAN, min_events=2000)
         assert est.mean == pytest.approx(1.0 - math.exp(-1.0), abs=0.02)
 
     def test_edge_cases(self):
         cfg = scalar_cfg()
-        prof = clean(1)
-        assert ul_outage_prob(cfg, 0.0, 1.0, prof).mean == 0.0
-        assert ul_outage_prob(cfg, 1.0, 0.0, prof).mean == 1.0
+        assert ul_outage_prob(cfg, 0.0, 1.0, CLEAN).mean == 0.0
+        assert ul_outage_prob(cfg, 1.0, 0.0, CLEAN).mean == 1.0
 
     def test_fdsac_alpha_one_equals_clean_isac(self):
         cfg = SimConfig(M=2, N=2, K=2, L=4, seed=33)
-        a = ul_outage_prob(cfg, 5.0, 10.0, clean(4),
-                           min_events=500)
+        a = ul_outage_prob(cfg, 5.0, 10.0, CLEAN, min_events=500)
         b = ul_outage_prob_fdsac(cfg, 5.0, 1.0, 10.0, min_events=500)
         assert a.mean == b.mean
 
@@ -123,23 +134,22 @@ class TestOutage:
 class TestErgodic:
     def test_scalar_rayleigh_oracle(self):
         cfg = scalar_cfg(seed=35)
-        est = ul_ecr(cfg, 1.0, clean(1))
+        est = ul_ecr(cfg, 1.0, CLEAN)
         expect = math.e * float(exp1(1.0)) / math.log(2.0)
         assert est.mean == pytest.approx(expect, abs=3.5 * est.std_error)
 
     def test_asymptote_formula(self):
         from isacsim.downlink import ed_closed_form_iid
-        prof = SlotNoiseProfile(rho2=np.array([2.0, 2.0, 2.0, 2.0]))
-        got = ul_ecr_asymptote(100.0, 2, 2, prof)
+        got = ul_ecr_asymptote(100.0, 2, 2, 2.0)
         expect = (2.0 * math.log2(100.0) + ed_closed_form_iid(2, 2)
                   - 2.0 * math.log2(2.0))
         assert got == pytest.approx(expect, abs=1e-12)
 
     def test_asymptote_tracks_ecr(self):
         cfg = SimConfig(M=2, N=2, K=2, L=4, seed=37)
-        _, prof = sensing_profile(RT, 2, 4, 10.0)
-        mc = ul_ecr(cfg, 1e4, prof)
-        line = ul_ecr_asymptote(1e4, 2, 2, prof)
+        _, rho2 = sensing_profile(RT, 2, 4, 10.0)
+        mc = ul_ecr(cfg, 1e4, rho2)
+        line = ul_ecr_asymptote(1e4, 2, 2, rho2)
         assert mc.mean == pytest.approx(line, abs=0.1)
 
     def test_fdsac_zero_alpha(self):
@@ -163,28 +173,11 @@ def einsum_logdet(h, scale):
     return np.linalg.slogdet(eye[None, :, :] + scale * gram)[1] / math.log(2.0)
 
 
-def einsum_rate(h, p_c, profile):
-    # reference slot-averaged rate: one einsum Gram per distinct rho2
-    rho2_vals, counts = np.unique(profile.rho2, return_counts=True)
-    total = 0.0
-    for r2, cnt in zip(rho2_vals, counts):
-        total = total + cnt * einsum_logdet(h, p_c / r2)
-    return total / profile.rho2.size
-
-
 def same_bytes(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint8), b.view(np.uint8))
 
 
 _, PAPER = sensing_profile(RT, 2, 4, 10.0)
-R2 = 3.98039216
-BYTE_PROFILES = {
-    "paper": PAPER,
-    # two values one ULP apart, as the paper profile may hold
-    "ulp_split": SlotNoiseProfile(rho2=np.array([R2, np.nextafter(R2, 4.0),
-                                                 R2, np.nextafter(R2, 4.0)])),
-    "mixed": SlotNoiseProfile(rho2=np.array([1.0, 2.0, 2.0, 3.0])),
-}
 
 
 class TestRateBytes:
@@ -194,9 +187,8 @@ class TestRateBytes:
         h = chan.sample_channel_block(exp_correlation(n, rho), k, 3, 0,
                                       chan.STREAM_UPLINK)[:2048]
         for p_c in np.logspace(-2.0, 6.0, 9):
-            for name, profile in BYTE_PROFILES.items():
-                assert same_bytes(ul_rate_batch(h, p_c, profile),
-                                  einsum_rate(h, p_c, profile)), (name, p_c)
+            assert same_bytes(ul_rate_batch(h, p_c, PAPER),
+                              einsum_logdet(h, p_c / PAPER)), p_c
             assert same_bytes(_logdet_batch(h, p_c), einsum_logdet(h, p_c)), p_c
 
 
@@ -210,9 +202,9 @@ class TestLayoutBytes:
             h = chan.sample_channel_block(exp_correlation(n, rho), k, 5, 0,
                                           chan.STREAM_UPLINK, 1024)
             copy = np.ascontiguousarray(h)
-            logdet, logdet_copy = _logdet_fn(h), _logdet_fn(copy)
             for p_c in np.logspace(-2.0, 6.0, 9):
-                assert same_bytes(logdet(p_c), logdet_copy(p_c)), (k, p_c)
+                assert same_bytes(_logdet_batch(h, p_c),
+                                  _logdet_batch(copy, p_c)), (k, p_c)
                 assert same_bytes(ul_rate_batch(h, p_c, PAPER),
                                   ul_rate_batch(copy, p_c, PAPER)), (k, p_c)
 
