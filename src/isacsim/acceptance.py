@@ -17,10 +17,11 @@ import numpy as np
 
 from . import analysis as an
 from . import downlink as dl
+from . import mc
 from . import region as rg
 from . import sensing as sn
 from . import uplink as ul
-from .channel import SimConfig
+from .channel import STREAM_DOWNLINK, STREAM_UPLINK, SimConfig
 from .numerics import waterfill
 
 __all__ = ["CriterionResult", "run_all", "CRITERIA"]
@@ -221,9 +222,11 @@ def criterion_ecr_slopes(seed=DEFAULT_SEED):
     """Downlink and uplink ECR gain over a 10 dB step = K log2(10) +- 2%."""
     cfg = _paper_cfg(seed)
     target = 2.0 * math.log2(10.0)
-    d = dl.dl_ecr(cfg, 1e4).mean - dl.dl_ecr(cfg, 1e3).mean
+    down = mc.link_draws(cfg, STREAM_DOWNLINK)
+    d = dl.dl_ecr(down, 1e4).mean - dl.dl_ecr(down, 1e3).mean
     _, rho2 = ul.sensing_profile(cfg.r_target().matrix, cfg.N, cfg.L, cfg.p_s)
-    u = ul.ul_ecr(cfg, 1e4, rho2).mean - ul.ul_ecr(cfg, 1e3, rho2).mean
+    up = mc.link_draws(cfg, STREAM_UPLINK)
+    u = ul.ul_ecr(up, 1e4, rho2).mean - ul.ul_ecr(up, 1e3, rho2).mean
     err = max(abs(d - target), abs(u - target)) / target
     return (err <= 0.02, err,
             f"dl step {d:.4f}, ul step {u:.4f}, target {target:.4f}")
@@ -242,12 +245,14 @@ def criterion_ecr_asymptote(seed=DEFAULT_SEED):
     e_iid = dl.ed_closed_form_iid(cfg.M, cfg.K)
     log_det = float(np.linalg.slogdet(cfg.r_cu().matrix)[1]) / math.log(2.0)
     _, rho2 = ul.sensing_profile(cfg.r_target().matrix, cfg.N, cfg.L, cfg.p_s)
+    iid = mc.link_draws(replace(cfg, rho_cu=0.0), STREAM_DOWNLINK)
     checks = (
-        ("iid dl", dl.dl_ecr(replace(cfg, rho_cu=0.0), 1e4).mean,
+        ("iid dl", dl.dl_ecr(iid, 1e4).mean,
          dl.dl_ecr_asymptote(1e4, cfg.K, e_iid)),
-        (f"dl rho_cu {cfg.rho_cu:g}", dl.dl_ecr(cfg, 1e4).mean,
+        (f"dl rho_cu {cfg.rho_cu:g}",
+         dl.dl_ecr(mc.link_draws(cfg, STREAM_DOWNLINK), 1e4).mean,
          dl.dl_ecr_asymptote(1e4, cfg.K, e_iid + log_det)),
-        ("ul", ul.ul_ecr(cfg, 1e4, rho2).mean,
+        ("ul", ul.ul_ecr(mc.link_draws(cfg, STREAM_UPLINK), 1e4, rho2).mean,
          ul.ul_ecr_asymptote(1e4, cfg.K, cfg.N, rho2)),
     )
     gap = max(abs(mc - line) for _, mc, line in checks)

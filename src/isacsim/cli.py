@@ -18,10 +18,11 @@ from functools import partial
 import numpy as np
 
 from . import downlink as dl
+from . import mc
 from . import region as rg
 from . import sensing as sn
 from . import uplink as ul
-from .channel import SimConfig
+from .channel import STREAM_DOWNLINK, STREAM_UPLINK, SimConfig
 from .numerics import ModelError
 
 __all__ = ["run", "main"]
@@ -40,19 +41,32 @@ DEFAULT_CONFIG = {
 
 
 def db_to_linear(x_db) -> float:
-    return float(10.0 ** (x_db / 10.0))
+    try:
+        return float(10.0 ** (x_db / 10.0))
+    except OverflowError:
+        raise ModelError(f"{x_db!r} dB overflows a float") from None
+
+
+def _number(key, value):
+    # int() and float() would take true as 1 and "7" as 7
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ModelError(f"{key} must be a number, got {value!r}")
+    return value
 
 
 def _whole(key, value) -> int:
     # int() would truncate 2.7 to 2; NaN and infinity are not whole either
-    if isinstance(value, float) and not value.is_integer():
+    if isinstance(_number(key, value), float) and not value.is_integer():
         raise ModelError(f"{key} must be a whole number, got {value!r}")
     return int(value)
 
 
 def _finite(key, value) -> float:
-    # Python's json reads NaN and Infinity
-    number = float(value)
+    # Python's json reads NaN and Infinity, and integers too long for a float
+    try:
+        number = float(_number(key, value))
+    except OverflowError:
+        number = math.inf
     if not math.isfinite(number):
         raise ModelError(f"{key} must be finite, got {value!r}")
     return number
@@ -68,6 +82,9 @@ def parse_config(raw: dict):
     # a key is an integer or a float as its default is
     val = {k: (_whole if isinstance(d, int) else _finite)(k, merged[k])
            for k, d in DEFAULT_CONFIG.items()}
+    sweep = merged.get("sweep_db", [])
+    if not isinstance(sweep, list):
+        raise ModelError(f"sweep_db must be a list, got {sweep!r}")
     cfg = SimConfig(
         M=val["M"], N=val["N"], K=val["K"], L=val["L"],
         rho_target=val["rho_target"], rho_cu=val["rho_cu"],
@@ -80,7 +97,7 @@ def parse_config(raw: dict):
         "grid_size": val["grid_size"],
         "max_trials": val["max_trials"],
         "min_events": val["min_events"],
-        "sweep_db": [_finite("sweep_db", x) for x in merged.get("sweep_db", [])],
+        "sweep_db": [_finite("sweep_db", x) for x in sweep],
     }
     return cfg, params
 
@@ -121,11 +138,14 @@ def _run_vs_snr(cfg, params, experiment):
             "ufdsac": lambda p: ul.ul_outage_prob_fdsac(cfg, target, alpha, p, **kw),
         }
     else:
+        # every point's ergodic rate averages the same draws of its link
+        down = mc.link_draws(cfg, STREAM_DOWNLINK)
+        up = mc.link_draws(cfg, STREAM_UPLINK)
         systems = {
-            "disac": lambda p: dl.dl_ecr(cfg, p),
-            "dfdsac": lambda p: dl.dl_ecr_fdsac(cfg, alpha, p),
-            "uisac": lambda p: ul.ul_ecr(cfg, p, rho2),
-            "ufdsac": lambda p: ul.ul_ecr_fdsac(cfg, alpha, p),
+            "disac": lambda p: dl.dl_ecr(down, p),
+            "dfdsac": lambda p: dl.dl_ecr_fdsac(down, alpha, p),
+            "uisac": lambda p: ul.ul_ecr(up, p, rho2),
+            "ufdsac": lambda p: ul.ul_ecr_fdsac(up, alpha, p),
         }
     rows = []
     for p_db in _sweep(params, 40.0, 2.5):

@@ -217,11 +217,19 @@ def dl_sum_rate_batch(h_batch, p_c):
 def mac_to_bc_covariance(h_d, alloc: PowerAllocation):
     """Downlink input covariance realizing the dual-MAC sum rate.
 
-    Standard MAC-to-broadcast duality recursion over users in index order:
-    user k's rank-one downlink covariance is built from the dual powers
-    with interference B_k = I + sum_{l>k} p_l h_l h_l^H on the uplink side
-    and the already-placed covariances on the downlink side.  Total trace
-    equals the total dual power.
+    The MAC-to-broadcast duality of Vishwanath, Jindal and Goldsmith (IEEE
+    T-IT 49(10), 2003), over users in index order: user k's rank-one
+    downlink covariance is s_k w_k w_k^H, where w_k = B_k^-1 h_k with the
+    uplink-side interference B_k = I + sum_{l>k} p_l h_l h_l^H, and
+    s_k = p_k (1 + h_k^H Sigma_k h_k) / h_k^H w_k with Sigma_k the sum of the
+    covariances already placed.  Total trace equals the total dual power.
+
+    The w_k come from rank-one (Sherman-Morrison) updates, last user first:
+    w_k = h_k - sum_{l>k} p_l w_l (w_l^H h_k) / (1 + p_l h_l^H w_l), where
+    every denominator is >= 1 since B_l is I plus a PSD matrix, and
+    h_k^H Sigma_k h_k = sum_{j<k} s_j |w_j^H h_k|^2.  Each quadratic form is
+    an elementwise sum over the M antennas of (..., ) planes, so the result
+    takes no solve and does not depend on the memory layout of the channels.
 
     Leading axes are batch axes: channels (..., M, K) with powers (..., K)
     give covariances (..., M, M), each from its own recursion; one (M, K)
@@ -232,24 +240,49 @@ def mac_to_bc_covariance(h_d, alloc: PowerAllocation):
     powers = np.asarray(alloc.powers, dtype=float)
     if powers.shape != h.shape[:-2] + (k_users,) or np.any(powers < -1e-12):
         raise ModelError("allocation does not match the channel")
-    if np.any(powers.sum(axis=-1) > alloc.sum_budget + 1e-9):
+    p = [powers[..., k] for k in range(k_users)]
+    if np.any(sum(p) > alloc.sum_budget + 1e-9):
         raise ModelError("allocation exceeds its budget")
 
-    sigma = np.zeros(h.shape[:-1] + (m,), dtype=complex)
+    cols = [[h[..., i, k] for i in range(m)] for k in range(k_users)]
+    w, quad = [None] * k_users, [None] * k_users
+    for k in reversed(range(k_users)):
+        w_k = cols[k]
+        for l in range(k + 1, k_users):
+            c = p[l] * _inner(w[l], cols[k]) / (1.0 + p[l] * quad[l])
+            w_k = [x - c * y for x, y in zip(w_k, w[l])]
+        w[k], quad[k] = w_k, _inner(cols[k], w_k).real
+    scale = []
     for k in range(k_users):
-        hk, rest = h[..., k:k + 1], h[..., k + 1:]
-        if rest.shape[-1]:
-            b = np.eye(m) + (rest * powers[..., None, k + 1:]) @ _herm(rest)
-            b_inv_h = np.linalg.solve(b, hk)
-        else:
-            b_inv_h = hk  # the last user's B is exactly I
-        a_k = 1.0 + np.real(_herm(hk) @ sigma @ hk)
-        quad = np.real(_herm(hk) @ b_inv_h)
-        p_k = powers[..., k, None, None]
-        keep = (p_k > 0.0) & (quad > 0.0)
-        scale = np.where(keep, p_k * a_k / np.where(keep, quad, 1.0), 0.0)
-        sigma += scale * (b_inv_h @ _herm(b_inv_h))
-    return 0.5 * (sigma + _herm(sigma))
+        a_k = 1.0
+        for j in range(k):
+            a_k = a_k + scale[j] * _abs2(_inner(w[j], cols[k]))
+        keep = (p[k] > 0.0) & (quad[k] > 0.0)
+        scale.append(np.divide(p[k] * a_k, quad[k], out=np.zeros(keep.shape),
+                               where=keep))
+
+    # (..., M, M) as a view of an (M, M, ...) buffer: each entry is a plane
+    sigma = np.moveaxis(np.empty((m, m) + h.shape[:-2], dtype=complex),
+                        (0, 1), (-2, -1))
+    for i in range(m):
+        sigma[..., i, i] = sum(s * _abs2(w_k[i]) for s, w_k in zip(scale, w))
+        for j in range(i + 1, m):
+            entry = sum(s * (w_k[i] * w_k[j].conj()) for s, w_k in zip(scale, w))
+            sigma[..., i, j] = entry
+            sigma[..., j, i] = entry.conj()
+    return sigma
+
+
+def _inner(x, y):
+    # x^H y of two vectors given as lists of M planes, summed in antenna order
+    total = x[0].conj() * y[0]
+    for a, b in zip(x[1:], y[1:]):
+        total = total + a.conj() * b
+    return total
+
+
+def _abs2(z):
+    return z.real * z.real + z.imag * z.imag
 
 
 _sigma_cache: dict = {}
@@ -322,9 +355,10 @@ def dl_outage_prob_fdsac(cfg: chan.SimConfig, r_target, alpha, p_c,
                      p_c, alpha, min_events, max_trials)
 
 
-def dl_ecr(cfg: chan.SimConfig, p_c) -> MonteCarloEstimate:
-    """Ergodic downlink sum rate."""
-    return mc.ergodic(cfg, chan.STREAM_DOWNLINK, dl_sum_rate_batch, p_c, 1.0)
+def dl_ecr(draws, p_c) -> MonteCarloEstimate:
+    """Ergodic downlink sum rate over a downlink draw set
+    (``mc.link_draws(cfg, chan.STREAM_DOWNLINK)``)."""
+    return mc.ergodic(draws, dl_sum_rate_batch, p_c, 1.0)
 
 
 def ed_closed_form_iid(m_antennas, k_users) -> float:
@@ -346,10 +380,11 @@ def dl_ecr_asymptote(p_c, k_users, e_d) -> float:
     return k_users * math.log2(p_c / k_users) + e_d
 
 
-def dl_ecr_fdsac(cfg: chan.SimConfig, alpha, p_c) -> MonteCarloEstimate:
-    """Ergodic rate of the bandwidth-split baseline with fraction ``alpha``.
+def dl_ecr_fdsac(draws, alpha, p_c) -> MonteCarloEstimate:
+    """Ergodic rate of the bandwidth-split baseline with fraction ``alpha``
+    over a downlink draw set.
 
     Per trial: alpha * dl_sum_rate(H, p_c / alpha); alpha = 0 gives 0 by
     the continuity convention.
     """
-    return mc.ergodic(cfg, chan.STREAM_DOWNLINK, dl_sum_rate_batch, p_c, alpha)
+    return mc.ergodic(draws, dl_sum_rate_batch, p_c, alpha)

@@ -7,6 +7,11 @@ the FDSAC rate with bandwidth share alpha is alpha * R(p_c / alpha), and
 alpha = 1 gives the ISAC rate R(p_c) exactly.  ``stream`` names the link
 (``STREAM_DOWNLINK`` or ``STREAM_UPLINK``) and ``rate(h, p)`` gives the
 per-trial rates R of a block h of its channels at power p.
+
+An ergodic estimate runs a fixed number of trials, so a sweep draws its
+link's channels once (``link_draws``) and hands the same draw set to every
+point.  An outage estimate stops at a data-dependent trial, so it draws
+its own blocks as it goes.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 from . import channel as chan
 from .numerics import ModelError
 
-__all__ = ["MonteCarloEstimate", "blocks", "outage", "ergodic"]
+__all__ = ["MonteCarloEstimate", "blocks", "link_draws", "outage", "ergodic"]
 
 
 @dataclass(frozen=True)
@@ -50,6 +55,18 @@ def _link_blocks(cfg, stream, trials):
     else:
         corr = cfg.r_cu()
     return blocks(corr, cfg.K, cfg.seed, stream, trials)
+
+
+def link_draws(cfg, stream) -> tuple:
+    """The draw set of one link: the read-only channel blocks of its trials
+    0 .. cfg.trials-1, which every ergodic estimate of a sweep shares.
+
+    It holds cfg.trials * dim * K complex numbers (16 bytes each).
+    """
+    draws = tuple(_link_blocks(cfg, stream, cfg.trials))
+    for h in draws:
+        h.flags.writeable = False
+    return draws
 
 
 def _silent(p_c, alpha, r_target, trials):
@@ -88,14 +105,15 @@ def outage(cfg, stream, rate, r_target, p_c, alpha=1.0, min_events=200,
     return MonteCarloEstimate(mean=p, std_error=se, trials=done)
 
 
-def ergodic(cfg, stream, rate, p_c, alpha=1.0) -> MonteCarloEstimate:
-    """Mean of alpha * rate(H, p_c / alpha) over exactly ``cfg.trials``
-    trials; a silent link carries rate 0 without a trial."""
-    trials = cfg.trials
+def ergodic(draws, rate, p_c, alpha=1.0) -> MonteCarloEstimate:
+    """Mean of alpha * rate(H, p_c / alpha) over every trial of a draw set
+    (``link_draws``), block by block; a silent link carries rate 0 without
+    a trial."""
+    trials = sum(len(h) for h in draws)
     if _silent(p_c, alpha, 0.0, trials):
         return MonteCarloEstimate(0.0, 0.0, 0)
     total = total_sq = 0.0
-    for h in _link_blocks(cfg, stream, trials):
+    for h in draws:
         rates = alpha * rate(h, p_c / alpha)
         total += float(np.sum(rates))
         total_sq += float(np.sum(rates * rates))

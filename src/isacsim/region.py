@@ -1,7 +1,9 @@
 """Achievable communication-sensing rate regions and their dominance gaps.
 
 Each region is a one-parameter sweep of (ECR, SR) operating points: the
-power split (ISAC) or the bandwidth share alpha (FDSAC).  The region is
+power split (ISAC) or the bandwidth share alpha (FDSAC).  A sweep draws its
+link's channels once (``mc.link_draws``), and every point's ECR averages
+the same draws, each as its own estimate would.  The region is
 the downward-closed union of the rectangles [0, cr_i] x [0, sr_i], so
 containment reduces to corner dominance (``corner_gaps``).
 
@@ -19,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import downlink as dl
+from . import mc
 from . import sensing as sn
 from . import uplink as ul
-from .channel import SimConfig
+from .channel import STREAM_DOWNLINK, STREAM_UPLINK, SimConfig
 from .numerics import ModelError
 
 __all__ = [
@@ -73,9 +76,10 @@ def dl_isac_region(cfg: SimConfig, p_c_max, p_s_max,
     _check_grid(grid_size)
     grid = np.linspace(0.0, p_c_max, grid_size)
     rt = cfg.r_target()
+    draws = mc.link_draws(cfg, STREAM_DOWNLINK)
     points = []
     for p_c in grid:
-        est = dl.dl_ecr(cfg, p_c)
+        est = dl.dl_ecr(draws, p_c)
         noise = dl.sensing_noise(cfg, p_c)
         sr, _ = sn.dl_sr(rt, cfg.N, cfg.L, p_s_max, noise)
         points.append(RatePoint(cr=est.mean, sr=sr, cr_se=est.std_error))
@@ -92,22 +96,24 @@ def ul_isac_region(cfg: SimConfig, p_c_max, p_s_max,
     _check_grid(grid_size)
     grid = np.linspace(0.0, p_s_max, grid_size)
     rt = cfg.r_target()
+    draws = mc.link_draws(cfg, STREAM_UPLINK)
     points = []
     for p_s in grid:
         sr, rho2 = ul.sensing_profile(rt, cfg.N, cfg.L, p_s)
-        est = ul.ul_ecr(cfg, p_c_max, rho2)
+        est = ul.ul_ecr(draws, p_c_max, rho2)
         points.append(RatePoint(cr=est.mean, sr=sr, cr_se=est.std_error))
     return RateRegion(tuple(points), "p_s", grid)
 
 
-def _fdsac_region(ecr_fdsac, cfg, p_c, p_s, grid_size) -> RateRegion:
+def _fdsac_region(ecr_fdsac, stream, cfg, p_c, p_s, grid_size) -> RateRegion:
     # sweep the bandwidth share alpha in [0, 1] of one link's baseline
     _check_grid(grid_size)
     grid = np.linspace(0.0, 1.0, grid_size)
     rt = cfg.r_target()
+    draws = mc.link_draws(cfg, stream)
     points = []
     for alpha in grid:
-        est = ecr_fdsac(cfg, alpha, p_c)
+        est = ecr_fdsac(draws, alpha, p_c)
         sr = sn.fdsac_sr(rt, cfg.N, cfg.L, p_s, alpha)
         points.append(RatePoint(cr=est.mean, sr=sr, cr_se=est.std_error))
     return RateRegion(tuple(points), "alpha", grid)
@@ -115,12 +121,14 @@ def _fdsac_region(ecr_fdsac, cfg, p_c, p_s, grid_size) -> RateRegion:
 
 def dl_fdsac_region(cfg: SimConfig, p_c, p_s, grid_size=DEFAULT_GRID) -> RateRegion:
     """Downlink bandwidth-split region: sweep alpha in [0, 1]."""
-    return _fdsac_region(dl.dl_ecr_fdsac, cfg, p_c, p_s, grid_size)
+    return _fdsac_region(dl.dl_ecr_fdsac, STREAM_DOWNLINK, cfg, p_c, p_s,
+                         grid_size)
 
 
 def ul_fdsac_region(cfg: SimConfig, p_c, p_s, grid_size=DEFAULT_GRID) -> RateRegion:
     """Uplink bandwidth-split region: sweep alpha in [0, 1]."""
-    return _fdsac_region(ul.ul_ecr_fdsac, cfg, p_c, p_s, grid_size)
+    return _fdsac_region(ul.ul_ecr_fdsac, STREAM_UPLINK, cfg, p_c, p_s,
+                         grid_size)
 
 
 def corner_gaps(outer: RateRegion, points, cr_slack=0.0) -> np.ndarray:

@@ -111,10 +111,10 @@ def ul_outage_prob_fdsac(cfg: chan.SimConfig, r_target, alpha, p_c,
                      alpha, min_events, max_trials)
 
 
-def ul_ecr(cfg: chan.SimConfig, p_c, rho2) -> MonteCarloEstimate:
-    """Ergodic uplink ISAC sum rate at slot noise rho2."""
-    return mc.ergodic(cfg, chan.STREAM_UPLINK,
-                      lambda h, p: ul_rate_batch(h, p, rho2), p_c, 1.0)
+def ul_ecr(draws, p_c, rho2) -> MonteCarloEstimate:
+    """Ergodic uplink ISAC sum rate at slot noise rho2 over an uplink draw
+    set (``mc.link_draws(cfg, chan.STREAM_UPLINK)``)."""
+    return mc.ergodic(draws, lambda h, p: ul_rate_batch(h, p, rho2), p_c, 1.0)
 
 
 def ul_ecr_asymptote(p_c, k_users, n_antennas, rho2) -> float:
@@ -128,10 +128,11 @@ def ul_ecr_asymptote(p_c, k_users, n_antennas, rho2) -> float:
             - k_users * math.log2(rho2))
 
 
-def ul_ecr_fdsac(cfg: chan.SimConfig, alpha, p_c) -> MonteCarloEstimate:
-    """Ergodic rate of the bandwidth-split uplink baseline.
+def ul_ecr_fdsac(draws, alpha, p_c) -> MonteCarloEstimate:
+    """Ergodic rate of the bandwidth-split uplink baseline over an uplink
+    draw set.
 
     Per trial: alpha * log2 det(I_N + (p_c / alpha) H_u H_u^H); the
     communication sub-band sees no radar interference.
     """
-    return mc.ergodic(cfg, chan.STREAM_UPLINK, _logdet_batch, p_c, alpha)
+    return mc.ergodic(draws, _logdet_batch, p_c, alpha)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from isacsim import channel as chan
 from isacsim import cli
 
 
@@ -120,7 +121,7 @@ class TestMain:
         ("min_events", math.nan), ("max_trials", math.inf),
         ("p_c_db", math.nan), ("p_s_db", math.inf), ("rho_cu", math.nan),
         ("alpha", -math.inf), ("target_rate", math.nan),
-        ("sweep_db", [0.0, math.nan])])
+        ("sweep_db", [0.0, math.nan]), ("p_c_db", 10 ** 400)])
     def test_non_whole_or_non_finite_number_is_a_config_error(
             self, tmp_path, key, value):
         with pytest.raises(cli.ModelError):
@@ -132,6 +133,45 @@ class TestMain:
                          "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("doc", [
+        {"M": True, "N": True, "K": True, "L": True}, {"trials": "7"},
+        {"seed": False}, {"p_c_db": "5"}, {"alpha": True}, {"grid_size": None},
+        {"rho_cu": [0.5]}, {"sweep_db": [0.0, True]}, {"sweep_db": ["10"]},
+        {"sweep_db": 10.0}])
+    def test_a_boolean_or_string_is_not_a_number(self, tmp_path, doc):
+        # int() and float() would read true as 1 and "7" as 7
+        with pytest.raises(cli.ModelError):
+            cli.parse_config(doc)
+        out = tmp_path / "x.csv"
+        assert cli.main(["--experiment", "sr_vs_snr",
+                         "--config", write_config(tmp_path, **doc),
+                         "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment", ["sr_vs_snr", "op_vs_snr", "ecr_vs_snr"])
+    @pytest.mark.parametrize("doc", [{"p_c_db": 4000.0}, {"p_s_db": 3100},
+                                     {"sweep_db": [0.0, 4000.0]}])
+    def test_a_power_too_large_for_a_float_is_a_config_error(
+            self, tmp_path, experiment, doc):
+        # 10 ** 400 overflows a float: no traceback, no numerical failure
+        if "sweep_db" not in doc:
+            with pytest.raises(cli.ModelError, match="overflows"):
+                cli.parse_config(doc)
+        out = tmp_path / "x.csv"
+        assert cli.main(["--experiment", experiment,
+                         "--config", write_config(tmp_path, **doc),
+                         "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+    def test_ecr_vs_snr_draws_each_link_once(self, tmp_path, drawn):
+        # every SNR point and system of a link shares one draw set
+        size = chan.BLOCK_SIZE
+        cfg, params = cli.parse_config({"trials": size + 5,
+                                        "sweep_db": [0.0, 10.0, 20.0]})
+        assert cli.run("ecr_vs_snr", cfg, params, str(tmp_path / "x.csv")) == 0
+        down, up = chan.STREAM_DOWNLINK, chan.STREAM_UPLINK
+        assert drawn == [(0, down, size), (1, down, 5), (0, up, size), (1, up, 5)]
 
 
 # Small runs whose CSVs were written by an earlier version: a change meant

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +23,7 @@ from isacsim.downlink import (
     estimate_mean_covariance,
     mac_to_bc_covariance,
 )
+from isacsim.mc import link_draws
 from isacsim.numerics import ModelError
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -349,16 +349,7 @@ class TestMeanCovariance:
         assert est.trials_used == trials
         assert np.max(np.abs(est.sigma_matrix - acc / trials)) <= 1e-12
 
-    def test_draws_one_block_per_block_size(self, monkeypatch):
-        drawn = []
-        sample = chan.sample_channel_block
-
-        def counting(corr, columns, seed, block, stream, trials=None):
-            drawn.append((block, stream, trials))
-            return sample(corr, columns, seed, block, stream, trials)
-
-        monkeypatch.setattr(chan, "sample_channel_block", counting)
-        monkeypatch.setattr(dl, "_sigma_cache", {})
+    def test_draws_one_block_per_block_size(self, drawn):
         cfg = SimConfig(M=2, N=2, K=2, L=4, seed=3)
         size, cov = chan.BLOCK_SIZE, chan.STREAM_COVARIANCE
         for trials, counts in ((1, [1]), (size, [size]),
@@ -412,16 +403,16 @@ class TestErgodicRate:
     def test_scalar_rayleigh_oracle(self):
         # E[log2(1 + g)] = e * E1(1) / ln 2 for g ~ Exp(1)
         cfg = scalar_cfg(seed=8)
-        est = dl_ecr(cfg, 1.0)
+        est = dl_ecr(link_draws(cfg, chan.STREAM_DOWNLINK), 1.0)
         expect = math.e * float(exp1(1.0)) / math.log(2.0)
         assert est.mean == pytest.approx(expect, abs=3.5 * est.std_error)
 
     def test_fdsac_alpha_limits(self):
-        cfg = SimConfig(M=2, N=2, K=2, L=4, seed=9)
-        assert dl_ecr_fdsac(cfg, 0.0, 10.0).mean == 0.0
-        cfg = replace(cfg, trials=5000)
-        full = dl_ecr_fdsac(cfg, 1.0, 10.0)
-        plain = dl_ecr(cfg, 10.0)
+        cfg = SimConfig(M=2, N=2, K=2, L=4, seed=9, trials=5000)
+        draws = link_draws(cfg, chan.STREAM_DOWNLINK)
+        assert dl_ecr_fdsac(draws, 0.0, 10.0).mean == 0.0
+        full = dl_ecr_fdsac(draws, 1.0, 10.0)
+        plain = dl_ecr(draws, 10.0)
         assert full.mean == pytest.approx(plain.mean, abs=1e-12)
 
     def test_ed_closed_form_values(self):
@@ -438,6 +429,6 @@ class TestErgodicRate:
             2.0 * math.log2(50.0) + e_d)
 
     def test_rejects_bad_alpha(self):
-        cfg = scalar_cfg()
+        draws = link_draws(scalar_cfg(), chan.STREAM_DOWNLINK)
         with pytest.raises(ModelError):
-            dl_ecr_fdsac(cfg, 1.5, 1.0)
+            dl_ecr_fdsac(draws, 1.5, 1.0)

@@ -19,25 +19,32 @@ PROFILE = 2.0  # an uplink ISAC slot noise rho2
 CLEAN = 1.0
 UL_CORR = chan.CorrelationMatrix(np.eye(CFG.N, dtype=complex))
 
+
+def _draws(stream, trials):
+    return mc.link_draws(replace(CFG, trials=trials), stream)
+
+
 # per system: its stream, its channel correlation, its per-trial rate, and
 # its outage and ergodic estimators at P_C (FDSAC at bandwidth share ALPHA)
 SYSTEMS = {
     "disac": (chan.STREAM_DOWNLINK, CFG.r_cu(),
               lambda h: dl.dl_sum_rate_batch(h, P_C),
               lambda r, **kw: dl.dl_outage_prob(CFG, r, P_C, **kw),
-              lambda trials: dl.dl_ecr(replace(CFG, trials=trials), P_C)),
+              lambda trials: dl.dl_ecr(_draws(chan.STREAM_DOWNLINK, trials), P_C)),
     "dfdsac": (chan.STREAM_DOWNLINK, CFG.r_cu(),
                lambda h: ALPHA * dl.dl_sum_rate_batch(h, P_C / ALPHA),
                lambda r, **kw: dl.dl_outage_prob_fdsac(CFG, r, ALPHA, P_C, **kw),
-               lambda trials: dl.dl_ecr_fdsac(replace(CFG, trials=trials), ALPHA, P_C)),
+               lambda trials: dl.dl_ecr_fdsac(_draws(chan.STREAM_DOWNLINK, trials),
+                                              ALPHA, P_C)),
     "uisac": (chan.STREAM_UPLINK, UL_CORR,
               lambda h: ul.ul_rate_batch(h, P_C, PROFILE),
               lambda r, **kw: ul.ul_outage_prob(CFG, r, P_C, PROFILE, **kw),
-              lambda trials: ul.ul_ecr(replace(CFG, trials=trials), P_C, PROFILE)),
+              lambda trials: ul.ul_ecr(_draws(chan.STREAM_UPLINK, trials), P_C, PROFILE)),
     "ufdsac": (chan.STREAM_UPLINK, UL_CORR,
                lambda h: ALPHA * ul.ul_rate_batch(h, P_C / ALPHA, CLEAN),
                lambda r, **kw: ul.ul_outage_prob_fdsac(CFG, r, ALPHA, P_C, **kw),
-               lambda trials: ul.ul_ecr_fdsac(replace(CFG, trials=trials), ALPHA, P_C)),
+               lambda trials: ul.ul_ecr_fdsac(_draws(chan.STREAM_UPLINK, trials),
+                                              ALPHA, P_C)),
 }
 
 
@@ -46,20 +53,6 @@ def _block_rates(system, block, count=None):
     stream, corr, rate, _, _ = SYSTEMS[system]
     h = chan.sample_channel_block(corr, CFG.K, CFG.seed, block, stream)
     return rate(h[:count])
-
-
-@pytest.fixture
-def drawn(monkeypatch):
-    # (block, stream, trials) of every block the estimators draw
-    keys = []
-    sample = chan.sample_channel_block
-
-    def counting(corr, columns, seed, block, stream, trials=None):
-        keys.append((block, stream, trials))
-        return sample(corr, columns, seed, block, stream, trials)
-
-    monkeypatch.setattr(chan, "sample_channel_block", counting)
-    return keys
 
 
 # trials requested -> trials drawn from each block: the last block is drawn
@@ -109,29 +102,34 @@ def test_ergodic_runs_exactly_the_requested_trials(system, drawn):
 
 
 OUTAGE = dict(r_target=1.0, min_events=200, max_trials=chan.BLOCK_SIZE)
+DL_DRAWS = _draws(chan.STREAM_DOWNLINK, 100)
+UL_DRAWS = _draws(chan.STREAM_UPLINK, 100)
+# estimator, its first argument (a config or a draw set), its other arguments
 ESTIMATORS = {
-    "dl_outage_prob": (dl.dl_outage_prob, dict(OUTAGE, p_c=1.0)),
-    "dl_outage_prob_fdsac": (dl.dl_outage_prob_fdsac, dict(OUTAGE, alpha=0.5, p_c=1.0)),
-    "dl_ecr": (dl.dl_ecr, dict(p_c=1.0)),
-    "dl_ecr_fdsac": (dl.dl_ecr_fdsac, dict(alpha=0.5, p_c=1.0)),
-    "ul_outage_prob": (ul.ul_outage_prob, dict(OUTAGE, p_c=1.0, rho2=PROFILE)),
-    "ul_outage_prob_fdsac": (ul.ul_outage_prob_fdsac, dict(OUTAGE, alpha=0.5, p_c=1.0)),
-    "ul_ecr": (ul.ul_ecr, dict(p_c=1.0, rho2=PROFILE)),
-    "ul_ecr_fdsac": (ul.ul_ecr_fdsac, dict(alpha=0.5, p_c=1.0)),
+    "dl_outage_prob": (dl.dl_outage_prob, CFG, dict(OUTAGE, p_c=1.0)),
+    "dl_outage_prob_fdsac": (dl.dl_outage_prob_fdsac, CFG,
+                             dict(OUTAGE, alpha=0.5, p_c=1.0)),
+    "dl_ecr": (dl.dl_ecr, DL_DRAWS, dict(p_c=1.0)),
+    "dl_ecr_fdsac": (dl.dl_ecr_fdsac, DL_DRAWS, dict(alpha=0.5, p_c=1.0)),
+    "ul_outage_prob": (ul.ul_outage_prob, CFG, dict(OUTAGE, p_c=1.0, rho2=PROFILE)),
+    "ul_outage_prob_fdsac": (ul.ul_outage_prob_fdsac, CFG,
+                             dict(OUTAGE, alpha=0.5, p_c=1.0)),
+    "ul_ecr": (ul.ul_ecr, UL_DRAWS, dict(p_c=1.0, rho2=PROFILE)),
+    "ul_ecr_fdsac": (ul.ul_ecr_fdsac, UL_DRAWS, dict(alpha=0.5, p_c=1.0)),
 }
 
 
 def _cases(values):
-    return [(name, arg, value) for name, (_, kwargs) in ESTIMATORS.items()
+    return [(name, arg, value) for name, (_, _, kwargs) in ESTIMATORS.items()
             for arg, value in values if arg in kwargs]
 
 
 @pytest.mark.parametrize("name, arg, value", _cases([
     ("r_target", -1.0), ("p_c", -1.0), ("alpha", -0.5), ("alpha", 1.5)]))
 def test_every_estimator_rejects_bad_input(name, arg, value):
-    estimator, kwargs = ESTIMATORS[name]
+    estimator, first, kwargs = ESTIMATORS[name]
     with pytest.raises(ModelError):
-        estimator(CFG, **{**kwargs, arg: value})
+        estimator(first, **{**kwargs, arg: value})
 
 
 @pytest.mark.parametrize("name, arg, value", _cases([
@@ -139,8 +137,8 @@ def test_every_estimator_rejects_bad_input(name, arg, value):
 def test_zero_input_needs_no_trial(name, arg, value, drawn):
     # a zero target is never missed; zero power or bandwidth carries no rate;
     # the closed-form value claims no trial
-    estimator, kwargs = ESTIMATORS[name]
-    est = estimator(CFG, **{**kwargs, arg: value})
+    estimator, first, kwargs = ESTIMATORS[name]
+    est = estimator(first, **{**kwargs, arg: value})
     outage = "outage" in name and arg != "r_target"
     assert (est.mean, est.std_error, est.trials) == (1.0 if outage else 0.0, 0.0, 0)
     assert drawn == []

@@ -3,9 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from isacsim import channel as chan
+from isacsim import downlink as dl
 from isacsim import sensing as sn
-from isacsim.channel import SimConfig
+from isacsim import uplink as ul
+from isacsim.channel import STREAM_COVARIANCE, STREAM_DOWNLINK, STREAM_UPLINK, SimConfig
 from isacsim.downlink import dl_ecr_fdsac
+from isacsim.mc import link_draws
 from isacsim.numerics import ModelError
 from isacsim.region import (
     RatePoint,
@@ -126,6 +130,66 @@ class TestSweeps:
             dl_isac_region(cfg, 10.0, 10.0, grid_size=1)
 
 
+# Shared draws.  A sweep draws its link's ergodic set once; every point's
+# estimate is bit for bit the one-point estimate over a fresh draw set.
+TWO_BLOCKS = SimConfig(M=2, N=2, K=2, L=4, trials=chan.BLOCK_SIZE + 37, seed=43)
+
+# sweep, the stream of its ergodic set, and the one-point estimate of each
+# corner: estimate(draws, cfg, p_max, grid value) at p_max = 10, p_s = 10
+SWEEPS = {
+    "dl_isac": (dl_isac_region, STREAM_DOWNLINK,
+                lambda d, cfg, p, g: dl.dl_ecr(d, g)),
+    "ul_isac": (ul_isac_region, STREAM_UPLINK,
+                lambda d, cfg, p, g: ul.ul_ecr(
+                    d, p, ul.sensing_profile(cfg.r_target(), cfg.N, cfg.L, g)[1])),
+    "dl_fdsac": (dl_fdsac_region, STREAM_DOWNLINK,
+                 lambda d, cfg, p, g: dl.dl_ecr_fdsac(d, g, p)),
+    "ul_fdsac": (ul_fdsac_region, STREAM_UPLINK,
+                 lambda d, cfg, p, g: ul.ul_ecr_fdsac(d, g, p)),
+}
+
+
+@pytest.mark.parametrize("sweep", SWEEPS)
+def test_a_sweep_draws_its_ergodic_set_once(sweep, drawn):
+    region, stream, _ = SWEEPS[sweep]
+    region(TWO_BLOCKS, 10.0, 10.0, grid_size=5)
+    size = chan.BLOCK_SIZE
+    assert [k for k in drawn if k[1] != STREAM_COVARIANCE] == \
+        [(0, stream, size), (1, stream, 37)]
+
+
+@pytest.mark.parametrize("sweep", SWEEPS)
+def test_each_corner_is_the_one_point_estimate(sweep):
+    region, stream, estimate = SWEEPS[sweep]
+    cfg = replace(TWO_BLOCKS, seed=44)
+    reg = region(cfg, 10.0, 10.0, grid_size=5)
+    for g, point in zip(reg.grid, reg.sweep_points):
+        est = estimate(link_draws(cfg, stream), cfg, 10.0, g)
+        assert (point.cr.hex(), point.cr_se.hex()) == \
+            (est.mean.hex(), est.std_error.hex())
+
+
+def test_every_mean_covariance_draws_its_own_blocks(drawn, monkeypatch):
+    # The benchmark counts a p_c > 0 mean-covariance estimate that draws no
+    # covariance block as a cache hit: shared ergodic draws must not feed it.
+    calls = []
+    estimate = dl.estimate_mean_covariance
+
+    def counting(cfg, p_c=None, trials=10_000):
+        start = len(drawn)
+        result = estimate(cfg, p_c, trials)
+        calls.append((p_c, [k for k in drawn[start:] if k[1] == STREAM_COVARIANCE]))
+        return result
+
+    monkeypatch.setattr(dl, "estimate_mean_covariance", counting)
+    reg = dl_isac_region(TWO_BLOCKS, 10.0, 10.0, grid_size=5)
+    size, cov = chan.BLOCK_SIZE, STREAM_COVARIANCE
+    assert [p_c for p_c, _ in calls] == list(reg.grid)
+    for p_c, blocks in calls:
+        assert blocks == ([] if p_c == 0.0 else
+                          [(0, cov, size), (1, cov, 10_000 - size)])
+
+
 # As alpha halves toward a shared endpoint the FDSAC rate gained per bit
 # of the other rate lost grows without bound (dCR/dalpha -> inf at
 # alpha -> 0 in the downlink, dSR/dalpha -> -inf at alpha -> 1 in the
@@ -153,8 +217,9 @@ class TestEscapeCause:
         rt = cfg.r_target().matrix
         sr_max = fdsac_sr(rt, cfg.N, cfg.L, self.P, 0.0)
         # shared draws: CR(alpha) / alpha = E[R(p_c / alpha)] exactly
+        draws = link_draws(cfg, STREAM_DOWNLINK)
         fd = np.divide(
-            [dl_ecr_fdsac(cfg, a, self.P).mean for a in HALVINGS],
+            [dl_ecr_fdsac(draws, a, self.P).mean for a in HALVINGS],
             [sr_max - fdsac_sr(rt, cfg.N, cfg.L, self.P, a) for a in HALVINGS])
         _assert_unbounded(fd)
         ends = [dl_isac_region(cfg, p_c, self.P, grid_size=2).sweep_points
@@ -167,10 +232,11 @@ class TestEscapeCause:
     def test_ul_fdsac_slope_unbounded_isac_finite(self, cfg):
         rt = cfg.r_target().matrix
         alphas = 1.0 - HALVINGS
-        cr_max = ul_ecr_fdsac(cfg, 1.0, self.P).mean
+        draws = link_draws(cfg, STREAM_UPLINK)
+        cr_max = ul_ecr_fdsac(draws, 1.0, self.P).mean
         fd = np.divide(
             [fdsac_sr(rt, cfg.N, cfg.L, self.P, a) for a in alphas],
-            [cr_max - ul_ecr_fdsac(cfg, a, self.P).mean for a in alphas])
+            [cr_max - ul_ecr_fdsac(draws, a, self.P).mean for a in alphas])
         _assert_unbounded(fd)
         ends = [ul_isac_region(cfg, self.P, p_s, grid_size=2).sweep_points
                 for p_s in HALVINGS]

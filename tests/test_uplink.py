@@ -8,6 +8,7 @@ from scipy.special import exp1
 
 from isacsim import channel as chan
 from isacsim.channel import SimConfig, exp_correlation
+from isacsim.mc import link_draws
 from isacsim.numerics import ModelError
 from isacsim.sensing import build_waveform, ul_sr
 from isacsim.uplink import (
@@ -134,7 +135,7 @@ class TestOutage:
 class TestErgodic:
     def test_scalar_rayleigh_oracle(self):
         cfg = scalar_cfg(seed=35)
-        est = ul_ecr(cfg, 1.0, CLEAN)
+        est = ul_ecr(link_draws(cfg, chan.STREAM_UPLINK), 1.0, CLEAN)
         expect = math.e * float(exp1(1.0)) / math.log(2.0)
         assert est.mean == pytest.approx(expect, abs=3.5 * est.std_error)
 
@@ -148,13 +149,13 @@ class TestErgodic:
     def test_asymptote_tracks_ecr(self):
         cfg = SimConfig(M=2, N=2, K=2, L=4, seed=37)
         _, rho2 = sensing_profile(RT, 2, 4, 10.0)
-        mc = ul_ecr(cfg, 1e4, rho2)
+        mc = ul_ecr(link_draws(cfg, chan.STREAM_UPLINK), 1e4, rho2)
         line = ul_ecr_asymptote(1e4, 2, 2, rho2)
         assert mc.mean == pytest.approx(line, abs=0.1)
 
     def test_fdsac_zero_alpha(self):
-        cfg = scalar_cfg()
-        assert ul_ecr_fdsac(cfg, 0.0, 1.0).mean == 0.0
+        draws = link_draws(scalar_cfg(), chan.STREAM_UPLINK)
+        assert ul_ecr_fdsac(draws, 0.0, 1.0).mean == 0.0
 
 
 def einsum_logdet(h, scale):
