@@ -180,6 +180,9 @@ GOLDEN = {
     "sr_vs_snr": {"trials": 2000},
     "region_dl": {"grid_size": 5, "trials": 2000},
     "region_ul": {"grid_size": 5, "trials": 2000},
+    # the k3_ecr bench workload at seed 1234: the only golden K >= 3 solve
+    "ecr_vs_snr": {"M": 3, "N": 3, "K": 3, "L": 4, "trials": 150,
+                   "sweep_db": [0.0, 10.0, 20.0, 30.0], "seed": 1234},
 }
 
 

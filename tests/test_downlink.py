@@ -182,6 +182,71 @@ class TestDualMacAlloc:
             dual_mac_power_alloc(np.eye(2, dtype=complex), -1.0)
 
 
+class TestNewtonSteps:
+    @pytest.mark.parametrize("p_c", [0.1, 10.0, 1e3, 1e6])
+    def test_degenerate_rows(self, p_c):
+        # an ordinary channel beside one with two identical users and one with
+        # a silent user: without the diagonal shift their Newton systems are
+        # singular
+        h = np.repeat(_channels(3, 3, 0.8, 1, seed=21), 3, axis=0)
+        h[1, :, 1] = h[1, :, 0]
+        h[2, :, 2] = 0.0
+        p = dual_mac_power_alloc(h, p_c).powers
+        q = np.diagonal(dl._gram(h, p), axis1=-2, axis2=-1).real
+        assert np.max(dl._fw_gap(q, p, p_c)) <= 1e-9
+        for t in range(len(h)):
+            alone = dual_mac_power_alloc(h[t], p_c).powers
+            assert alone.tobytes() == p[t].tobytes()
+
+    def test_no_step_gains_less_than_the_pair_step(self, monkeypatch):
+        # the Newton point is taken only where it gains at least the exact
+        # gain of the two-user step from the same powers
+        seen = []
+        gram = dl._gram
+
+        def recording(h, p):
+            seen.append(p[0].copy())
+            return gram(h, p)
+
+        monkeypatch.setattr(dl, "_gram", recording)
+        steps = 0
+        for p_c in (0.1, 10.0, 1e4):
+            for h in _channels(4, 4, 0.8, 8, seed=23):
+                seen.clear()
+                dual_mac_power_alloc(h, p_c)
+                for p, nxt in zip(seen, seen[1:]):
+                    mat = gram(h, p)
+                    q = np.diagonal(mat).real
+                    a, b = np.argmax(q), np.argmin(np.where(p > 0.0, q, np.inf))
+                    curv = q[a] * q[b] - abs(mat[a, b]) ** 2
+                    s = min(p[b], (q[a] - q[b]) / (2.0 * curv))
+                    pair = math.log1p(s * (q[a] - q[b]) - s * s * curv)
+                    gain = (np.linalg.slogdet(dl._mac_matrix(h, nxt))[1]
+                            - np.linalg.slogdet(dl._mac_matrix(h, p))[1])
+                    assert gain >= pair - 1e-12
+                    steps += 1
+        assert steps > 50
+
+    def test_k3_ecr_step_count(self, monkeypatch):
+        # the 8 solves of the k3_ecr bench workload's seed-1234 downlink draws
+        # (the ISAC and the alpha = 0.5 FDSAC powers at 0, 10, 20 and 30 dB)
+        # took 265 steps with the pair step alone
+        calls = []
+        gram = dl._gram
+
+        def counting(h, p):
+            calls.append(len(h))
+            return gram(h, p)
+
+        monkeypatch.setattr(dl, "_gram", counting)
+        cfg = SimConfig(M=3, N=3, K=3, L=4, trials=150, seed=1234)
+        draws = link_draws(cfg, chan.STREAM_DOWNLINK)
+        for p_c in (1.0, 2.0, 10.0, 20.0, 100.0, 200.0, 1000.0, 2000.0):
+            for h in draws:
+                dual_mac_power_alloc(h, p_c)
+        assert len(calls) <= 130
+
+
 def _stack(m, k_users, rho, seed):
     # eight correlated channels (M, K) from a fresh generator
     rng = np.random.default_rng(seed)
