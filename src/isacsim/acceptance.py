@@ -195,8 +195,8 @@ _DIVERSITY_CAP = 60_000_000
 
 def criterion_dl_diversity(seed=DEFAULT_SEED):
     """Downlink outage decay order = MK = 4 within +-0.5."""
-    cfg = _paper_cfg(seed)
-    ops = [dl.dl_outage_prob(cfg, 5.0, 10 ** (g / 10.0),
+    trail = mc.outage_trail(_paper_cfg(seed), STREAM_DOWNLINK)
+    ops = [dl.dl_outage_prob(trail, 5.0, 10 ** (g / 10.0),
                              min_events=_DIVERSITY_EVENTS,
                              max_trials=_DIVERSITY_CAP).mean
            for g in _DL_DIVERSITY_GRID_DB]
@@ -209,7 +209,8 @@ def criterion_ul_diversity(seed=DEFAULT_SEED):
     """Uplink outage decay order = NK = 4 within +-0.5."""
     cfg = _paper_cfg(seed)
     _, rho2 = ul.sensing_profile(cfg.r_target().matrix, cfg.N, cfg.L, cfg.p_s)
-    ops = [ul.ul_outage_prob(cfg, 5.0, 10 ** (g / 10.0), rho2,
+    trail = mc.outage_trail(cfg, STREAM_UPLINK)
+    ops = [ul.ul_outage_prob(trail, 5.0, 10 ** (g / 10.0), rho2,
                              min_events=_DIVERSITY_EVENTS,
                              max_trials=_DIVERSITY_CAP).mean
            for g in _UL_DIVERSITY_GRID_DB]
@@ -406,18 +407,21 @@ def criterion_regions(seed=DEFAULT_SEED):
     p_c, p_s = 10 ** 0.5, 10.0
     decade = math.log2(10.0)
 
-    d_far, d_note = _escape(rg.dl_isac_region(cfg, p_c, p_s),
-                            rg.dl_fdsac_region(cfg, p_c, p_s))
+    # every region of a link averages the same draws
+    down = mc.link_draws(cfg, STREAM_DOWNLINK)
+    d_far, d_note = _escape(rg.dl_isac_region(cfg, down, p_c, p_s),
+                            rg.dl_fdsac_region(cfg, down, p_c, p_s))
     d_err, d_fixed = _dof_step(
-        lambda g: (rg.dl_isac_region(cfg, p_c, g),
-                   rg.dl_fdsac_region(cfg, p_c, g)),
+        lambda g: (rg.dl_isac_region(cfg, down, p_c, g),
+                   rg.dl_fdsac_region(cfg, down, p_c, g)),
         "sr", "cr", cfg.N * cfg.M / cfg.L * decade, lambda a: 1.0 - a)
 
-    u_far, u_note = _escape(rg.ul_isac_region(cfg, p_c, p_s),
-                            rg.ul_fdsac_region(cfg, p_c, p_s))
+    up = mc.link_draws(cfg, STREAM_UPLINK)
+    u_far, u_note = _escape(rg.ul_isac_region(cfg, up, p_c, p_s),
+                            rg.ul_fdsac_region(cfg, up, p_c, p_s))
     u_err, u_fixed = _dof_step(
-        lambda g: (rg.ul_isac_region(cfg, g, p_s),
-                   rg.ul_fdsac_region(cfg, g, p_s)),
+        lambda g: (rg.ul_isac_region(cfg, up, g, p_s),
+                   rg.ul_fdsac_region(cfg, up, g, p_s)),
         "cr", "sr", cfg.K * decade, lambda a: a)
 
     err = max(d_err, u_err)

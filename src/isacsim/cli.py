@@ -131,11 +131,14 @@ def _run_vs_snr(cfg, params, experiment):
     kw = dict(min_events=params["min_events"], max_trials=params["max_trials"])
     _, rho2 = ul.sensing_profile(cfg.r_target(), cfg.N, cfg.L, cfg.p_s)
     if experiment == "op_vs_snr":
+        # each system carries its own outage trials from point to point
+        disac, dfdsac = (mc.outage_trail(cfg, STREAM_DOWNLINK) for _ in range(2))
+        uisac, ufdsac = (mc.outage_trail(cfg, STREAM_UPLINK) for _ in range(2))
         systems = {
-            "disac": lambda p: dl.dl_outage_prob(cfg, target, p, **kw),
-            "dfdsac": lambda p: dl.dl_outage_prob_fdsac(cfg, target, alpha, p, **kw),
-            "uisac": lambda p: ul.ul_outage_prob(cfg, target, p, rho2, **kw),
-            "ufdsac": lambda p: ul.ul_outage_prob_fdsac(cfg, target, alpha, p, **kw),
+            "disac": lambda p: dl.dl_outage_prob(disac, target, p, **kw),
+            "dfdsac": lambda p: dl.dl_outage_prob_fdsac(dfdsac, target, alpha, p, **kw),
+            "uisac": lambda p: ul.ul_outage_prob(uisac, target, p, rho2, **kw),
+            "ufdsac": lambda p: ul.ul_outage_prob_fdsac(ufdsac, target, alpha, p, **kw),
         }
     else:
         # every point's ergodic rate averages the same draws of its link
@@ -196,10 +199,12 @@ def _log_containment(link, isac, fdsac):
 
 def _run_region(cfg, params, link):
     if link == "downlink":
-        sweeps = (rg.dl_isac_region, rg.dl_fdsac_region)
+        sweeps, stream = (rg.dl_isac_region, rg.dl_fdsac_region), STREAM_DOWNLINK
     else:
-        sweeps = (rg.ul_isac_region, rg.ul_fdsac_region)
-    isac, fdsac = (sweep(cfg, cfg.p_c, cfg.p_s, grid_size=params["grid_size"])
+        sweeps, stream = (rg.ul_isac_region, rg.ul_fdsac_region), STREAM_UPLINK
+    # both sweeps average the same draws of the link
+    draws = mc.link_draws(cfg, stream)
+    isac, fdsac = (sweep(cfg, draws, cfg.p_c, cfg.p_s, grid_size=params["grid_size"])
                    for sweep in sweeps)
     _log_containment(link, isac, fdsac)
     return ["system", "sweep_param", "sweep_value", "cr", "cr_std_err", "sr"], \

@@ -400,22 +400,24 @@ def sensing_noise(cfg: chan.SimConfig, p_c) -> float:
 # Monte Carlo estimates
 # ---------------------------------------------------------------------------
 
-def dl_outage_prob(cfg: chan.SimConfig, r_target, p_c, min_events=200,
+def dl_outage_prob(trail, r_target, p_c, min_events=200,
                    max_trials=10_000_000) -> MonteCarloEstimate:
-    """Probability that the downlink sum rate falls below ``r_target``.
+    """Probability that the downlink sum rate falls below ``r_target``, over
+    a downlink outage trail (``mc.outage_trail(cfg, chan.STREAM_DOWNLINK)``).
 
     Adaptive trial policy: whole blocks are processed until at least
     ``min_events`` outages have been seen or ``max_trials`` is reached,
     whichever comes first.  The binomial standard error is reported.
     """
-    return mc.outage(cfg, chan.STREAM_DOWNLINK, dl_sum_rate_batch, r_target,
+    return mc.outage(trail, chan.STREAM_DOWNLINK, dl_sum_rate_batch, r_target,
                      p_c, 1.0, min_events, max_trials)
 
 
-def dl_outage_prob_fdsac(cfg: chan.SimConfig, r_target, alpha, p_c,
-                         min_events=200, max_trials=10_000_000) -> MonteCarloEstimate:
-    """Outage of the bandwidth-split baseline rate alpha * R_d(p_c / alpha)."""
-    return mc.outage(cfg, chan.STREAM_DOWNLINK, dl_sum_rate_batch, r_target,
+def dl_outage_prob_fdsac(trail, r_target, alpha, p_c, min_events=200,
+                         max_trials=10_000_000) -> MonteCarloEstimate:
+    """Outage of the bandwidth-split baseline rate alpha * R_d(p_c / alpha)
+    over a downlink outage trail."""
+    return mc.outage(trail, chan.STREAM_DOWNLINK, dl_sum_rate_batch, r_target,
                      p_c, alpha, min_events, max_trials)
 
 

@@ -5,13 +5,36 @@ channel stream, drawn a block of ``channel.BLOCK_SIZE`` trials at a time.
 Every estimator of both links, ISAC and FDSAC alike, runs through here:
 the FDSAC rate with bandwidth share alpha is alpha * R(p_c / alpha), and
 alpha = 1 gives the ISAC rate R(p_c) exactly.  ``stream`` names the link
-(``STREAM_DOWNLINK`` or ``STREAM_UPLINK``) and ``rate(h, p)`` gives the
-per-trial rates R of a block h of its channels at power p.
+(``STREAM_DOWNLINK`` or ``STREAM_UPLINK``) and ``rate(h, p, *args)`` gives
+the per-trial rates R of a block h of its channels at power p.
 
 An ergodic estimate runs a fixed number of trials, so a sweep draws its
 link's channels once (``link_draws``) and hands the same draw set to every
-point.  An outage estimate stops at a data-dependent trial, so it draws
-its own blocks as it goes.
+point.
+
+An outage estimate stops at a trial that depends on the data, so a sweep
+hands each system an outage trail (``outage_trail``) instead, which
+carries the system's outage trials from one point to the next:
+
+- Every rate is nondecreasing in power, so on the same draws the outages
+  at a higher power are among those at a lower one.
+- A trail remembers the blocks its points have drawn, and keeps their
+  candidates: the trials whose rate at the last point lay below the target
+  plus ``SLACK`` bits.
+- A point at a power no lower than the last evaluates only the candidates,
+  applies the per-block stopping rule to their cumulative counts, and
+  draws fresh blocks only past the remembered ones.
+- The slack is far above any rate kernel's rounding error, so a trial left
+  behind cannot be in outage at the higher power: every estimate keeps the
+  bits a fresh trail gives it.
+- A lower power, or any change of system (kernel, its arguments, alpha,
+  target or trial cap), starts the trail afresh, and a fresh trail draws
+  every block as it goes.
+- A trail carries fewer than ``min_events`` + ``BLOCK_SIZE`` trials (the
+  largest ``min_events`` of its points), besides any whose rate lies
+  within the slack of the target: the blocks before the last one it drew
+  held fewer than ``min_events`` outages, and at a higher power they hold
+  no more.
 """
 
 from __future__ import annotations
@@ -24,7 +47,12 @@ import numpy as np
 from . import channel as chan
 from .numerics import ModelError
 
-__all__ = ["MonteCarloEstimate", "blocks", "link_draws", "outage", "ergodic"]
+__all__ = ["MonteCarloEstimate", "blocks", "link_draws", "outage_trail",
+           "outage", "ergodic"]
+
+# bits a carried trial's rate may lie above the target: far above the error
+# of every rate kernel (the K >= 3 solve is certified to 1e-9 bit)
+SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -36,25 +64,24 @@ class MonteCarloEstimate:
     trials: int
 
 
-def blocks(corr, columns, seed, stream, trials):
-    """Yield the channels of trials 0 .. trials-1, one block at a time.
+def blocks(corr, columns, seed, stream, trials, start=0):
+    """Yield the channels of trials start .. trials-1 (``start`` a multiple
+    of ``BLOCK_SIZE``), one block at a time.
 
     Each block is drawn only up to the trials still wanted; trial t is the
     same draw whatever ``trials`` is.
     """
     size, trials = chan.BLOCK_SIZE, int(trials)
-    for start in range(0, trials, size):
+    for start in range(start, trials, size):
         yield chan.sample_channel_block(corr, columns, seed, start // size,
                                         stream, min(size, trials - start))
 
 
-def _link_blocks(cfg, stream, trials):
+def _link_corr(cfg, stream):
     # downlink channels are correlated at the BS, uplink ones i.i.d.
     if stream == chan.STREAM_UPLINK:
-        corr = chan.CorrelationMatrix(np.eye(cfg.N, dtype=complex))
-    else:
-        corr = cfg.r_cu()
-    return blocks(corr, cfg.K, cfg.seed, stream, trials)
+        return chan.CorrelationMatrix(np.eye(cfg.N, dtype=complex))
+    return cfg.r_cu()
 
 
 def link_draws(cfg, stream) -> tuple:
@@ -63,10 +90,93 @@ def link_draws(cfg, stream) -> tuple:
 
     It holds cfg.trials * dim * K complex numbers (16 bytes each).
     """
-    draws = tuple(_link_blocks(cfg, stream, cfg.trials))
+    draws = tuple(blocks(_link_corr(cfg, stream), cfg.K, cfg.seed, stream,
+                         cfg.trials))
     for h in draws:
         h.flags.writeable = False
     return draws
+
+
+class _Trail:
+    """What one outage system carries from one point to the next: the
+    system and power of the last point, the trials drawn from each block so
+    far (``sizes``), and the candidates as a C-contiguous (dim, K, n)
+    buffer (``carried``, so ``carried.transpose(2, 0, 1)`` is a trial-minor
+    batch) with the block of each (``block``)."""
+
+    def __init__(self, cfg, stream):
+        self.cfg, self.stream = cfg, stream
+        self.corr = _link_corr(cfg, stream)
+        self.restart(None)
+
+    def restart(self, system):
+        self.system, self.p_c, self.sizes = system, 0.0, []
+        self.carried = np.empty((self.corr.dim, self.cfg.K, 0), dtype=complex)
+        self.block = np.empty(0, dtype=np.intp)
+
+
+def outage_trail(cfg, stream) -> _Trail:
+    """A fresh outage trail of one link, for one system's outage sweep
+    (module docstring): the outage counterpart of ``link_draws``."""
+    return _Trail(cfg, stream)
+
+
+def outage(trail, stream, rate, r_target, p_c, alpha=1.0, min_events=200,
+           max_trials=10_000_000, args=()) -> MonteCarloEstimate:
+    """Probability that alpha * rate(H, p_c / alpha, *args) falls below
+    ``r_target``, over the channels of an outage trail of link ``stream``.
+
+    Blocks are counted in order until at least ``min_events`` outages have
+    been seen or ``max_trials`` is reached, whichever comes first; the
+    binomial standard error is reported.  The candidates of the blocks the
+    trail holds decide their counts, and the point's candidates stay in the
+    trail for the next point.  A zero target is never missed and a silent
+    link always is, so both return without a trial: trials = 0.
+    """
+    if trail.stream != stream:
+        raise ModelError("the outage trail belongs to the other link")
+    if _silent(p_c, alpha, r_target, max_trials) or r_target == 0.0:
+        return MonteCarloEstimate(float(r_target > 0.0), 0.0, 0)
+    system = (rate, args, alpha, r_target, max_trials)
+    if system != trail.system or p_c < trail.p_c:
+        trail.restart(system)
+
+    def outages(h):
+        # the outage and candidate masks of a trial-minor batch
+        rates = alpha * rate(h, p_c / alpha, *args)
+        return rates < r_target, rates < r_target + SLACK
+
+    # a point that raises leaves the trail whole: its candidates are those
+    # of the power it records, for the blocks it records
+    counts = np.zeros(len(trail.sizes), dtype=np.int64)
+    if len(trail.block):
+        out, keep = outages(trail.carried.transpose(2, 0, 1))
+        counts = np.bincount(trail.block[out], minlength=len(trail.sizes))
+        trail.carried = np.ascontiguousarray(trail.carried[:, :, keep])
+        trail.block = trail.block[keep]
+    trail.p_c = p_c
+    # the first block whose cumulative count reaches min_events, if any
+    stop = int(np.searchsorted(np.cumsum(counts), min_events))
+    events = int(counts[:stop + 1].sum())
+    done = sum(trail.sizes[:stop + 1])
+    if stop == len(counts):
+        parts, tags, sizes = [trail.carried], [trail.block], list(trail.sizes)
+        for h in blocks(trail.corr, trail.cfg.K, trail.cfg.seed, stream,
+                        max_trials, done):
+            out, keep = outages(h)
+            events += int(np.count_nonzero(out))
+            done += len(h)
+            parts.append(h.transpose(1, 2, 0)[:, :, keep])
+            tags.append(np.full(parts[-1].shape[2], len(sizes)))
+            sizes.append(len(h))
+            if events >= min_events:
+                break
+        trail.sizes = sizes
+        trail.carried = np.concatenate(parts, axis=2)
+        trail.block = np.concatenate(tags)
+    p = events / done
+    se = math.sqrt(max(p * (1.0 - p), 0.0) / done)
+    return MonteCarloEstimate(mean=p, std_error=se, trials=done)
 
 
 def _silent(p_c, alpha, r_target, trials):
@@ -81,28 +191,6 @@ def _silent(p_c, alpha, r_target, trials):
     if trials < 1:
         raise ModelError("trials must be positive")
     return p_c == 0.0 or alpha == 0.0
-
-
-def outage(cfg, stream, rate, r_target, p_c, alpha=1.0, min_events=200,
-           max_trials=10_000_000) -> MonteCarloEstimate:
-    """Probability that alpha * rate(H, p_c / alpha) falls below ``r_target``.
-
-    Whole blocks are processed until at least ``min_events`` outages have
-    been seen or ``max_trials`` is reached, whichever comes first; the
-    binomial standard error is reported.  A zero target is never missed and
-    a silent link always is, so both return without a trial: trials = 0.
-    """
-    if _silent(p_c, alpha, r_target, max_trials) or r_target == 0.0:
-        return MonteCarloEstimate(float(r_target > 0.0), 0.0, 0)
-    events = done = 0
-    for h in _link_blocks(cfg, stream, max_trials):
-        events += int(np.count_nonzero(alpha * rate(h, p_c / alpha) < r_target))
-        done += len(h)
-        if events >= min_events:
-            break
-    p = events / done
-    se = math.sqrt(max(p * (1.0 - p), 0.0) / done)
-    return MonteCarloEstimate(mean=p, std_error=se, trials=done)
 
 
 def ergodic(draws, rate, p_c, alpha=1.0) -> MonteCarloEstimate:

@@ -1,9 +1,10 @@
 """Achievable communication-sensing rate regions and their dominance gaps.
 
 Each region is a one-parameter sweep of (ECR, SR) operating points: the
-power split (ISAC) or the bandwidth share alpha (FDSAC).  A sweep draws its
-link's channels once (``mc.link_draws``), and every point's ECR averages
-the same draws, each as its own estimate would.  The region is
+power split (ISAC) or the bandwidth share alpha (FDSAC).  A sweep takes
+its link's draw set (``mc.link_draws``), which the ISAC and FDSAC sweeps of
+a link can share, and every point's ECR averages the same draws, each as
+its own estimate would.  The region is
 the downward-closed union of the rectangles [0, cr_i] x [0, sr_i], so
 containment reduces to corner dominance (``corner_gaps``).
 
@@ -21,10 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import downlink as dl
-from . import mc
 from . import sensing as sn
 from . import uplink as ul
-from .channel import STREAM_DOWNLINK, STREAM_UPLINK, SimConfig
+from .channel import SimConfig
 from .numerics import ModelError
 
 __all__ = [
@@ -66,9 +66,10 @@ def _check_grid(grid_size):
         raise ModelError("grid_size must be >= 2")
 
 
-def dl_isac_region(cfg: SimConfig, p_c_max, p_s_max,
+def dl_isac_region(cfg: SimConfig, draws, p_c_max, p_s_max,
                    grid_size=DEFAULT_GRID) -> RateRegion:
-    """Downlink region: sweep p_c in [0, p_c_max] at fixed p_s = p_s_max.
+    """Downlink region: sweep p_c in [0, p_c_max] at fixed p_s = p_s_max,
+    over the downlink draw set ``draws`` of cfg.
 
     Higher communication power raises the sensing interference through the
     mean input covariance, so sr falls as cr grows along the sweep.
@@ -76,7 +77,6 @@ def dl_isac_region(cfg: SimConfig, p_c_max, p_s_max,
     _check_grid(grid_size)
     grid = np.linspace(0.0, p_c_max, grid_size)
     rt = cfg.r_target()
-    draws = mc.link_draws(cfg, STREAM_DOWNLINK)
     points = []
     for p_c in grid:
         est = dl.dl_ecr(draws, p_c)
@@ -86,9 +86,10 @@ def dl_isac_region(cfg: SimConfig, p_c_max, p_s_max,
     return RateRegion(tuple(points), "p_c", grid)
 
 
-def ul_isac_region(cfg: SimConfig, p_c_max, p_s_max,
+def ul_isac_region(cfg: SimConfig, draws, p_c_max, p_s_max,
                    grid_size=DEFAULT_GRID) -> RateRegion:
-    """Uplink region: sweep p_s in [0, p_s_max] at fixed p_c = p_c_max.
+    """Uplink region: sweep p_s in [0, p_s_max] at fixed p_c = p_c_max,
+    over the uplink draw set ``draws`` of cfg.
 
     Higher sensing power raises the slot noise seen by the uplink decoder,
     so cr falls as sr grows along the sweep.
@@ -96,7 +97,6 @@ def ul_isac_region(cfg: SimConfig, p_c_max, p_s_max,
     _check_grid(grid_size)
     grid = np.linspace(0.0, p_s_max, grid_size)
     rt = cfg.r_target()
-    draws = mc.link_draws(cfg, STREAM_UPLINK)
     points = []
     for p_s in grid:
         sr, rho2 = ul.sensing_profile(rt, cfg.N, cfg.L, p_s)
@@ -105,12 +105,11 @@ def ul_isac_region(cfg: SimConfig, p_c_max, p_s_max,
     return RateRegion(tuple(points), "p_s", grid)
 
 
-def _fdsac_region(ecr_fdsac, stream, cfg, p_c, p_s, grid_size) -> RateRegion:
+def _fdsac_region(ecr_fdsac, cfg, draws, p_c, p_s, grid_size) -> RateRegion:
     # sweep the bandwidth share alpha in [0, 1] of one link's baseline
     _check_grid(grid_size)
     grid = np.linspace(0.0, 1.0, grid_size)
     rt = cfg.r_target()
-    draws = mc.link_draws(cfg, stream)
     points = []
     for alpha in grid:
         est = ecr_fdsac(draws, alpha, p_c)
@@ -119,16 +118,18 @@ def _fdsac_region(ecr_fdsac, stream, cfg, p_c, p_s, grid_size) -> RateRegion:
     return RateRegion(tuple(points), "alpha", grid)
 
 
-def dl_fdsac_region(cfg: SimConfig, p_c, p_s, grid_size=DEFAULT_GRID) -> RateRegion:
-    """Downlink bandwidth-split region: sweep alpha in [0, 1]."""
-    return _fdsac_region(dl.dl_ecr_fdsac, STREAM_DOWNLINK, cfg, p_c, p_s,
-                         grid_size)
+def dl_fdsac_region(cfg: SimConfig, draws, p_c, p_s,
+                    grid_size=DEFAULT_GRID) -> RateRegion:
+    """Downlink bandwidth-split region: sweep alpha in [0, 1] over the
+    downlink draw set ``draws``."""
+    return _fdsac_region(dl.dl_ecr_fdsac, cfg, draws, p_c, p_s, grid_size)
 
 
-def ul_fdsac_region(cfg: SimConfig, p_c, p_s, grid_size=DEFAULT_GRID) -> RateRegion:
-    """Uplink bandwidth-split region: sweep alpha in [0, 1]."""
-    return _fdsac_region(ul.ul_ecr_fdsac, STREAM_UPLINK, cfg, p_c, p_s,
-                         grid_size)
+def ul_fdsac_region(cfg: SimConfig, draws, p_c, p_s,
+                    grid_size=DEFAULT_GRID) -> RateRegion:
+    """Uplink bandwidth-split region: sweep alpha in [0, 1] over the uplink
+    draw set ``draws``."""
+    return _fdsac_region(ul.ul_ecr_fdsac, cfg, draws, p_c, p_s, grid_size)
 
 
 def corner_gaps(outer: RateRegion, points, cr_slack=0.0) -> np.ndarray:

@@ -95,19 +95,20 @@ def ul_rate_batch(h_batch, p_c, rho2):
     return _logdet_batch(h_batch, p_c / rho2)
 
 
-def ul_outage_prob(cfg: chan.SimConfig, r_target, p_c, rho2,
-                   min_events=200, max_trials=10_000_000) -> MonteCarloEstimate:
+def ul_outage_prob(trail, r_target, p_c, rho2, min_events=200,
+                   max_trials=10_000_000) -> MonteCarloEstimate:
     """Probability that the uplink ISAC sum rate at slot noise rho2 falls
-    below target."""
-    return mc.outage(cfg, chan.STREAM_UPLINK,
-                     lambda h, p: ul_rate_batch(h, p, rho2), r_target, p_c,
-                     1.0, min_events, max_trials)
+    below target, over an uplink outage trail
+    (``mc.outage_trail(cfg, chan.STREAM_UPLINK)``)."""
+    return mc.outage(trail, chan.STREAM_UPLINK, ul_rate_batch, r_target, p_c,
+                     1.0, min_events, max_trials, (rho2,))
 
 
-def ul_outage_prob_fdsac(cfg: chan.SimConfig, r_target, alpha, p_c,
-                         min_events=200, max_trials=10_000_000) -> MonteCarloEstimate:
-    """Outage of the bandwidth-split uplink baseline (interference-free)."""
-    return mc.outage(cfg, chan.STREAM_UPLINK, _logdet_batch, r_target, p_c,
+def ul_outage_prob_fdsac(trail, r_target, alpha, p_c, min_events=200,
+                         max_trials=10_000_000) -> MonteCarloEstimate:
+    """Outage of the bandwidth-split uplink baseline (interference-free)
+    over an uplink outage trail."""
+    return mc.outage(trail, chan.STREAM_UPLINK, _logdet_batch, r_target, p_c,
                      alpha, min_events, max_trials)
 
 

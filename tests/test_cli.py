@@ -173,6 +173,29 @@ class TestMain:
         down, up = chan.STREAM_DOWNLINK, chan.STREAM_UPLINK
         assert drawn == [(0, down, size), (1, down, 5), (0, up, size), (1, up, 5)]
 
+    @pytest.mark.parametrize("experiment, stream", [
+        ("region_dl", chan.STREAM_DOWNLINK), ("region_ul", chan.STREAM_UPLINK)])
+    def test_both_region_sweeps_share_one_draw_set(self, tmp_path, drawn,
+                                                   experiment, stream):
+        size = chan.BLOCK_SIZE
+        cfg, params = cli.parse_config({"trials": size + 5, "grid_size": 3})
+        assert cli.run(experiment, cfg, params, str(tmp_path / "x.csv")) == 0
+        assert [k for k in drawn if k[1] != chan.STREAM_COVARIANCE] == \
+            [(0, stream, size), (1, stream, 5)]
+
+    def test_op_vs_snr_rows_do_not_depend_on_the_sweep_order(self, tmp_path):
+        # a trail starts afresh at a lower power, so every point keeps its row
+        def rows(sweep):
+            out = tmp_path / "op.csv"
+            assert cli.main(["--experiment", "op_vs_snr", "--out", str(out),
+                             "--config", write_config(tmp_path, sweep_db=sweep)]) == 0
+            lines = out.read_text().splitlines()
+            return lines[0], sorted(lines[1:], key=lambda line: float(line.split(",")[0]))
+
+        ordered = rows([0.0, 5.0, 10.0, 15.0, 20.0])
+        assert rows([10.0, 20.0, 0.0, 15.0, 5.0]) == ordered
+        assert rows([20.0, 15.0, 10.0, 5.0, 0.0]) == ordered
+
 
 # Small runs whose CSVs were written by an earlier version: a change meant
 # to keep every output byte must reproduce them exactly.
@@ -180,6 +203,10 @@ GOLDEN = {
     "sr_vs_snr": {"trials": 2000},
     "region_dl": {"grid_size": 5, "trials": 2000},
     "region_ul": {"grid_size": 5, "trials": 2000},
+    # outage points that stop in the first block, inside a later one and at
+    # a cap that is not a multiple of the block size
+    "op_vs_snr": {"sweep_db": [12.5, 17.5, 22.5, 27.5], "min_events": 100,
+                  "max_trials": 100_000},
     # the k3_ecr bench workload at seed 1234: the only golden K >= 3 solve
     "ecr_vs_snr": {"M": 3, "N": 3, "K": 3, "L": 4, "trials": 150,
                    "sweep_db": [0.0, 10.0, 20.0, 30.0], "seed": 1234},

@@ -23,7 +23,7 @@ from isacsim.downlink import (
     estimate_mean_covariance,
     mac_to_bc_covariance,
 )
-from isacsim.mc import link_draws
+from isacsim.mc import link_draws, outage_trail
 from isacsim.numerics import ModelError
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -439,28 +439,32 @@ class TestMeanCovariance:
 
 
 class TestOutage:
+    @staticmethod
+    def trail(cfg):
+        return outage_trail(cfg, chan.STREAM_DOWNLINK)
+
     def test_scalar_rayleigh_oracle(self):
         # P(log2(1 + g) < 1) = 1 - exp(-1) for g ~ Exp(1)
         cfg = scalar_cfg(seed=4)
-        est = dl_outage_prob(cfg, 1.0, 1.0, min_events=2000)
+        est = dl_outage_prob(self.trail(cfg), 1.0, 1.0, min_events=2000)
         assert est.mean == pytest.approx(1.0 - math.exp(-1.0), abs=0.02)
         assert est.std_error > 0.0
 
     def test_edge_cases(self):
-        cfg = scalar_cfg()
-        assert dl_outage_prob(cfg, 0.0, 1.0).mean == 0.0
-        assert dl_outage_prob(cfg, 1.0, 0.0).mean == 1.0
+        trail = self.trail(scalar_cfg())
+        assert dl_outage_prob(trail, 0.0, 1.0).mean == 0.0
+        assert dl_outage_prob(trail, 1.0, 0.0).mean == 1.0
 
     def test_monotone_in_power(self):
-        cfg = SimConfig(M=2, N=2, K=2, L=4, seed=6)
-        lo = dl_outage_prob(cfg, 5.0, 10.0, min_events=500).mean
-        hi = dl_outage_prob(cfg, 5.0, 100.0, min_events=500).mean
+        trail = self.trail(SimConfig(M=2, N=2, K=2, L=4, seed=6))
+        lo = dl_outage_prob(trail, 5.0, 10.0, min_events=500).mean
+        hi = dl_outage_prob(trail, 5.0, 100.0, min_events=500).mean
         assert hi < lo
 
     def test_fdsac_alpha_one_matches_isac(self):
         cfg = SimConfig(M=2, N=2, K=2, L=4, seed=6)
-        a = dl_outage_prob(cfg, 5.0, 10.0, min_events=500)
-        b = dl_outage_prob_fdsac(cfg, 5.0, 1.0, 10.0, min_events=500)
+        a = dl_outage_prob(self.trail(cfg), 5.0, 10.0, min_events=500)
+        b = dl_outage_prob_fdsac(self.trail(cfg), 5.0, 1.0, 10.0, min_events=500)
         assert a.mean == b.mean
 
 

@@ -24,25 +24,26 @@ def _draws(stream, trials):
     return mc.link_draws(replace(CFG, trials=trials), stream)
 
 
-# per system: its stream, its channel correlation, its per-trial rate, and
-# its outage and ergodic estimators at P_C (FDSAC at bandwidth share ALPHA)
+# per system: its stream, its channel correlation, its per-trial rate, its
+# outage estimator over a trail at a power and its ergodic estimator at P_C
+# (FDSAC at bandwidth share ALPHA)
 SYSTEMS = {
     "disac": (chan.STREAM_DOWNLINK, CFG.r_cu(),
               lambda h: dl.dl_sum_rate_batch(h, P_C),
-              lambda r, **kw: dl.dl_outage_prob(CFG, r, P_C, **kw),
+              lambda t, r, p, **kw: dl.dl_outage_prob(t, r, p, **kw),
               lambda trials: dl.dl_ecr(_draws(chan.STREAM_DOWNLINK, trials), P_C)),
     "dfdsac": (chan.STREAM_DOWNLINK, CFG.r_cu(),
                lambda h: ALPHA * dl.dl_sum_rate_batch(h, P_C / ALPHA),
-               lambda r, **kw: dl.dl_outage_prob_fdsac(CFG, r, ALPHA, P_C, **kw),
+               lambda t, r, p, **kw: dl.dl_outage_prob_fdsac(t, r, ALPHA, p, **kw),
                lambda trials: dl.dl_ecr_fdsac(_draws(chan.STREAM_DOWNLINK, trials),
                                               ALPHA, P_C)),
     "uisac": (chan.STREAM_UPLINK, UL_CORR,
               lambda h: ul.ul_rate_batch(h, P_C, PROFILE),
-              lambda r, **kw: ul.ul_outage_prob(CFG, r, P_C, PROFILE, **kw),
+              lambda t, r, p, **kw: ul.ul_outage_prob(t, r, p, PROFILE, **kw),
               lambda trials: ul.ul_ecr(_draws(chan.STREAM_UPLINK, trials), P_C, PROFILE)),
     "ufdsac": (chan.STREAM_UPLINK, UL_CORR,
                lambda h: ALPHA * ul.ul_rate_batch(h, P_C / ALPHA, CLEAN),
-               lambda r, **kw: ul.ul_outage_prob_fdsac(CFG, r, ALPHA, P_C, **kw),
+               lambda t, r, p, **kw: ul.ul_outage_prob_fdsac(t, r, ALPHA, p, **kw),
                lambda trials: ul.ul_ecr_fdsac(_draws(chan.STREAM_UPLINK, trials),
                                               ALPHA, P_C)),
 }
@@ -71,7 +72,8 @@ def test_outage_stops_after_the_first_block_with_enough_events(system, drawn):
     min_events = chan.BLOCK_SIZE // 2
     assert events[0] < min_events <= sum(events)
     drawn.clear()
-    est = outage(r_target, min_events=min_events, max_trials=10 * chan.BLOCK_SIZE)
+    est = outage(mc.outage_trail(CFG, stream), r_target, P_C,
+                 min_events=min_events, max_trials=10 * chan.BLOCK_SIZE)
     assert est.trials == 2 * chan.BLOCK_SIZE
     assert drawn == [(0, stream, chan.BLOCK_SIZE), (1, stream, chan.BLOCK_SIZE)]
     assert est.mean == sum(events) / est.trials
@@ -83,7 +85,8 @@ def test_outage_with_rare_events_stops_at_the_trial_cap(system, drawn):
     for trials, counts in PREFIXES:
         rates = np.concatenate([_block_rates(system, b, n) for b, n in enumerate(counts)])
         drawn.clear()
-        est = outage(0.05, min_events=200, max_trials=trials)
+        est = outage(mc.outage_trail(CFG, stream), 0.05, P_C, min_events=200,
+                     max_trials=trials)
         assert est.trials == trials
         assert drawn == [(b, stream, n) for b, n in enumerate(counts)]
         assert est.mean == np.count_nonzero(rates < 0.05) / trials < 200 / trials
@@ -101,18 +104,174 @@ def test_ergodic_runs_exactly_the_requested_trials(system, drawn):
         assert est.mean == sum(sums) / trials
 
 
+# Outage trails.  A trail carries a system's candidates from point to point;
+# every estimate must equal, field for field, the one a fresh trail gives.
+# At a target of 3 bits and 400 events these sweeps stop every system in
+# its first block at 8 dB and at the cap at 18 dB.
+R_TARGET, EVENTS = 3.0, 400
+CAP = 6 * chan.BLOCK_SIZE + 77  # not a multiple of the block size
+TRAIL_SWEEPS = {
+    "ascending": [8.0, 10.0, 12.0, 14.0, 16.0, 18.0],
+    "repeated": [10.0, 10.0, 14.0, 14.0, 14.0],
+    "close": [12.0, 12.0 + 1e-12, 12.0 + 2e-12, 12.0 + 3e-12],
+    "descending": [18.0, 16.0, 14.0, 12.0, 10.0, 8.0],
+    "shuffled": [14.0, 8.0, 18.0, 12.0, 18.0, 10.0, 16.0],
+}
+
+
+def _fields(est):
+    return est.mean, est.std_error, est.trials
+
+
+def _trail_sweep(system, cfg, r_target, points, max_trials=CAP):
+    # each point (dB, min_events) over one trail, and over a fresh trail each
+    stream, _, _, outage, _ = SYSTEMS[system]
+    trail = mc.outage_trail(cfg, stream)
+
+    def at(t, db, events):
+        return _fields(outage(t, r_target, 10.0 ** (db / 10.0),
+                              min_events=events, max_trials=max_trials))
+
+    carried = [at(trail, db, events) for db, events in points]
+    fresh = [at(mc.outage_trail(cfg, stream), db, events) for db, events in points]
+    return carried, fresh
+
+
+@pytest.mark.parametrize("sweep", TRAIL_SWEEPS)
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_a_trail_gives_each_point_the_fresh_estimate(system, sweep):
+    points = [(db, EVENTS) for db in TRAIL_SWEEPS[sweep]]
+    carried, fresh = _trail_sweep(system, CFG, R_TARGET, points)
+    assert carried == fresh
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_a_trail_stops_inside_the_blocks_it_carries(system):
+    # fewer events wanted at a higher power: the stop lies before the last
+    # block the trail holds, which it must not draw again
+    # and at 10 dB exactly as many events as the first block holds, so
+    # the stop is at that block's end
+    stream, _, _, outage, _ = SYSTEMS[system]
+    first = outage(mc.outage_trail(CFG, stream), R_TARGET, 10.0, min_events=1,
+                   max_trials=chan.BLOCK_SIZE)
+    exact = round(first.mean * first.trials)
+    points = [(8.0, 20_000), (10.0, exact), (12.0, 5000), (14.0, 1)]
+    carried, fresh = _trail_sweep(system, CFG, R_TARGET, points)
+    assert carried == fresh
+    assert carried[1][2] == chan.BLOCK_SIZE < carried[0][2]
+    assert carried[3][2] < carried[2][2]
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_a_trail_matches_fresh_estimates_at_k3_near_rank_one(system):
+    # the certified K = 3 solve and the generic uplink log det, users nearly
+    # parallel at the BS, up to 60 dB; each target puts the 60 dB outage
+    # near 1e-2
+    cfg = SimConfig(M=3, N=3, K=3, L=4, rho_cu=0.999999, seed=5)
+    r_target = {"disac": 21.0, "dfdsac": 11.0, "uisac": 50.0, "ufdsac": 27.0}[system]
+    points = [(db, 300) for db in (40.0, 50.0, 55.0, 60.0, 60.0 + 1e-12)]
+    carried, fresh = _trail_sweep(system, cfg, r_target, points,
+                                  max_trials=2 * chan.BLOCK_SIZE + 5)
+    assert carried == fresh
+    assert 0.0 < carried[-1][0] < 0.1
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_an_ascending_sweep_draws_each_block_once(system, drawn):
+    stream, _, _, outage, _ = SYSTEMS[system]
+    trail = mc.outage_trail(CFG, stream)
+    trials = []
+    for db in TRAIL_SWEEPS["ascending"]:
+        est = outage(trail, R_TARGET, 10.0 ** (db / 10.0), min_events=EVENTS,
+                     max_trials=CAP)
+        trials.append(est.trials)
+        # fewer than min_events + BLOCK_SIZE trials carried
+        assert len(trail.block) < EVENTS + chan.BLOCK_SIZE
+    assert trials[0] == chan.BLOCK_SIZE and trials[-1] == CAP
+    assert len(set(trials)) >= 3
+    assert drawn == [(b, stream, chan.BLOCK_SIZE) for b in range(6)] + [(6, stream, 77)]
+
+
+def test_a_trail_restarts_for_another_system():
+    # points of different systems on one trail per link, each at a higher
+    # power than the last and each changing one thing: the kernel, alpha,
+    # the slot noise, the target or the cap must start the trail afresh
+    down, up = chan.STREAM_DOWNLINK, chan.STREAM_UPLINK
+    many = 20_000  # events: these points stop at the cap
+    points = [  # estimator, link, arguments before and after p_c, target,
+                # min_events, cap
+        (dl.dl_outage_prob, down, (), (), 3.0, EVENTS, CAP),
+        (dl.dl_outage_prob_fdsac, down, (ALPHA,), (), 3.0, EVENTS, CAP),
+        (dl.dl_outage_prob_fdsac, down, (0.9,), (), 3.0, EVENTS, CAP),
+        (dl.dl_outage_prob_fdsac, down, (0.9,), (), 4.0, many, CAP),
+        (dl.dl_outage_prob_fdsac, down, (0.9,), (), 4.0, many, CAP + chan.BLOCK_SIZE),
+        (ul.ul_outage_prob_fdsac, up, (1.0,), (), 3.0, EVENTS, CAP),
+        (ul.ul_outage_prob, up, (), (CLEAN,), 3.0, EVENTS, CAP),
+        (ul.ul_outage_prob, up, (), (PROFILE,), 3.0, EVENTS, CAP),
+    ]
+    shared = {s: mc.outage_trail(CFG, s) for s in (down, up)}
+
+    def run(trail_of):
+        return [_fields(estimate(trail_of(stream), r, *before, 10.0 ** (db / 10.0),
+                                 *after, min_events=events, max_trials=cap))
+                for db, (estimate, stream, before, after, r, events, cap)
+                in enumerate(points, start=10)]
+
+    assert run(shared.get) == run(lambda s: mc.outage_trail(CFG, s))
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_a_point_that_fails_leaves_the_trail_whole(system, monkeypatch):
+    # the third block drawn fails; the sweep goes on over the same trail
+    stream, _, _, outage, _ = SYSTEMS[system]
+    sample, calls = chan.sample_channel_block, []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise ArithmeticError("no draw")
+        return sample(*args)
+
+    trail = mc.outage_trail(CFG, stream)
+    monkeypatch.setattr(chan, "sample_channel_block", failing)
+    carried = []
+    for db in TRAIL_SWEEPS["ascending"]:
+        try:
+            carried.append(_fields(outage(trail, R_TARGET, 10.0 ** (db / 10.0),
+                                          min_events=EVENTS, max_trials=CAP)))
+        except ArithmeticError:
+            carried.append(None)
+    monkeypatch.undo()
+    fresh = [_fields(outage(mc.outage_trail(CFG, stream), R_TARGET, 10.0 ** (db / 10.0),
+                            min_events=EVENTS, max_trials=CAP))
+             for db in TRAIL_SWEEPS["ascending"]]
+    assert carried.count(None) == 1
+    assert [c for c in carried if c] == [f for c, f in zip(carried, fresh) if c]
+
+
+def test_a_trail_serves_only_its_link():
+    with pytest.raises(ModelError):
+        dl.dl_outage_prob(mc.outage_trail(CFG, chan.STREAM_UPLINK), 5.0, P_C)
+    with pytest.raises(ModelError):
+        ul.ul_outage_prob_fdsac(mc.outage_trail(CFG, chan.STREAM_DOWNLINK),
+                                5.0, ALPHA, P_C)
+
+
 OUTAGE = dict(r_target=1.0, min_events=200, max_trials=chan.BLOCK_SIZE)
 DL_DRAWS = _draws(chan.STREAM_DOWNLINK, 100)
 UL_DRAWS = _draws(chan.STREAM_UPLINK, 100)
-# estimator, its first argument (a config or a draw set), its other arguments
+DL_TRAIL = mc.outage_trail(CFG, chan.STREAM_DOWNLINK)
+UL_TRAIL = mc.outage_trail(CFG, chan.STREAM_UPLINK)
+# estimator, its first argument (an outage trail or a draw set), its other
+# arguments
 ESTIMATORS = {
-    "dl_outage_prob": (dl.dl_outage_prob, CFG, dict(OUTAGE, p_c=1.0)),
-    "dl_outage_prob_fdsac": (dl.dl_outage_prob_fdsac, CFG,
+    "dl_outage_prob": (dl.dl_outage_prob, DL_TRAIL, dict(OUTAGE, p_c=1.0)),
+    "dl_outage_prob_fdsac": (dl.dl_outage_prob_fdsac, DL_TRAIL,
                              dict(OUTAGE, alpha=0.5, p_c=1.0)),
     "dl_ecr": (dl.dl_ecr, DL_DRAWS, dict(p_c=1.0)),
     "dl_ecr_fdsac": (dl.dl_ecr_fdsac, DL_DRAWS, dict(alpha=0.5, p_c=1.0)),
-    "ul_outage_prob": (ul.ul_outage_prob, CFG, dict(OUTAGE, p_c=1.0, rho2=PROFILE)),
-    "ul_outage_prob_fdsac": (ul.ul_outage_prob_fdsac, CFG,
+    "ul_outage_prob": (ul.ul_outage_prob, UL_TRAIL, dict(OUTAGE, p_c=1.0, rho2=PROFILE)),
+    "ul_outage_prob_fdsac": (ul.ul_outage_prob_fdsac, UL_TRAIL,
                              dict(OUTAGE, alpha=0.5, p_c=1.0)),
     "ul_ecr": (ul.ul_ecr, UL_DRAWS, dict(p_c=1.0, rho2=PROFILE)),
     "ul_ecr_fdsac": (ul.ul_ecr_fdsac, UL_DRAWS, dict(alpha=0.5, p_c=1.0)),

@@ -74,7 +74,8 @@ def cfg():
 
 class TestSweeps:
     def test_dl_tradeoff_direction(self, cfg):
-        reg = dl_isac_region(cfg, 10.0, 10.0, grid_size=5)
+        reg = dl_isac_region(cfg, link_draws(cfg, STREAM_DOWNLINK), 10.0, 10.0,
+                             grid_size=5)
         crs = [p.cr for p in reg.sweep_points]
         srs = [p.sr for p in reg.sweep_points]
         assert crs == sorted(crs)          # more comm power, more rate
@@ -82,7 +83,8 @@ class TestSweeps:
         assert crs[0] == 0.0
 
     def test_ul_tradeoff_direction(self, cfg):
-        reg = ul_isac_region(cfg, 10.0, 10.0, grid_size=5)
+        reg = ul_isac_region(cfg, link_draws(cfg, STREAM_UPLINK), 10.0, 10.0,
+                             grid_size=5)
         crs = [p.cr for p in reg.sweep_points]
         srs = [p.sr for p in reg.sweep_points]
         assert srs == sorted(srs)          # sweep raises sensing power
@@ -99,11 +101,13 @@ class TestSweeps:
             return waterfill(*args)
 
         monkeypatch.setattr(sn, "waterfill", counting)
-        ul_isac_region(replace(cfg, trials=100), 10.0, 10.0, grid_size=5)
+        cfg = replace(cfg, trials=100)
+        ul_isac_region(cfg, link_draws(cfg, STREAM_UPLINK), 10.0, 10.0, grid_size=5)
         assert len(calls) == 5
 
     def test_fdsac_endpoints(self, cfg):
-        reg = dl_fdsac_region(cfg, 10.0, 10.0, grid_size=5)
+        reg = dl_fdsac_region(cfg, link_draws(cfg, STREAM_DOWNLINK), 10.0, 10.0,
+                              grid_size=5)
         assert reg.sweep_points[0].cr == 0.0   # alpha = 0: no communication
         assert reg.sweep_points[-1].sr == 0.0  # alpha = 1: no sensing
 
@@ -111,15 +115,17 @@ class TestSweeps:
         # p_c = 0 and alpha = 0 both mean interference-free sensing only;
         # p_c = p_c_max and alpha = 1 both mean full-band communication.
         cfg = replace(cfg, trials=20_000)
-        isac = dl_isac_region(cfg, 10.0, 10.0, grid_size=5)
-        fdsac = dl_fdsac_region(cfg, 10.0, 10.0, grid_size=5)
+        draws = link_draws(cfg, STREAM_DOWNLINK)
+        isac = dl_isac_region(cfg, draws, 10.0, 10.0, grid_size=5)
+        fdsac = dl_fdsac_region(cfg, draws, 10.0, 10.0, grid_size=5)
         assert isac.sweep_points[0].sr == pytest.approx(
             fdsac.sweep_points[0].sr, abs=1e-9)
         assert isac.sweep_points[-1].cr == pytest.approx(
             fdsac.sweep_points[-1].cr, abs=1e-9)
 
     def test_ul_fdsac_region_runs(self, cfg):
-        reg = ul_fdsac_region(cfg, 10.0, 10.0, grid_size=5)
+        reg = ul_fdsac_region(cfg, link_draws(cfg, STREAM_UPLINK), 10.0, 10.0,
+                              grid_size=5)
         assert len(reg.sweep_points) == 5
         crs = [p.cr for p in reg.sweep_points]
         srs = [p.sr for p in reg.sweep_points]
@@ -127,11 +133,12 @@ class TestSweeps:
 
     def test_rejects_tiny_grid(self, cfg):
         with pytest.raises(ModelError):
-            dl_isac_region(cfg, 10.0, 10.0, grid_size=1)
+            dl_isac_region(cfg, (), 10.0, 10.0, grid_size=1)
 
 
-# Shared draws.  A sweep draws its link's ergodic set once; every point's
-# estimate is bit for bit the one-point estimate over a fresh draw set.
+# Shared draws.  A sweep averages the ergodic set it is given and draws no
+# channel of its link; every point's estimate is bit for bit the one-point
+# estimate over a fresh draw set.
 TWO_BLOCKS = SimConfig(M=2, N=2, K=2, L=4, trials=chan.BLOCK_SIZE + 37, seed=43)
 
 # sweep, the stream of its ergodic set, and the one-point estimate of each
@@ -152,7 +159,7 @@ SWEEPS = {
 @pytest.mark.parametrize("sweep", SWEEPS)
 def test_a_sweep_draws_its_ergodic_set_once(sweep, drawn):
     region, stream, _ = SWEEPS[sweep]
-    region(TWO_BLOCKS, 10.0, 10.0, grid_size=5)
+    region(TWO_BLOCKS, link_draws(TWO_BLOCKS, stream), 10.0, 10.0, grid_size=5)
     size = chan.BLOCK_SIZE
     assert [k for k in drawn if k[1] != STREAM_COVARIANCE] == \
         [(0, stream, size), (1, stream, 37)]
@@ -162,7 +169,7 @@ def test_a_sweep_draws_its_ergodic_set_once(sweep, drawn):
 def test_each_corner_is_the_one_point_estimate(sweep):
     region, stream, estimate = SWEEPS[sweep]
     cfg = replace(TWO_BLOCKS, seed=44)
-    reg = region(cfg, 10.0, 10.0, grid_size=5)
+    reg = region(cfg, link_draws(cfg, stream), 10.0, 10.0, grid_size=5)
     for g, point in zip(reg.grid, reg.sweep_points):
         est = estimate(link_draws(cfg, stream), cfg, 10.0, g)
         assert (point.cr.hex(), point.cr_se.hex()) == \
@@ -182,7 +189,8 @@ def test_every_mean_covariance_draws_its_own_blocks(drawn, monkeypatch):
         return result
 
     monkeypatch.setattr(dl, "estimate_mean_covariance", counting)
-    reg = dl_isac_region(TWO_BLOCKS, 10.0, 10.0, grid_size=5)
+    reg = dl_isac_region(TWO_BLOCKS, link_draws(TWO_BLOCKS, STREAM_DOWNLINK),
+                         10.0, 10.0, grid_size=5)
     size, cov = chan.BLOCK_SIZE, STREAM_COVARIANCE
     assert [p_c for p_c, _ in calls] == list(reg.grid)
     for p_c, blocks in calls:
@@ -222,7 +230,7 @@ class TestEscapeCause:
             [dl_ecr_fdsac(draws, a, self.P).mean for a in HALVINGS],
             [sr_max - fdsac_sr(rt, cfg.N, cfg.L, self.P, a) for a in HALVINGS])
         _assert_unbounded(fd)
-        ends = [dl_isac_region(cfg, p_c, self.P, grid_size=2).sweep_points
+        ends = [dl_isac_region(cfg, draws, p_c, self.P, grid_size=2).sweep_points
                 for p_c in HALVINGS]
         isac = np.divide([far.cr for _, far in ends],
                          [zero.sr - far.sr for zero, far in ends])
@@ -238,7 +246,7 @@ class TestEscapeCause:
             [fdsac_sr(rt, cfg.N, cfg.L, self.P, a) for a in alphas],
             [cr_max - ul_ecr_fdsac(draws, a, self.P).mean for a in alphas])
         _assert_unbounded(fd)
-        ends = [ul_isac_region(cfg, self.P, p_s, grid_size=2).sweep_points
+        ends = [ul_isac_region(cfg, draws, self.P, p_s, grid_size=2).sweep_points
                 for p_s in HALVINGS]
         isac = np.divide([far.sr for _, far in ends],
                          [zero.cr - far.cr for zero, far in ends])

@@ -8,7 +8,7 @@ from scipy.special import exp1
 
 from isacsim import channel as chan
 from isacsim.channel import SimConfig, exp_correlation
-from isacsim.mc import link_draws
+from isacsim.mc import link_draws, outage_trail
 from isacsim.numerics import ModelError
 from isacsim.sensing import build_waveform, ul_sr
 from isacsim.uplink import (
@@ -115,20 +115,24 @@ class TestRates:
 
 
 class TestOutage:
+    @staticmethod
+    def trail(cfg):
+        return outage_trail(cfg, chan.STREAM_UPLINK)
+
     def test_scalar_rayleigh_oracle(self):
         cfg = scalar_cfg(seed=31)
-        est = ul_outage_prob(cfg, 1.0, 1.0, CLEAN, min_events=2000)
+        est = ul_outage_prob(self.trail(cfg), 1.0, 1.0, CLEAN, min_events=2000)
         assert est.mean == pytest.approx(1.0 - math.exp(-1.0), abs=0.02)
 
     def test_edge_cases(self):
-        cfg = scalar_cfg()
-        assert ul_outage_prob(cfg, 0.0, 1.0, CLEAN).mean == 0.0
-        assert ul_outage_prob(cfg, 1.0, 0.0, CLEAN).mean == 1.0
+        trail = self.trail(scalar_cfg())
+        assert ul_outage_prob(trail, 0.0, 1.0, CLEAN).mean == 0.0
+        assert ul_outage_prob(trail, 1.0, 0.0, CLEAN).mean == 1.0
 
     def test_fdsac_alpha_one_equals_clean_isac(self):
         cfg = SimConfig(M=2, N=2, K=2, L=4, seed=33)
-        a = ul_outage_prob(cfg, 5.0, 10.0, CLEAN, min_events=500)
-        b = ul_outage_prob_fdsac(cfg, 5.0, 1.0, 10.0, min_events=500)
+        a = ul_outage_prob(self.trail(cfg), 5.0, 10.0, CLEAN, min_events=500)
+        b = ul_outage_prob_fdsac(self.trail(cfg), 5.0, 1.0, 10.0, min_events=500)
         assert a.mean == b.mean
 
 
