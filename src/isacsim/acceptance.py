@@ -342,8 +342,7 @@ def _rise_error(lo, hi, coord, predicted):
     ``lo`` and ``hi`` are the same sweep at two powers.  A point whose
     predicted rise is 0 must not move at all.
     """
-    rise = np.array([getattr(b, coord) - getattr(a, coord)
-                     for a, b in zip(lo.sweep_points, hi.sweep_points)])
+    rise = getattr(hi, coord) - getattr(lo, coord)
     predicted = np.broadcast_to(np.asarray(predicted, dtype=float), rise.shape)
     scale = np.where(predicted > 0.0, predicted, 1.0)
     err = np.where(predicted > 0.0, np.abs(rise - predicted) / scale,
@@ -362,9 +361,8 @@ def _dof_step(regions_at, rising, still, dof, fdsac_share):
     (i_lo, f_lo), (i_hi, f_hi) = regions_at(1e3), regions_at(1e4)
     err = max(_rise_error(i_lo, i_hi, rising, dof),
               _rise_error(f_lo, f_hi, rising, fdsac_share(f_lo.grid) * dof))
-    fixed = all(getattr(a, still) == getattr(b, still)
-                for lo, hi in ((i_lo, i_hi), (f_lo, f_hi))
-                for a, b in zip(lo.sweep_points, hi.sweep_points))
+    fixed = all(np.array_equal(getattr(lo, still), getattr(hi, still))
+                for lo, hi in ((i_lo, i_hi), (f_lo, f_hi)))
     return err, fixed
 
 
@@ -372,14 +370,13 @@ def _escape(isac, fdsac):
     """Whether the far ISAC corner lies outside FDSAC by more than the
     3-SE slack, and a note naming the worst FDSAC corner outside ISAC."""
     slack, gaps, escaping = rg.fdsac_escapes(isac, fdsac)
-    far = float(rg.corner_gaps(fdsac, isac.sweep_points[-1:],
+    far = float(rg.corner_gaps(fdsac, isac.cr[-1:], isac.sr[-1:],
                                cr_slack=slack)[0])
     i = int(np.argmax(gaps))
-    worst = fdsac.sweep_points[i]
     note = (f"far corner gap {far:.3f} (slack {slack:.3f}); "
             f"fdsac contained {escaping == 0} ({escaping}/{len(gaps)} "
             f"corners escape), worst alpha {fdsac.grid[i]:.3f} "
-            f"(cr {worst.cr:.3f}, sr {worst.sr:.3f}, gap {gaps[i]:.3f})")
+            f"(cr {fdsac.cr[i]:.3f}, sr {fdsac.sr[i]:.3f}, gap {gaps[i]:.3f})")
     return far > slack, note
 
 

@@ -179,12 +179,9 @@ def _run_sr_vs_snr(cfg, params):
 
 
 def _region_rows(isac, fdsac):
-    rows = []
-    for system, reg in (("isac", isac), ("fdsac", fdsac)):
-        for value, point in zip(reg.grid, reg.sweep_points):
-            rows.append((system, reg.sweep_param, float(value),
-                         point.cr, point.cr_se, point.sr))
-    return rows
+    return [(system, reg.sweep_param, *corner)
+            for system, reg in (("isac", isac), ("fdsac", fdsac))
+            for corner in zip(reg.grid, reg.cr, reg.cr_se, reg.sr)]
 
 
 def _log_containment(link, isac, fdsac):

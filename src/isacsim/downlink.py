@@ -20,7 +20,6 @@ from .mc import MonteCarloEstimate
 from .numerics import ModelError
 
 __all__ = [
-    "PowerAllocation",
     "MeanInputCovariance",
     "MonteCarloEstimate",
     "dual_mac_power_alloc",
@@ -39,14 +38,6 @@ __all__ = [
 
 EULER_GAMMA = float(np.euler_gamma)
 LN2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class PowerAllocation:
-    """Per-user powers of the dual multiple-access problem: (K,) or (..., K)."""
-
-    powers: np.ndarray
-    sum_budget: float
 
 
 @dataclass(frozen=True)
@@ -214,20 +205,20 @@ def _alloc_pairwise(h, p_c):
         f"{_MAX_ITER} iterations (worst gap {np.max(gap):.3e} bits)")
 
 
-def dual_mac_power_alloc(h_d, p_c) -> PowerAllocation:
+def dual_mac_power_alloc(h_d, p_c) -> np.ndarray:
     """Sum-rate maximizing powers for the dual multiple-access problem.
 
     Maximizes log2 det(I_M + sum_k p_k h_k h_k^H) over p_k >= 0 with
     sum(p_k) = p_c.  ``h_d`` is one channel (M, K) or a stack (..., M, K);
-    the powers are (K,) or (..., K).  K = 1 and K = 2 are solved in closed
-    form.  Larger K is solved for the whole stack at once by greedy
-    two-user water-filling: each step moves power between the users with
-    the largest and the smallest gradient by the exact two-user optimum,
-    or, where it gains at least as much, takes the Newton step on the users
-    with power, cut to keep every power nonnegative.  Every returned
-    allocation is certified by its Frank-Wolfe gap to lie within 1e-9 bits
-    of the optimum; ArithmeticError is raised if any channel is not
-    certified within 50,000 steps.
+    returns the powers as an array (K,) or (..., K).  K = 1 and K = 2 are
+    solved in closed form.  Larger K is solved for the whole stack at once
+    by greedy two-user water-filling: each step moves power between the
+    users with the largest and the smallest gradient by the exact two-user
+    optimum, or, where it gains at least as much, takes the Newton step on
+    the users with power, cut to keep every power nonnegative.  Every
+    returned allocation is certified by its Frank-Wolfe gap to lie within
+    1e-9 bits of the optimum; ArithmeticError is raised if any channel is
+    not certified within 50,000 steps.
     """
     h = np.asarray(h_d, dtype=complex)
     if p_c < 0.0:
@@ -235,15 +226,13 @@ def dual_mac_power_alloc(h_d, p_c) -> PowerAllocation:
     shape = h.shape[:-2] + h.shape[-1:]
     k = shape[-1]
     if p_c == 0.0:
-        powers = np.zeros(shape)
-    elif k == 1:
-        powers = np.full(shape, float(p_c))
-    elif k == 2:
+        return np.zeros(shape)
+    if k == 1:
+        return np.full(shape, float(p_c))
+    if k == 2:
         t = _two_user_terms(h, p_c)[0]
-        powers = np.stack([t, p_c - t], axis=-1)
-    else:
-        powers = _alloc_pairwise(h, p_c)
-    return PowerAllocation(powers=powers, sum_budget=float(p_c))
+        return np.stack([t, p_c - t], axis=-1)
+    return _alloc_pairwise(h, p_c)
 
 
 def dl_sum_rate(h_d, p_c):
@@ -253,7 +242,7 @@ def dl_sum_rate(h_d, p_c):
     allocated in one ``dual_mac_power_alloc`` call.
     """
     h = np.asarray(h_d, dtype=complex)
-    rate = _objective(h, dual_mac_power_alloc(h, p_c).powers)
+    rate = _objective(h, dual_mac_power_alloc(h, p_c))
     return float(rate) if h.ndim == 2 else rate
 
 
@@ -278,8 +267,9 @@ def dl_sum_rate_batch(h_batch, p_c):
 # Duality transformation and the mean input covariance
 # ---------------------------------------------------------------------------
 
-def mac_to_bc_covariance(h_d, alloc: PowerAllocation):
-    """Downlink input covariance realizing the dual-MAC sum rate.
+def mac_to_bc_covariance(h_d, powers, p_c):
+    """Downlink input covariance realizing the dual-MAC sum rate of the
+    powers (``dual_mac_power_alloc``) that share the budget p_c.
 
     The MAC-to-broadcast duality of Vishwanath, Jindal and Goldsmith (IEEE
     T-IT 49(10), 2003), over users in index order: user k's rank-one
@@ -301,11 +291,11 @@ def mac_to_bc_covariance(h_d, alloc: PowerAllocation):
     """
     h = np.asarray(h_d, dtype=complex)
     m, k_users = h.shape[-2:]
-    powers = np.asarray(alloc.powers, dtype=float)
+    powers = np.asarray(powers, dtype=float)
     if powers.shape != h.shape[:-2] + (k_users,) or np.any(powers < -1e-12):
         raise ModelError("allocation does not match the channel")
     p = [powers[..., k] for k in range(k_users)]
-    if np.any(sum(p) > alloc.sum_budget + 1e-9):
+    if np.any(sum(p) > p_c + 1e-9):
         raise ModelError("allocation exceeds its budget")
 
     cols = [[h[..., i, k] for i in range(m)] for k in range(k_users)]
@@ -376,7 +366,8 @@ def estimate_mean_covariance(cfg: chan.SimConfig, p_c=None,
 
     acc = np.zeros((m, m), dtype=complex)
     for h in mc.blocks(cfg.r_cu(), cfg.K, cfg.seed, chan.STREAM_COVARIANCE, trials):
-        acc += np.sum(mac_to_bc_covariance(h, dual_mac_power_alloc(h, p_c)), axis=0)
+        powers = dual_mac_power_alloc(h, p_c)
+        acc += np.sum(mac_to_bc_covariance(h, powers, p_c), axis=0)
     sigma = acc / trials
     result = MeanInputCovariance(sigma_matrix=sigma, trials_used=trials, p_c=p_c)
     _sigma_cache[key] = result

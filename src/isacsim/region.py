@@ -4,9 +4,10 @@ Each region is a one-parameter sweep of (ECR, SR) operating points: the
 power split (ISAC) or the bandwidth share alpha (FDSAC).  A sweep takes
 its link's draw set (``mc.link_draws``), which the ISAC and FDSAC sweeps of
 a link can share, and every point's ECR averages the same draws, each as
-its own estimate would.  The region is
-the downward-closed union of the rectangles [0, cr_i] x [0, sr_i], so
-containment reduces to corner dominance (``corner_gaps``).
+its own estimate would.  A region holds its corners as columns over the
+sweep grid; it is the downward-closed union of the rectangles
+[0, cr_i] x [0, sr_i], so containment reduces to corner dominance
+(``corner_gaps``).
 
 The corners are achievable, not Pareto-optimal: the model can beat them.
 At the paper's operating point (p_c = 5 dB, sensing budget 10) the uplink
@@ -28,7 +29,6 @@ from .channel import SimConfig
 from .numerics import ModelError
 
 __all__ = [
-    "RatePoint",
     "RateRegion",
     "dl_isac_region",
     "ul_isac_region",
@@ -42,28 +42,28 @@ DEFAULT_GRID = 41
 
 
 @dataclass(frozen=True)
-class RatePoint:
-    """One (communication rate, sensing rate) corner; cr_se tracks the
-    Monte Carlo standard error of the stochastic coordinate."""
-
-    cr: float
-    sr: float
-    cr_se: float = 0.0
-
-
-@dataclass(frozen=True)
 class RateRegion:
-    """Corners of one sweep: ``sweep_points[i]`` is the corner at
-    ``sweep_param`` = ``grid[i]``."""
+    """Corners of one sweep as columns: the corner at ``sweep_param`` =
+    ``grid[i]`` has communication rate ``cr[i]``, with Monte Carlo standard
+    error ``cr_se[i]``, and sensing rate ``sr[i]``."""
 
-    sweep_points: tuple
     sweep_param: str
     grid: np.ndarray
+    cr: np.ndarray
+    cr_se: np.ndarray
+    sr: np.ndarray
 
 
-def _check_grid(grid_size):
+def _sweep(param, lo, hi, grid_size, corner) -> RateRegion:
+    # one corner per grid value x in [lo, hi]: corner(x) -> (ECR estimate, SR)
     if grid_size < 2:
         raise ModelError("grid_size must be >= 2")
+    grid = np.linspace(lo, hi, grid_size)
+    columns = np.empty((3, grid_size))
+    for i, x in enumerate(grid):
+        est, sr = corner(x)
+        columns[:, i] = est.mean, est.std_error, sr
+    return RateRegion(param, grid, *columns)
 
 
 def dl_isac_region(cfg: SimConfig, draws, p_c_max, p_s_max,
@@ -74,16 +74,10 @@ def dl_isac_region(cfg: SimConfig, draws, p_c_max, p_s_max,
     Higher communication power raises the sensing interference through the
     mean input covariance, so sr falls as cr grows along the sweep.
     """
-    _check_grid(grid_size)
-    grid = np.linspace(0.0, p_c_max, grid_size)
     rt = cfg.r_target()
-    points = []
-    for p_c in grid:
-        est = dl.dl_ecr(draws, p_c)
-        noise = dl.sensing_noise(cfg, p_c)
-        sr, _ = sn.dl_sr(rt, cfg.N, cfg.L, p_s_max, noise)
-        points.append(RatePoint(cr=est.mean, sr=sr, cr_se=est.std_error))
-    return RateRegion(tuple(points), "p_c", grid)
+    return _sweep("p_c", 0.0, p_c_max, grid_size, lambda p_c: (
+        dl.dl_ecr(draws, p_c),
+        sn.dl_sr(rt, cfg.N, cfg.L, p_s_max, dl.sensing_noise(cfg, p_c))[0]))
 
 
 def ul_isac_region(cfg: SimConfig, draws, p_c_max, p_s_max,
@@ -94,55 +88,46 @@ def ul_isac_region(cfg: SimConfig, draws, p_c_max, p_s_max,
     Higher sensing power raises the slot noise seen by the uplink decoder,
     so cr falls as sr grows along the sweep.
     """
-    _check_grid(grid_size)
-    grid = np.linspace(0.0, p_s_max, grid_size)
     rt = cfg.r_target()
-    points = []
-    for p_s in grid:
+
+    def corner(p_s):
         sr, rho2 = ul.sensing_profile(rt, cfg.N, cfg.L, p_s)
-        est = ul.ul_ecr(draws, p_c_max, rho2)
-        points.append(RatePoint(cr=est.mean, sr=sr, cr_se=est.std_error))
-    return RateRegion(tuple(points), "p_s", grid)
+        return ul.ul_ecr(draws, p_c_max, rho2), sr
 
-
-def _fdsac_region(ecr_fdsac, cfg, draws, p_c, p_s, grid_size) -> RateRegion:
-    # sweep the bandwidth share alpha in [0, 1] of one link's baseline
-    _check_grid(grid_size)
-    grid = np.linspace(0.0, 1.0, grid_size)
-    rt = cfg.r_target()
-    points = []
-    for alpha in grid:
-        est = ecr_fdsac(draws, alpha, p_c)
-        sr = sn.fdsac_sr(rt, cfg.N, cfg.L, p_s, alpha)
-        points.append(RatePoint(cr=est.mean, sr=sr, cr_se=est.std_error))
-    return RateRegion(tuple(points), "alpha", grid)
+    return _sweep("p_s", 0.0, p_s_max, grid_size, corner)
 
 
 def dl_fdsac_region(cfg: SimConfig, draws, p_c, p_s,
                     grid_size=DEFAULT_GRID) -> RateRegion:
     """Downlink bandwidth-split region: sweep alpha in [0, 1] over the
     downlink draw set ``draws``."""
-    return _fdsac_region(dl.dl_ecr_fdsac, cfg, draws, p_c, p_s, grid_size)
+    rt = cfg.r_target()
+    return _sweep("alpha", 0.0, 1.0, grid_size, lambda alpha: (
+        dl.dl_ecr_fdsac(draws, alpha, p_c),
+        sn.fdsac_sr(rt, cfg.N, cfg.L, p_s, alpha)))
 
 
 def ul_fdsac_region(cfg: SimConfig, draws, p_c, p_s,
                     grid_size=DEFAULT_GRID) -> RateRegion:
     """Uplink bandwidth-split region: sweep alpha in [0, 1] over the uplink
     draw set ``draws``."""
-    return _fdsac_region(ul.ul_ecr_fdsac, cfg, draws, p_c, p_s, grid_size)
+    rt = cfg.r_target()
+    return _sweep("alpha", 0.0, 1.0, grid_size, lambda alpha: (
+        ul.ul_ecr_fdsac(draws, alpha, p_c),
+        sn.fdsac_sr(rt, cfg.N, cfg.L, p_s, alpha)))
 
 
-def corner_gaps(outer: RateRegion, points, cr_slack=0.0) -> np.ndarray:
-    """Dominance shortfall of each point against the outer region.
+def corner_gaps(outer: RateRegion, cr, sr, cr_slack=0.0) -> np.ndarray:
+    """Dominance shortfall of each point (cr[i], sr[i]) against the outer
+    region.
 
-    A point's gap is min over outer corners q of
-    max(cr - q.cr - cr_slack, sr - q.sr): <= 0 when some corner dominates
-    it, otherwise the distance it pokes outside along the cheaper axis.
+    A point's gap is the min over outer corners j of
+    max(cr[i] - outer.cr[j] - cr_slack, sr[i] - outer.sr[j]): <= 0 when
+    some corner dominates it, otherwise the distance it pokes outside along
+    the cheaper axis.
     """
-    return np.array([
-        min(max(p.cr - q.cr - cr_slack, p.sr - q.sr) for q in outer.sweep_points)
-        for p in points
-    ], dtype=float)
+    return np.min(np.maximum(cr[:, None] - outer.cr - cr_slack,
+                             sr[:, None] - outer.sr), axis=1)
 
 
 def fdsac_escapes(isac: RateRegion, fdsac: RateRegion):
@@ -152,6 +137,6 @@ def fdsac_escapes(isac: RateRegion, fdsac: RateRegion):
     Returns the slack, each FDSAC corner's gap against the ISAC region
     (``corner_gaps``) and the number of corners whose gap exceeds 1e-6.
     """
-    slack = 3.0 * max(p.cr_se for p in isac.sweep_points + fdsac.sweep_points)
-    gaps = corner_gaps(isac, fdsac.sweep_points, cr_slack=slack)
+    slack = 3.0 * max(isac.cr_se.max(), fdsac.cr_se.max())
+    gaps = corner_gaps(isac, fdsac.cr, fdsac.sr, cr_slack=slack)
     return slack, gaps, int(np.count_nonzero(gaps > 1e-6))

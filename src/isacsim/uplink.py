@@ -6,7 +6,8 @@ the radar echo, which raises the noise of slot l to 1 + s_l^H R_T s_l.  The
 one waveform built here (``sensing.build_waveform``) spreads its power
 evenly over the slots, so every slot carries the same
 rho2 = 1 + tr(S^H R_T S) / L, and the ISAC rate is the interference-free
-log det at power p_c / rho2.
+log det at power p_c / rho2.  One kernel, ``ul_rate_batch``, computes it;
+the FDSAC rate is the same kernel at rho2 = 1.
 """
 
 from __future__ import annotations
@@ -47,15 +48,25 @@ def sensing_profile(r_target, n_rx, n_slots, p_s) -> tuple[float, float]:
     return sr, 1.0 + float(np.real(np.vdot(s, rt @ s))) / n_slots
 
 
-def _logdet_batch(h_batch, scale):
-    """log2 det(I_N + scale * H H^H) over a batch (T, N, K).
+def ul_rate_batch(h_batch, p_c, rho2):
+    """Vectorized uplink sum rate over a batch of channels (T, N, K): the
+    interference-free log2 det(I_N + (p_c / rho2) H H^H) at slot noise
+    rho2 >= 1.  The ISAC rate sees its waveform's rho2; the FDSAC rate, on
+    a sub-band free of radar interference, rho2 = 1.
 
     For N = 2 the Gram entries are formed in real arithmetic, x * conj(y)
     as (xr*yr - xi*(-yi), xr*(-yi) + xi*yr) and |g12| by np.abs of the
     complex sum: these round exactly as the einsum Gram of the other
     branches, which numpy's ``x * y.conj()`` and ``np.hypot`` do not.
     """
+    if p_c < 0.0:
+        raise ModelError("p_c must be nonnegative")
+    if rho2 < 1.0:
+        raise ModelError("slot noise must be >= 1")
     h = np.asarray(h_batch, dtype=complex)
+    if p_c == 0.0:
+        return np.zeros(h.shape[0])
+    scale = p_c / rho2
     n = h.shape[1]
     if n == 2:
         xr, xi = h[:, 0].real, h[:, 0].imag
@@ -83,18 +94,6 @@ def _sum_columns(terms):
     return total
 
 
-def ul_rate_batch(h_batch, p_c, rho2):
-    """Vectorized uplink ISAC sum rate over a batch of channels: the
-    interference-free log det at power p_c / rho2, for slot noise rho2 >= 1."""
-    if p_c < 0.0:
-        raise ModelError("p_c must be nonnegative")
-    if rho2 < 1.0:
-        raise ModelError("slot noise must be >= 1")
-    if p_c == 0.0:
-        return np.zeros(np.asarray(h_batch).shape[0])
-    return _logdet_batch(h_batch, p_c / rho2)
-
-
 def ul_outage_prob(trail, r_target, p_c, rho2, min_events=200,
                    max_trials=10_000_000) -> MonteCarloEstimate:
     """Probability that the uplink ISAC sum rate at slot noise rho2 falls
@@ -106,10 +105,10 @@ def ul_outage_prob(trail, r_target, p_c, rho2, min_events=200,
 
 def ul_outage_prob_fdsac(trail, r_target, alpha, p_c, min_events=200,
                          max_trials=10_000_000) -> MonteCarloEstimate:
-    """Outage of the bandwidth-split uplink baseline (interference-free)
-    over an uplink outage trail."""
-    return mc.outage(trail, chan.STREAM_UPLINK, _logdet_batch, r_target, p_c,
-                     alpha, min_events, max_trials)
+    """Outage of the bandwidth-split uplink baseline (interference-free,
+    rho2 = 1) over an uplink outage trail."""
+    return mc.outage(trail, chan.STREAM_UPLINK, ul_rate_batch, r_target, p_c,
+                     alpha, min_events, max_trials, (1.0,))
 
 
 def ul_ecr(draws, p_c, rho2) -> MonteCarloEstimate:
@@ -136,4 +135,4 @@ def ul_ecr_fdsac(draws, alpha, p_c) -> MonteCarloEstimate:
     Per trial: alpha * log2 det(I_N + (p_c / alpha) H_u H_u^H); the
     communication sub-band sees no radar interference.
     """
-    return mc.ergodic(draws, _logdet_batch, p_c, alpha)
+    return mc.ergodic(draws, lambda h, p: ul_rate_batch(h, p, 1.0), p_c, alpha)

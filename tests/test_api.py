@@ -294,10 +294,21 @@ def _package_function(qualified):
 
 
 def test_the_bench_tracer_still_binds_what_it_counts():
-    # The tracer counts trials by binding the estimators' p_c by name and
-    # reading the covariance estimate's p_c and trials_used; a rename here
-    # would break its trial count, which only bench/tests would see.
+    # The tracer wraps each function of TRACED, keyed by the function object,
+    # counts trials by binding the estimators' p_c by name, reads the
+    # covariance estimate's p_c and trials_used, and counts region points by
+    # len(result.grid).  A rename, a deletion or an alias here would break
+    # its spans or its trial count, which only bench/tests would see.
     tracer = _bench_tracer()
+    traced = [f"{layer}.{name}" for layer, names in tracer.TRACED.items()
+              for name in names]
+    functions = {name: _package_function(name) for name in traced}
+    for name, fn in functions.items():
+        assert inspect.isfunction(fn), name
+        assert fn.__module__ == "isacsim." + name.split(".")[0], name
+    assert len(set(functions.values())) == len(traced)
+    from isacsim.region import RateRegion
+    assert "grid" in {f.name for f in dataclasses.fields(RateRegion)}
     estimators = tracer.DL_MC + tracer.UL_MC + (tracer.COVARIANCE,)
     originals = {name: _package_function(name) for name in estimators}
     for names in (None, tracer.COUNTED):

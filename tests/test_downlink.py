@@ -10,7 +10,6 @@ from isacsim import channel as chan
 from isacsim import downlink as dl
 from isacsim.channel import SimConfig
 from isacsim.downlink import (
-    PowerAllocation,
     dl_ecr,
     dl_ecr_asymptote,
     dl_ecr_fdsac,
@@ -84,19 +83,19 @@ def _dpc_rate(h, covariances):
 
 class TestDualMacAlloc:
     def test_symmetric_orthogonal(self):
-        alloc = dual_mac_power_alloc(np.eye(2, dtype=complex), 2.0)
-        assert np.allclose(alloc.powers, [1.0, 1.0])
+        powers = dual_mac_power_alloc(np.eye(2, dtype=complex), 2.0)
+        assert np.allclose(powers, [1.0, 1.0])
 
     def test_hand_solved_orthogonal_unequal(self):
         h = np.array([[1.0, 0.0], [0.0, 2.0]], dtype=complex)
-        alloc = dual_mac_power_alloc(h, 1.0)
-        assert np.allclose(alloc.powers, [0.125, 0.875], atol=1e-9)
+        powers = dual_mac_power_alloc(h, 1.0)
+        assert np.allclose(powers, [0.125, 0.875], atol=1e-9)
         assert dl_sum_rate(h, 1.0) == pytest.approx(math.log2(5.0625), abs=1e-9)
 
     def test_aligned_channels(self):
         h = np.array([[1.0, 2.0], [0.0, 0.0]], dtype=complex)
-        alloc = dual_mac_power_alloc(h, 1.0)
-        assert np.allclose(alloc.powers, [0.0, 1.0])
+        powers = dual_mac_power_alloc(h, 1.0)
+        assert np.allclose(powers, [0.0, 1.0])
         assert dl_sum_rate(h, 1.0) == pytest.approx(math.log2(5.0), abs=1e-9)
 
     def test_three_users_beats_random_allocations(self):
@@ -118,7 +117,7 @@ class TestDualMacAlloc:
         h[:100, :, -1] *= 0.05  # a weak user, left without power at low p_c
         inactive_seen = 0
         for p_c in (0.3, 10.0, 1e4):
-            p = dual_mac_power_alloc(h, p_c).powers
+            p = dual_mac_power_alloc(h, p_c)
             assert np.all(p >= 0.0)
             assert np.allclose(p.sum(axis=-1), p_c, rtol=1e-12, atol=0.0)
             grad = _gradient(h, p)
@@ -164,7 +163,7 @@ class TestDualMacAlloc:
         for p_db in (-20.0, 0.0, 30.0, 60.0):
             p_c = 10.0 ** (p_db / 10.0)
             certified = rate(dl._alloc_pairwise(h, p_c))  # within 1e-9 of the optimum
-            for closed in (rate(dual_mac_power_alloc(h, p_c).powers),
+            for closed in (rate(dual_mac_power_alloc(h, p_c)),
                            dl_sum_rate_batch(h, p_c)):
                 assert np.min(closed - certified) >= -1e-12
                 assert np.max(closed - certified) <= 1e-9
@@ -191,11 +190,11 @@ class TestNewtonSteps:
         h = np.repeat(_channels(3, 3, 0.8, 1, seed=21), 3, axis=0)
         h[1, :, 1] = h[1, :, 0]
         h[2, :, 2] = 0.0
-        p = dual_mac_power_alloc(h, p_c).powers
+        p = dual_mac_power_alloc(h, p_c)
         q = np.diagonal(dl._gram(h, p), axis1=-2, axis2=-1).real
         assert np.max(dl._fw_gap(q, p, p_c)) <= 1e-9
         for t in range(len(h)):
-            alone = dual_mac_power_alloc(h[t], p_c).powers
+            alone = dual_mac_power_alloc(h[t], p_c)
             assert alone.tobytes() == p[t].tobytes()
 
     def test_no_step_gains_less_than_the_pair_step(self, monkeypatch):
@@ -264,7 +263,7 @@ class TestAllocationProperties:
         m, k_users = dims
         h = _stack(m, k_users, rho, seed)
         p_c = 10.0 ** (snr_db / 10.0)
-        p = dual_mac_power_alloc(h, p_c).powers
+        p = dual_mac_power_alloc(h, p_c)
         assert np.all(p >= 0.0)
         assert np.allclose(p.sum(axis=-1), p_c, rtol=1e-12, atol=0.0)
         q = np.diagonal(dl._gram(h, p), axis1=-2, axis2=-1).real
@@ -279,15 +278,15 @@ class TestAllocationProperties:
         m, k_users = dims
         h = _stack(m, k_users, rho, seed)
         p_c = 10.0 ** (snr_db / 10.0)
-        alloc = dual_mac_power_alloc(h, p_c)
-        sigma = mac_to_bc_covariance(h, alloc)
+        powers = dual_mac_power_alloc(h, p_c)
+        sigma = mac_to_bc_covariance(h, powers, p_c)
         trace = np.trace(sigma, axis1=-2, axis2=-1)
         # rounding grows with the conditioning: 3e-10 relative and 1e-9 bits
         # at worst over 600 draws at rho = 0.999 and 60 dB
-        assert np.allclose(trace.real, alloc.powers.sum(axis=-1), rtol=1e-8, atol=0.0)
+        assert np.allclose(trace.real, powers.sum(axis=-1), rtol=1e-8, atol=0.0)
         mac_rate = dl_sum_rate(h, p_c)
         for t in range(len(h)):
-            qs = _per_user_covariances(h[t], alloc.powers[t])
+            qs = _per_user_covariances(h[t], powers[t])
             assert np.max(np.abs(sum(qs) - sigma[t])) <= 1e-8 * p_c
             assert _dpc_rate(h[t], qs) == pytest.approx(mac_rate[t], abs=1e-8)
 
@@ -311,14 +310,13 @@ class TestBatchRate:
 class TestDuality:
     def test_single_user_beamforming(self):
         h = np.array([[1.0], [2.0]], dtype=complex)
-        alloc = dual_mac_power_alloc(h, 3.0)
-        sigma = mac_to_bc_covariance(h, alloc)
+        sigma = mac_to_bc_covariance(h, dual_mac_power_alloc(h, 3.0), 3.0)
         expect = 3.0 * np.outer(h[:, 0], h[:, 0].conj()) / 5.0
         assert np.allclose(sigma, expect, atol=1e-9)
 
     def test_decoupled_users(self):
-        alloc = dual_mac_power_alloc(np.eye(2, dtype=complex), 2.0)
-        sigma = mac_to_bc_covariance(np.eye(2, dtype=complex), alloc)
+        h = np.eye(2, dtype=complex)
+        sigma = mac_to_bc_covariance(h, dual_mac_power_alloc(h, 2.0), 2.0)
         assert np.allclose(sigma, np.eye(2), atol=1e-9)
 
     def test_trace_and_rate_preserved(self):
@@ -327,12 +325,11 @@ class TestDuality:
             h = (rng.standard_normal((2, 2))
                  + 1j * rng.standard_normal((2, 2))) / np.sqrt(2.0)
             p_c = float(rng.uniform(0.5, 20.0))
-            alloc = dual_mac_power_alloc(h, p_c)
-            sigma = mac_to_bc_covariance(h, alloc)
-            assert np.trace(sigma).real == pytest.approx(alloc.powers.sum(),
-                                                         abs=1e-6)
+            powers = dual_mac_power_alloc(h, p_c)
+            sigma = mac_to_bc_covariance(h, powers, p_c)
+            assert np.trace(sigma).real == pytest.approx(powers.sum(), abs=1e-6)
             assert np.min(np.linalg.eigvalsh(sigma)) > -1e-9
-            qs = _per_user_covariances(h, alloc.powers)
+            qs = _per_user_covariances(h, powers)
             assert np.allclose(sum(qs), sigma, atol=1e-8)
             assert _dpc_rate(h, qs) == pytest.approx(
                 dl_sum_rate(h, p_c), abs=1e-6)
@@ -346,23 +343,26 @@ class TestDuality:
         if k_users > 1:
             h[1, :, 1] = (0.7 - 0.2j) * h[1, :, 0]  # rank-deficient: gamma = 0
         alloc = dual_mac_power_alloc(h, 5.0)
-        powers = alloc.powers.copy()
+        powers = alloc.copy()
         powers[2, 0] = 0.0  # a zero-power user
-        sigma = mac_to_bc_covariance(h, PowerAllocation(powers, 5.0))
-        assert alloc.powers.shape == (6, k_users) and sigma.shape == (6, m, m)
+        sigma = mac_to_bc_covariance(h, powers, 5.0)
+        assert alloc.shape == (6, k_users) and sigma.shape == (6, m, m)
         for t in range(6):
-            single = dual_mac_power_alloc(h[t], 5.0).powers
-            assert np.max(np.abs(single - alloc.powers[t])) <= 1e-12
-            one = mac_to_bc_covariance(h[t], PowerAllocation(powers[t], 5.0))
+            single = dual_mac_power_alloc(h[t], 5.0)
+            assert np.max(np.abs(single - alloc[t])) <= 1e-12
+            one = mac_to_bc_covariance(h[t], powers[t], 5.0)
             oracle = sum(_per_user_covariances(h[t], powers[t]))
             assert np.max(np.abs(sigma[t] - one)) <= 1e-12
             assert np.max(np.abs(sigma[t] - oracle)) <= 1e-12
 
     def test_rejects_infeasible_alloc(self):
         h = np.eye(2, dtype=complex)
-        bad = PowerAllocation(powers=np.array([2.0, 2.0]), sum_budget=1.0)
-        with pytest.raises(ModelError):
-            mac_to_bc_covariance(h, bad)
+        with pytest.raises(ModelError, match="budget"):
+            mac_to_bc_covariance(h, [2.0, 2.0], 1.0)
+        with pytest.raises(ModelError, match="match"):
+            mac_to_bc_covariance(h, [1.0, 0.0, 0.0], 1.0)  # one power per user
+        with pytest.raises(ModelError, match="match"):
+            mac_to_bc_covariance(h, [1.0, -0.5], 1.0)
 
 
 class TestLayoutBytes:
@@ -380,11 +380,10 @@ class TestLayoutBytes:
         for p_c in (1e-2, 1.0, 1e2, 1e6):
             assert dl_sum_rate_batch(h, p_c).tobytes() == \
                 dl_sum_rate_batch(copy, p_c).tobytes()
-            alloc = dual_mac_power_alloc(h, p_c)
-            assert alloc.powers.tobytes() == \
-                dual_mac_power_alloc(copy, p_c).powers.tobytes()
-            assert mac_to_bc_covariance(h, alloc).tobytes() == \
-                mac_to_bc_covariance(copy, alloc).tobytes()
+            powers = dual_mac_power_alloc(h, p_c)
+            assert powers.tobytes() == dual_mac_power_alloc(copy, p_c).tobytes()
+            assert mac_to_bc_covariance(h, powers, p_c).tobytes() == \
+                mac_to_bc_covariance(copy, powers, p_c).tobytes()
 
 
 class TestMeanCovariance:
@@ -410,7 +409,7 @@ class TestMeanCovariance:
         acc = np.zeros((m, m), dtype=complex)
         for t in range(trials):
             h = blocks[t // block][t % block]
-            acc += sum(_per_user_covariances(h, dual_mac_power_alloc(h, 4.0).powers))
+            acc += sum(_per_user_covariances(h, dual_mac_power_alloc(h, 4.0)))
         assert est.trials_used == trials
         assert np.max(np.abs(est.sigma_matrix - acc / trials)) <= 1e-12
 

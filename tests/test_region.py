@@ -12,11 +12,11 @@ from isacsim.downlink import dl_ecr_fdsac
 from isacsim.mc import link_draws
 from isacsim.numerics import ModelError
 from isacsim.region import (
-    RatePoint,
     RateRegion,
     corner_gaps,
     dl_fdsac_region,
     dl_isac_region,
+    fdsac_escapes,
     ul_fdsac_region,
     ul_isac_region,
 )
@@ -24,45 +24,88 @@ from isacsim.sensing import fdsac_sr
 from isacsim.uplink import ul_ecr_fdsac
 
 
-def make_region(pairs):
-    pts = tuple(RatePoint(cr=c, sr=s) for c, s in pairs)
-    return RateRegion(pts, "x", np.arange(len(pts), dtype=float))
+def make_region(cr, sr, cr_se=None):
+    cr, sr = np.asarray(cr, dtype=float), np.asarray(sr, dtype=float)
+    cr_se = np.zeros_like(cr) if cr_se is None else cr_se
+    return RateRegion("x", np.arange(len(cr), dtype=float), cr, cr_se, sr)
 
 
 def worst_gap(outer, inner, cr_slack=0.0):
-    return float(np.max(corner_gaps(outer, inner.sweep_points, cr_slack)))
+    return float(np.max(corner_gaps(outer, inner.cr, inner.sr, cr_slack)))
+
+
+def loop_gaps(outer, cr, sr, cr_slack=0.0):
+    # oracle: the pairwise loop over corners in Python floats, min over outer
+    # corners q of max(cr - q.cr - cr_slack, sr - q.sr)
+    corners = list(zip(outer.cr.tolist(), outer.sr.tolist()))
+    return np.array([min(max(c - q_cr - cr_slack, s - q_sr) for q_cr, q_sr in corners)
+                     for c, s in zip(cr.tolist(), sr.tolist())], dtype=float)
+
+
+def random_region(rng, n, tied):
+    # unsorted corners; tied ones take few distinct values, so differences
+    # and the two coordinates' shortfalls often tie exactly
+    if tied:
+        cr, sr = 0.5 * rng.integers(0, 4, (2, n))
+    else:
+        cr, sr = 3.0 * rng.random((2, n))
+    return make_region(cr, sr, 0.01 * rng.random(n))
 
 
 class TestStaircaseGeometry:
     def test_contains_point(self):
-        reg = make_region([(1.0, 2.0), (2.0, 1.0)])
-        gaps = corner_gaps(reg, [RatePoint(1.5, 0.9), RatePoint(0.5, 1.8),
-                                 RatePoint(1.5, 1.5)])
+        reg = make_region([1.0, 2.0], [2.0, 1.0])
+        gaps = corner_gaps(reg, np.array([1.5, 0.5, 1.5]), np.array([0.9, 1.8, 1.5]))
         assert gaps[0] <= 0.0 and gaps[1] <= 0.0
         assert gaps[2] == pytest.approx(0.5)
 
     def test_gap_ignores_point_order(self):
-        pairs = [(0.0, 3.0), (1.0, 2.0), (2.0, 1.0), (3.0, 0.0)]
-        points = [RatePoint(c + 0.3, s + 0.1) for c, s in pairs]
-        forward = corner_gaps(make_region(pairs), points)
-        backward = corner_gaps(make_region(pairs[::-1]), points)
+        cr, sr = np.array([0.0, 1.0, 2.0, 3.0]), np.array([3.0, 2.0, 1.0, 0.0])
+        forward = corner_gaps(make_region(cr, sr), cr + 0.3, sr + 0.1)
+        backward = corner_gaps(make_region(cr[::-1], sr[::-1]), cr + 0.3, sr + 0.1)
         assert np.array_equal(forward, backward)
+
+
+class TestDominanceOracle:
+    # the broadcast dominance gives the pairwise loop's bytes
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n_outer", [1, 2, 41])
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("cr_slack", [0.0, 0.25, 0.0123])
+    def test_corner_gaps_match_the_loop(self, seed, n_outer, tied, cr_slack):
+        rng = np.random.default_rng(seed)
+        outer = random_region(rng, n_outer, tied)
+        inner = random_region(rng, 17, tied)
+        gaps = corner_gaps(outer, inner.cr, inner.sr, cr_slack)
+        assert gaps.tobytes() == loop_gaps(outer, inner.cr, inner.sr, cr_slack).tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_fdsac_escapes_match_the_loop(self, seed, tied):
+        rng = np.random.default_rng(seed)
+        isac, fdsac = random_region(rng, 41, tied), random_region(rng, 41, tied)
+        slack, gaps, outside = fdsac_escapes(isac, fdsac)
+        expect = 3.0 * max(isac.cr_se.tolist() + fdsac.cr_se.tolist())
+        assert slack == expect
+        oracle = loop_gaps(isac, fdsac.cr, fdsac.sr, expect)
+        assert gaps.tobytes() == oracle.tobytes()
+        assert outside == sum(g > 1e-6 for g in oracle.tolist())
 
 
 class TestContainment:
     def test_nested(self):
-        outer = make_region([(2.0, 2.0)])
-        inner = make_region([(1.0, 1.5), (1.5, 1.0)])
+        outer = make_region([2.0], [2.0])
+        inner = make_region([1.0, 1.5], [1.5, 1.0])
         assert worst_gap(outer, inner) <= 0.0
 
     def test_violation_reports_gap(self):
-        outer = make_region([(1.0, 1.0)])
-        inner = make_region([(1.0, 1.4)])
+        outer = make_region([1.0], [1.0])
+        inner = make_region([1.0], [1.4])
         assert worst_gap(outer, inner) == pytest.approx(0.4)
 
     def test_cr_slack_forgives_stochastic_overshoot(self):
-        outer = make_region([(1.0, 1.0)])
-        inner = make_region([(1.05, 0.9)])
+        outer = make_region([1.0], [1.0])
+        inner = make_region([1.05], [0.9])
         assert worst_gap(outer, inner) > 0.0
         assert worst_gap(outer, inner, cr_slack=0.1) <= 0.0
 
@@ -76,20 +119,16 @@ class TestSweeps:
     def test_dl_tradeoff_direction(self, cfg):
         reg = dl_isac_region(cfg, link_draws(cfg, STREAM_DOWNLINK), 10.0, 10.0,
                              grid_size=5)
-        crs = [p.cr for p in reg.sweep_points]
-        srs = [p.sr for p in reg.sweep_points]
-        assert crs == sorted(crs)          # more comm power, more rate
-        assert srs == sorted(srs, reverse=True)  # and more interference
-        assert crs[0] == 0.0
+        assert np.all(np.diff(reg.cr) >= 0.0)  # more comm power, more rate
+        assert np.all(np.diff(reg.sr) <= 0.0)  # and more interference
+        assert reg.cr[0] == 0.0
 
     def test_ul_tradeoff_direction(self, cfg):
         reg = ul_isac_region(cfg, link_draws(cfg, STREAM_UPLINK), 10.0, 10.0,
                              grid_size=5)
-        crs = [p.cr for p in reg.sweep_points]
-        srs = [p.sr for p in reg.sweep_points]
-        assert srs == sorted(srs)          # sweep raises sensing power
-        assert crs == sorted(crs, reverse=True)
-        assert srs[0] == 0.0
+        assert np.all(np.diff(reg.sr) >= 0.0)  # sweep raises sensing power
+        assert np.all(np.diff(reg.cr) <= 0.0)
+        assert reg.sr[0] == 0.0
 
     def test_ul_solves_each_point_once(self, cfg, monkeypatch):
         # one water-fill gives a point's sensing rate and its slot noise
@@ -108,8 +147,8 @@ class TestSweeps:
     def test_fdsac_endpoints(self, cfg):
         reg = dl_fdsac_region(cfg, link_draws(cfg, STREAM_DOWNLINK), 10.0, 10.0,
                               grid_size=5)
-        assert reg.sweep_points[0].cr == 0.0   # alpha = 0: no communication
-        assert reg.sweep_points[-1].sr == 0.0  # alpha = 1: no sensing
+        assert reg.cr[0] == 0.0   # alpha = 0: no communication
+        assert reg.sr[-1] == 0.0  # alpha = 1: no sensing
 
     def test_dl_regions_share_endpoints(self, cfg):
         # p_c = 0 and alpha = 0 both mean interference-free sensing only;
@@ -118,18 +157,14 @@ class TestSweeps:
         draws = link_draws(cfg, STREAM_DOWNLINK)
         isac = dl_isac_region(cfg, draws, 10.0, 10.0, grid_size=5)
         fdsac = dl_fdsac_region(cfg, draws, 10.0, 10.0, grid_size=5)
-        assert isac.sweep_points[0].sr == pytest.approx(
-            fdsac.sweep_points[0].sr, abs=1e-9)
-        assert isac.sweep_points[-1].cr == pytest.approx(
-            fdsac.sweep_points[-1].cr, abs=1e-9)
+        assert isac.sr[0] == pytest.approx(fdsac.sr[0], abs=1e-9)
+        assert isac.cr[-1] == pytest.approx(fdsac.cr[-1], abs=1e-9)
 
     def test_ul_fdsac_region_runs(self, cfg):
         reg = ul_fdsac_region(cfg, link_draws(cfg, STREAM_UPLINK), 10.0, 10.0,
                               grid_size=5)
-        assert len(reg.sweep_points) == 5
-        crs = [p.cr for p in reg.sweep_points]
-        srs = [p.sr for p in reg.sweep_points]
-        assert crs == sorted(crs) and srs == sorted(srs, reverse=True)
+        assert len(reg.grid) == len(reg.cr) == len(reg.cr_se) == len(reg.sr) == 5
+        assert np.all(np.diff(reg.cr) >= 0.0) and np.all(np.diff(reg.sr) <= 0.0)
 
     def test_rejects_tiny_grid(self, cfg):
         with pytest.raises(ModelError):
@@ -170,10 +205,9 @@ def test_each_corner_is_the_one_point_estimate(sweep):
     region, stream, estimate = SWEEPS[sweep]
     cfg = replace(TWO_BLOCKS, seed=44)
     reg = region(cfg, link_draws(cfg, stream), 10.0, 10.0, grid_size=5)
-    for g, point in zip(reg.grid, reg.sweep_points):
+    for g, cr, cr_se in zip(reg.grid, reg.cr, reg.cr_se):
         est = estimate(link_draws(cfg, stream), cfg, 10.0, g)
-        assert (point.cr.hex(), point.cr_se.hex()) == \
-            (est.mean.hex(), est.std_error.hex())
+        assert (cr.hex(), cr_se.hex()) == (est.mean.hex(), est.std_error.hex())
 
 
 def test_every_mean_covariance_draws_its_own_blocks(drawn, monkeypatch):
@@ -230,10 +264,9 @@ class TestEscapeCause:
             [dl_ecr_fdsac(draws, a, self.P).mean for a in HALVINGS],
             [sr_max - fdsac_sr(rt, cfg.N, cfg.L, self.P, a) for a in HALVINGS])
         _assert_unbounded(fd)
-        ends = [dl_isac_region(cfg, draws, p_c, self.P, grid_size=2).sweep_points
+        ends = [dl_isac_region(cfg, draws, p_c, self.P, grid_size=2)
                 for p_c in HALVINGS]
-        isac = np.divide([far.cr for _, far in ends],
-                         [zero.sr - far.sr for zero, far in ends])
+        isac = np.divide([r.cr[-1] for r in ends], [r.sr[0] - r.sr[-1] for r in ends])
         _assert_converges(isac)
         assert fd[-1] > isac[-1]
 
@@ -246,9 +279,8 @@ class TestEscapeCause:
             [fdsac_sr(rt, cfg.N, cfg.L, self.P, a) for a in alphas],
             [cr_max - ul_ecr_fdsac(draws, a, self.P).mean for a in alphas])
         _assert_unbounded(fd)
-        ends = [ul_isac_region(cfg, draws, self.P, p_s, grid_size=2).sweep_points
+        ends = [ul_isac_region(cfg, draws, self.P, p_s, grid_size=2)
                 for p_s in HALVINGS]
-        isac = np.divide([far.sr for _, far in ends],
-                         [zero.cr - far.cr for zero, far in ends])
+        isac = np.divide([r.sr[-1] for r in ends], [r.cr[0] - r.cr[-1] for r in ends])
         _assert_converges(isac)
         assert fd[-1] > isac[-1]

@@ -20,7 +20,6 @@ from isacsim.uplink import (
     ul_outage_prob_fdsac,
     ul_rate_batch,
 )
-from isacsim.uplink import _logdet_batch
 
 RT = exp_correlation(2, 0.7).matrix
 CLEAN = 1.0  # the slot noise of a frame without radar interference
@@ -194,7 +193,8 @@ class TestRateBytes:
         for p_c in np.logspace(-2.0, 6.0, 9):
             assert same_bytes(ul_rate_batch(h, p_c, PAPER),
                               einsum_logdet(h, p_c / PAPER)), p_c
-            assert same_bytes(_logdet_batch(h, p_c), einsum_logdet(h, p_c)), p_c
+            assert same_bytes(ul_rate_batch(h, p_c, CLEAN),
+                              einsum_logdet(h, p_c)), p_c
 
 
 class TestLayoutBytes:
@@ -208,8 +208,8 @@ class TestLayoutBytes:
                                           chan.STREAM_UPLINK, 1024)
             copy = np.ascontiguousarray(h)
             for p_c in np.logspace(-2.0, 6.0, 9):
-                assert same_bytes(_logdet_batch(h, p_c),
-                                  _logdet_batch(copy, p_c)), (k, p_c)
+                assert same_bytes(ul_rate_batch(h, p_c, CLEAN),
+                                  ul_rate_batch(copy, p_c, CLEAN)), (k, p_c)
                 assert same_bytes(ul_rate_batch(h, p_c, PAPER),
                                   ul_rate_batch(copy, p_c, PAPER)), (k, p_c)
 
@@ -232,4 +232,4 @@ class TestExpansionProperties:
                        axis=1)
         kappa = diag / 2.0 ** expect
         bound = 1e-12 * np.abs(expect) + 32 * np.finfo(float).eps * kappa / math.log(2.0)
-        assert np.all(np.abs(_logdet_batch(h, scale) - expect) <= bound)
+        assert np.all(np.abs(ul_rate_batch(h, scale, CLEAN) - expect) <= bound)
