@@ -22,7 +22,7 @@ from . import region as rg
 from . import sensing as sn
 from . import uplink as ul
 from .channel import STREAM_DOWNLINK, STREAM_UPLINK, SimConfig
-from .numerics import waterfill
+from .numerics import matrix_sqrt_psd, waterfill
 
 __all__ = ["CriterionResult", "run_all", "CRITERIA"]
 
@@ -134,7 +134,7 @@ def criterion_dual_mac_optimality(seed=DEFAULT_SEED):
     """
     cfg = _paper_cfg(seed)
     rng = np.random.default_rng((seed, 102))
-    root = cfg.r_cu().root
+    root = matrix_sqrt_psd(cfg.r_cu())
     worst2 = np.inf
     p_c = 10.0
     for i in range(100):
@@ -149,7 +149,7 @@ def criterion_dual_mac_optimality(seed=DEFAULT_SEED):
         det = (1.0 + allocs[:, 0] * a + allocs[:, 1] * b
                + allocs[:, 0] * allocs[:, 1] * gamma)
         worst2 = min(worst2, solver - float(np.max(np.log2(det))))
-    root3 = replace(cfg, M=3, N=3, K=3).r_cu().root
+    root3 = matrix_sqrt_psd(replace(cfg, M=3, N=3, K=3).r_cu())
     w = rng.standard_normal((100, 3, 3)) + 1j * rng.standard_normal((100, 3, 3))
     hs = root3 @ (w / np.sqrt(2.0))
     solvers = dl.dl_sum_rate(hs, p_c)
@@ -173,9 +173,9 @@ def criterion_ecr_constant(seed=DEFAULT_SEED):
              + 1j * rng.standard_normal((100_000, m, k))) / np.sqrt(2.0)
         gram = np.einsum("tik,til->tkl", h.conj(), h)
         sign, ld = np.linalg.slogdet(gram)
-        mc = float(np.mean(ld)) / math.log(2.0)
+        sample = float(np.mean(ld)) / math.log(2.0)
         closed = dl.ed_closed_form_iid(m, k)
-        results.append((closed, mc))
+        results.append((closed, sample))
     err = max(abs(c - m) for c, m in results)
     ok_values = (abs(results[0][0] - (-0.2228)) < 5e-4
                  and abs(results[1][0] - 0.6100) < 5e-4)
@@ -208,7 +208,7 @@ def criterion_dl_diversity(seed=DEFAULT_SEED):
 def criterion_ul_diversity(seed=DEFAULT_SEED):
     """Uplink outage decay order = NK = 4 within +-0.5."""
     cfg = _paper_cfg(seed)
-    _, rho2 = ul.sensing_profile(cfg.r_target().matrix, cfg.N, cfg.L, cfg.p_s)
+    _, rho2 = ul.sensing_profile(cfg.r_target(), cfg.N, cfg.L, cfg.p_s)
     trail = mc.outage_trail(cfg, STREAM_UPLINK)
     ops = [ul.ul_outage_prob(trail, 5.0, 10 ** (g / 10.0), rho2,
                              min_events=_DIVERSITY_EVENTS,
@@ -225,7 +225,7 @@ def criterion_ecr_slopes(seed=DEFAULT_SEED):
     target = 2.0 * math.log2(10.0)
     down = mc.link_draws(cfg, STREAM_DOWNLINK)
     d = dl.dl_ecr(down, 1e4).mean - dl.dl_ecr(down, 1e3).mean
-    _, rho2 = ul.sensing_profile(cfg.r_target().matrix, cfg.N, cfg.L, cfg.p_s)
+    _, rho2 = ul.sensing_profile(cfg.r_target(), cfg.N, cfg.L, cfg.p_s)
     up = mc.link_draws(cfg, STREAM_UPLINK)
     u = ul.ul_ecr(up, 1e4, rho2).mean - ul.ul_ecr(up, 1e3, rho2).mean
     err = max(abs(d - target), abs(u - target)) / target
@@ -244,8 +244,8 @@ def criterion_ecr_asymptote(seed=DEFAULT_SEED):
     """
     cfg = _paper_cfg(seed)
     e_iid = dl.ed_closed_form_iid(cfg.M, cfg.K)
-    log_det = float(np.linalg.slogdet(cfg.r_cu().matrix)[1]) / math.log(2.0)
-    _, rho2 = ul.sensing_profile(cfg.r_target().matrix, cfg.N, cfg.L, cfg.p_s)
+    log_det = float(np.linalg.slogdet(cfg.r_cu())[1]) / math.log(2.0)
+    _, rho2 = ul.sensing_profile(cfg.r_target(), cfg.N, cfg.L, cfg.p_s)
     iid = mc.link_draws(replace(cfg, rho_cu=0.0), STREAM_DOWNLINK)
     checks = (
         ("iid dl", dl.dl_ecr(iid, 1e4).mean,
@@ -256,16 +256,16 @@ def criterion_ecr_asymptote(seed=DEFAULT_SEED):
         ("ul", ul.ul_ecr(mc.link_draws(cfg, STREAM_UPLINK), 1e4, rho2).mean,
          ul.ul_ecr_asymptote(1e4, cfg.K, cfg.N, rho2)),
     )
-    gap = max(abs(mc - line) for _, mc, line in checks)
+    gap = max(abs(est - line) for _, est, line in checks)
     return gap <= 0.1, gap, "; ".join(
-        f"{name} MC {mc:.4f} vs line {line:.4f}" for name, mc, line in checks)
+        f"{name} MC {est:.4f} vs line {line:.4f}" for name, est, line in checks)
 
 
 def criterion_sr_brute_force(seed=DEFAULT_SEED):
     """Closed-form sensing rates beat 1e4 random feasible waveforms at
     p_s = 10 dB, with the downlink sensing noise evaluated at p_c = 0 dB."""
     cfg = _paper_cfg(seed)
-    rt = cfg.r_target().matrix
+    rt = cfg.r_target()
     p_s = cfg.p_s
     sr_u, _ = sn.ul_sr(rt, cfg.N, cfg.L, p_s)
     s2 = dl.sensing_noise(cfg, cfg.p_c)
@@ -288,7 +288,7 @@ def criterion_sr_slopes(seed=DEFAULT_SEED):
     """Sensing-rate slopes NM/L = 1, split baseline 0.5, high-SNR form,
     with the downlink sensing noise evaluated at p_c = 0 dB."""
     cfg = _paper_cfg(seed)
-    rt = cfg.r_target().matrix
+    rt = cfg.r_target()
     s2 = dl.sensing_noise(cfg, cfg.p_c)
     grid_db = np.arange(30.0, 50.01, 2.5)
     dl_vals, ul_vals, fd_vals = [], [], []
@@ -314,7 +314,7 @@ def criterion_sr_orderings(seed=DEFAULT_SEED):
     """Sensing-rate crossover (downlink) and uniform dominance (uplink),
     with the downlink sensing noise evaluated at p_c = 0 dB."""
     cfg = _paper_cfg(seed)
-    rt = cfg.r_target().matrix
+    rt = cfg.r_target()
     s2 = dl.sensing_noise(cfg, cfg.p_c)
     grid_db = np.arange(0.0, 30.01, 5.0)
     ok = True

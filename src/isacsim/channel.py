@@ -1,5 +1,8 @@
 """Spatial correlation models and correlated Rayleigh channel sampling.
 
+A correlation is a plain complex (dim, dim) array; the sampler takes its
+square root R^{1/2}, which ``mc.blocks`` computes once per call.
+
 Reproducibility model: trials are grouped into fixed-size blocks of
 ``BLOCK_SIZE`` consecutive trial indices.  The generator for a block is
 seeded from (seed, stream, block) only, and its normals are laid out as all
@@ -21,18 +24,17 @@ is the same bytes as in a C-contiguous array of the same draws.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ModelError, matrix_sqrt_psd
+from .numerics import ModelError
 
 __all__ = [
     "BLOCK_SIZE",
     "STREAM_DOWNLINK",
     "STREAM_UPLINK",
     "STREAM_COVARIANCE",
-    "CorrelationMatrix",
     "SimConfig",
     "exp_correlation",
     "sample_channel_block",
@@ -46,39 +48,6 @@ BLOCK_SIZE = 8192
 STREAM_DOWNLINK = 0
 STREAM_UPLINK = 1
 STREAM_COVARIANCE = 2
-
-
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    """Hermitian PSD spatial correlation.
-
-    ``root`` is the Hermitian square root and ``is_identity`` says whether
-    the matrix is the identity within ``np.allclose``; both are computed
-    once, here, and take no part in comparisons.  Computing the root checks
-    that the matrix is square, Hermitian and PSD (``matrix_sqrt_psd``).  A
-    sensing target's correlation must also be strictly positive definite,
-    which every sensing rate checks.
-    """
-
-    matrix: np.ndarray
-    root: np.ndarray = field(init=False, repr=False, compare=False)
-    is_identity: bool = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        root = matrix_sqrt_psd(m)
-        root.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "is_identity", np.allclose(m, np.eye(len(m))))
-
-    def __array__(self, dtype=None, copy=None):
-        # lets every function that takes a matrix take a CorrelationMatrix
-        return np.array(self.matrix, dtype=dtype, copy=copy)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -113,22 +82,22 @@ class SimConfig:
         if self.seed < 0:
             raise ModelError("seed must be nonnegative")
 
-    def r_cu(self) -> CorrelationMatrix:
+    def r_cu(self) -> np.ndarray:
         """Common transmit correlation of the communication users."""
         return exp_correlation(self.M, self.rho_cu)
 
-    def r_target(self) -> CorrelationMatrix:
+    def r_target(self) -> np.ndarray:
         """Transmit correlation of the target response."""
         return exp_correlation(self.M, self.rho_target)
 
 
-def exp_correlation(dim, rho) -> CorrelationMatrix:
+def exp_correlation(dim, rho) -> np.ndarray:
     """Exponential correlation model: entry (i, j) = rho^|i-j|."""
     if not 0.0 <= rho < 1.0:
         raise ModelError("rho must lie in [0, 1)")
     idx = np.arange(dim)
     mat = rho ** np.abs(idx[:, None] - idx[None, :])
-    return CorrelationMatrix(matrix=mat.astype(complex))
+    return mat.astype(complex)
 
 
 def _block_rng(seed, stream, block) -> np.random.Generator:
@@ -136,8 +105,7 @@ def _block_rng(seed, stream, block) -> np.random.Generator:
     return np.random.default_rng((int(seed), int(stream), int(block)))
 
 
-def sample_channel_block(corr: CorrelationMatrix, columns, seed, block, stream,
-                         trials=None):
+def sample_channel_block(root, columns, seed, block, stream, trials=None):
     """Draw the first ``trials`` trials (default: all) of one block of
     correlated channel matrices.
 
@@ -145,7 +113,9 @@ def sample_channel_block(corr: CorrelationMatrix, columns, seed, block, stream,
     channel of trial block*BLOCK_SIZE + t, the same bytes whatever
     ``trials`` is.  Columns are independent, each CN(0, R), realized as
     R^{1/2} w with w i.i.d. standard complex Gaussian: real and imaginary
-    parts N(0, 1/2).  Only the requested trials are scaled and transformed.
+    parts N(0, 1/2).  ``root`` is R^{1/2} (dim, dim), for instance
+    ``matrix_sqrt_psd(R)``; an exact identity draws w itself.  Only the
+    requested trials are scaled and transformed.
 
     The array is a view of a C-contiguous (dim, columns, trials) buffer: its
     trial axis has stride ``itemsize``.  Compare blocks by ``tobytes()``,
@@ -155,11 +125,12 @@ def sample_channel_block(corr: CorrelationMatrix, columns, seed, block, stream,
     trials = size if trials is None else trials
     if not isinstance(trials, numbers.Integral) or not 1 <= trials <= size:
         raise ModelError(f"trials must be an integer in [1, {size}]")
-    entries = corr.dim * columns
+    dim = len(root)
+    entries = dim * columns
     draws = _block_rng(seed, stream, block).standard_normal((size + trials) * entries)
     # the normals are trial-major, the block entry-major: each scale reads
     # them transposed into one entry's trials at a time
-    w = _trial_minor(corr.dim, columns, trials)
+    w = _trial_minor(dim, columns, trials)
     planes = w.transpose(1, 2, 0).reshape(entries, trials)
     scale = 1.0 / np.sqrt(2.0)
     # the imaginary parts start after the real parts of the whole block
@@ -167,15 +138,15 @@ def sample_channel_block(corr: CorrelationMatrix, columns, seed, block, stream,
                 out=planes.real)
     np.multiply(draws[size * entries:].reshape(trials, entries).T, scale,
                 out=planes.imag)
-    if corr.is_identity:
+    if np.array_equal(root, np.eye(dim)):
         return w
     # h[:, i] = sum_j root[i, j] w[:, j], one term at a time in the order of
     # j: this rounds exactly as np.einsum("ij,tjk->tik"), which root @ w does
     # not, so every draw keeps its bytes
-    h = _trial_minor(corr.dim, columns, trials)
-    for i, row in enumerate(corr.root):
+    h = _trial_minor(dim, columns, trials)
+    for i, row in enumerate(root):
         h[:, i] = row[0] * w[:, 0]
-        for j in range(1, corr.dim):
+        for j in range(1, dim):
             h[:, i] += row[j] * w[:, j]
     return h
 

@@ -40,7 +40,7 @@ EULER_GAMMA = float(np.euler_gamma)
 LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeanInputCovariance:
     """Average downlink input covariance over channel realizations."""
 
@@ -365,7 +365,7 @@ def estimate_mean_covariance(cfg: chan.SimConfig, p_c=None,
         return result
 
     acc = np.zeros((m, m), dtype=complex)
-    for h in mc.blocks(cfg.r_cu(), cfg.K, cfg.seed, chan.STREAM_COVARIANCE, trials):
+    for h in mc.blocks(cfg, chan.STREAM_COVARIANCE, trials):
         powers = dual_mac_power_alloc(h, p_c)
         acc += np.sum(mac_to_bc_covariance(h, powers, p_c), axis=0)
     sigma = acc / trials
@@ -381,7 +381,7 @@ def sensing_noise(cfg: chan.SimConfig, p_c) -> float:
     sensing receiver sees the communication signal as Gaussian noise.
     """
     sigma = estimate_mean_covariance(cfg, p_c=p_c).sigma_matrix
-    val = 1.0 + float(np.real(np.trace(cfg.r_target().matrix @ sigma)))
+    val = 1.0 + float(np.real(np.trace(cfg.r_target() @ sigma)))
     if val < 1.0 - 1e-9:
         raise ModelError("mean covariance must be PSD")
     return max(val, 1.0)

@@ -5,8 +5,10 @@ channel stream, drawn a block of ``channel.BLOCK_SIZE`` trials at a time.
 Every estimator of both links, ISAC and FDSAC alike, runs through here:
 the FDSAC rate with bandwidth share alpha is alpha * R(p_c / alpha), and
 alpha = 1 gives the ISAC rate R(p_c) exactly.  ``stream`` names the link
-(``STREAM_DOWNLINK`` or ``STREAM_UPLINK``) and ``rate(h, p, *args)`` gives
-the per-trial rates R of a block h of its channels at power p.
+(``STREAM_DOWNLINK`` or ``STREAM_UPLINK``) and ``rate(h, p)`` gives the
+per-trial rates R of a block h of its channels at power p.  ``blocks`` is
+the one map from a stream to its channels: uplink channels are i.i.d., and
+downlink and covariance channels are correlated at the BS by R_cu.
 
 An ergodic estimate runs a fixed number of trials, so a sweep draws its
 link's channels once (``link_draws``) and hands the same draw set to every
@@ -27,8 +29,8 @@ carries the system's outage trials from one point to the next:
 - The slack is far above any rate kernel's rounding error, so a trial left
   behind cannot be in outage at the higher power: every estimate keeps the
   bits a fresh trail gives it.
-- A lower power, or any change of system (kernel, its arguments, alpha,
-  target or trial cap), starts the trail afresh, and a fresh trail draws
+- A lower power, or any change of system (kernel, alpha, target or trial
+  cap), starts the trail afresh, and a fresh trail draws
   every block as it goes.
 - A trail carries fewer than ``min_events`` + ``BLOCK_SIZE`` trials (the
   largest ``min_events`` of its points), besides any whose rate lies
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel as chan
-from .numerics import ModelError
+from .numerics import ModelError, matrix_sqrt_psd
 
 __all__ = ["MonteCarloEstimate", "blocks", "link_draws", "outage_trail",
            "outage", "ergodic"]
@@ -64,24 +66,24 @@ class MonteCarloEstimate:
     trials: int
 
 
-def blocks(corr, columns, seed, stream, trials, start=0):
-    """Yield the channels of trials start .. trials-1 (``start`` a multiple
-    of ``BLOCK_SIZE``), one block at a time.
+def blocks(cfg, stream, trials, start=0):
+    """Yield the channels (T, dim, cfg.K) of stream ``stream``, trials
+    start .. trials-1 (``start`` a multiple of ``BLOCK_SIZE``), one block
+    at a time.
 
+    Uplink channels (dim N) are i.i.d.; downlink and covariance channels
+    (dim M) are correlated by R_cu, whose root is computed once per call.
     Each block is drawn only up to the trials still wanted; trial t is the
     same draw whatever ``trials`` is.
     """
+    if stream == chan.STREAM_UPLINK:
+        root = np.eye(cfg.N, dtype=complex)
+    else:
+        root = matrix_sqrt_psd(cfg.r_cu())
     size, trials = chan.BLOCK_SIZE, int(trials)
     for start in range(start, trials, size):
-        yield chan.sample_channel_block(corr, columns, seed, start // size,
+        yield chan.sample_channel_block(root, cfg.K, cfg.seed, start // size,
                                         stream, min(size, trials - start))
-
-
-def _link_corr(cfg, stream):
-    # downlink channels are correlated at the BS, uplink ones i.i.d.
-    if stream == chan.STREAM_UPLINK:
-        return chan.CorrelationMatrix(np.eye(cfg.N, dtype=complex))
-    return cfg.r_cu()
 
 
 def link_draws(cfg, stream) -> tuple:
@@ -90,8 +92,7 @@ def link_draws(cfg, stream) -> tuple:
 
     It holds cfg.trials * dim * K complex numbers (16 bytes each).
     """
-    draws = tuple(blocks(_link_corr(cfg, stream), cfg.K, cfg.seed, stream,
-                         cfg.trials))
+    draws = tuple(blocks(cfg, stream, cfg.trials))
     for h in draws:
         h.flags.writeable = False
     return draws
@@ -106,12 +107,12 @@ class _Trail:
 
     def __init__(self, cfg, stream):
         self.cfg, self.stream = cfg, stream
-        self.corr = _link_corr(cfg, stream)
         self.restart(None)
 
     def restart(self, system):
         self.system, self.p_c, self.sizes = system, 0.0, []
-        self.carried = np.empty((self.corr.dim, self.cfg.K, 0), dtype=complex)
+        dim = self.cfg.N if self.stream == chan.STREAM_UPLINK else self.cfg.M
+        self.carried = np.empty((dim, self.cfg.K, 0), dtype=complex)
         self.block = np.empty(0, dtype=np.intp)
 
 
@@ -122,8 +123,8 @@ def outage_trail(cfg, stream) -> _Trail:
 
 
 def outage(trail, stream, rate, r_target, p_c, alpha=1.0, min_events=200,
-           max_trials=10_000_000, args=()) -> MonteCarloEstimate:
-    """Probability that alpha * rate(H, p_c / alpha, *args) falls below
+           max_trials=10_000_000) -> MonteCarloEstimate:
+    """Probability that alpha * rate(H, p_c / alpha) falls below
     ``r_target``, over the channels of an outage trail of link ``stream``.
 
     Blocks are counted in order until at least ``min_events`` outages have
@@ -137,13 +138,13 @@ def outage(trail, stream, rate, r_target, p_c, alpha=1.0, min_events=200,
         raise ModelError("the outage trail belongs to the other link")
     if _silent(p_c, alpha, r_target, max_trials) or r_target == 0.0:
         return MonteCarloEstimate(float(r_target > 0.0), 0.0, 0)
-    system = (rate, args, alpha, r_target, max_trials)
+    system = (rate, alpha, r_target, max_trials)
     if system != trail.system or p_c < trail.p_c:
         trail.restart(system)
 
     def outages(h):
         # the outage and candidate masks of a trial-minor batch
-        rates = alpha * rate(h, p_c / alpha, *args)
+        rates = alpha * rate(h, p_c / alpha)
         return rates < r_target, rates < r_target + SLACK
 
     # a point that raises leaves the trail whole: its candidates are those
@@ -161,8 +162,7 @@ def outage(trail, stream, rate, r_target, p_c, alpha=1.0, min_events=200,
     done = sum(trail.sizes[:stop + 1])
     if stop == len(counts):
         parts, tags, sizes = [trail.carried], [trail.block], list(trail.sizes)
-        for h in blocks(trail.corr, trail.cfg.K, trail.cfg.seed, stream,
-                        max_trials, done):
+        for h in blocks(trail.cfg, stream, max_trials, done):
             out, keep = outages(h)
             events += int(np.count_nonzero(out))
             done += len(h)

@@ -8,13 +8,10 @@ are reproducible run to run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "ModelError",
-    "EigenSystem",
     "hermitian_eig",
     "matrix_sqrt_psd",
     "waterfill",
@@ -40,25 +37,16 @@ def _check_hermitian(a):
     return a
 
 
-@dataclass(frozen=True)
-class EigenSystem:
-    """Eigendecomposition of a Hermitian matrix.
-
-    ``values`` is sorted descending; the columns of ``basis`` are the
-    matching orthonormal eigenvectors, i.e. A = basis @ diag(values) @ basis^H.
-    """
-
-    values: np.ndarray
-    basis: np.ndarray
-
-
-def hermitian_eig(a) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
+def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (values, basis) of a Hermitian matrix, as
+    ``np.linalg.eigh`` gives it but with the values descending: the columns
+    of ``basis`` are the matching orthonormal eigenvectors, so
+    A = basis @ diag(values) @ basis^H."""
     a = _check_hermitian(a)
     vals, vecs = np.linalg.eigh(a)
     # eigh returns ascending order; stable argsort keeps tie order deterministic
     order = np.argsort(-vals, kind="stable")
-    return EigenSystem(values=vals[order], basis=vecs[:, order])
+    return vals[order], vecs[:, order]
 
 
 def matrix_sqrt_psd(a) -> np.ndarray:
@@ -67,12 +55,11 @@ def matrix_sqrt_psd(a) -> np.ndarray:
     Eigenvalues in [-1e-10, 0] are clamped to zero; an indefinite input
     beyond that tolerance raises ModelError.
     """
-    es = hermitian_eig(a)
-    vals = es.values.copy()
+    vals, basis = hermitian_eig(a)
     if vals.size and vals[-1] < PSD_EIG_FLOOR:
         raise ModelError(f"matrix is indefinite (min eigenvalue {vals[-1]:.3e})")
     vals[vals < 0.0] = 0.0
-    return (es.basis * np.sqrt(vals)) @ es.basis.conj().T
+    return (basis * np.sqrt(vals)) @ basis.conj().T
 
 
 def waterfill(gains, noise, budget) -> np.ndarray:

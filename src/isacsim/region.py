@@ -41,7 +41,7 @@ __all__ = [
 DEFAULT_GRID = 41
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RateRegion:
     """Corners of one sweep as columns: the corner at ``sweep_param`` =
     ``grid[i]`` has communication rate ``cr[i]``, with Monte Carlo standard

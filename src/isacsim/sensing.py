@@ -6,8 +6,7 @@ correlation R_T: the mutual-information waveform design of Yang and Blum
 (IEEE T-AES 43(1), 2007).  Downlink sensing sees the communication signal
 as extra Gaussian noise (noise sigma2 >= 1), uplink sensing is clean
 (sigma2 = 1), and the bandwidth-split baseline keeps a share 1 - alpha of
-the band at noise 1 - alpha.  Rates are bits per time slot.  Every
-function that takes R_T also takes a CorrelationMatrix.
+the band at noise 1 - alpha.  Rates are bits per time slot.
 """
 
 from __future__ import annotations
@@ -29,12 +28,12 @@ __all__ = [
 def _eigenvalues(r_target, n_rx, n_slots):
     # descending eigenvalues of a strictly PD R_T whose M and the N receive
     # antennas both fit in n_slots
-    es = hermitian_eig(r_target)
-    if n_slots < es.values.size or n_slots < n_rx:
+    lam = hermitian_eig(r_target)[0]
+    if n_slots < lam.size or n_slots < n_rx:
         raise ModelError("waveform length must cover both arrays")
-    if es.values[-1] <= 0.0:
+    if lam[-1] <= 0.0:
         raise ModelError("target correlation must be strictly PD")
-    return es.values
+    return lam
 
 
 def _rate(r_target, n_rx, n_slots, p_s, noise, share):
@@ -77,14 +76,14 @@ def build_waveform(r_target, alloc, n_slots) -> np.ndarray:
     M rows of the unitary L-point DFT.  The DFT rows spread power evenly,
     so every slot carries trace(S S^H) / L.
     """
-    es = hermitian_eig(r_target)
-    m = es.values.size
+    lam, basis = hermitian_eig(r_target)
+    m = lam.size
     if n_slots < m:
         raise ModelError("waveform length must be >= number of transmit antennas")
     idx_m = np.arange(m)[:, None]
     idx_l = np.arange(n_slots)[None, :]
     v = np.exp(-2j * np.pi * idx_m * idx_l / n_slots) / np.sqrt(n_slots)
-    return (es.basis * np.sqrt(alloc)) @ v
+    return (basis * np.sqrt(alloc)) @ v
 
 
 def ul_sr(r_target, n_rx, n_slots, p_s):

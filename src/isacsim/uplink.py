@@ -6,8 +6,9 @@ the radar echo, which raises the noise of slot l to 1 + s_l^H R_T s_l.  The
 one waveform built here (``sensing.build_waveform``) spreads its power
 evenly over the slots, so every slot carries the same
 rho2 = 1 + tr(S^H R_T S) / L, and the ISAC rate is the interference-free
-log det at power p_c / rho2.  One kernel, ``ul_rate_batch``, computes it;
-the FDSAC rate is the same kernel at rho2 = 1.
+log det at power p_c / rho2.  One kernel, ``ul_rate_batch(h, p)``, computes
+every uplink rate: the ISAC rate at p = p_c / rho2, and the FDSAC rate, on
+a sub-band free of radar interference, at p = p_c / alpha.
 """
 
 from __future__ import annotations
@@ -48,25 +49,20 @@ def sensing_profile(r_target, n_rx, n_slots, p_s) -> tuple[float, float]:
     return sr, 1.0 + float(np.real(np.vdot(s, rt @ s))) / n_slots
 
 
-def ul_rate_batch(h_batch, p_c, rho2):
+def ul_rate_batch(h_batch, p):
     """Vectorized uplink sum rate over a batch of channels (T, N, K): the
-    interference-free log2 det(I_N + (p_c / rho2) H H^H) at slot noise
-    rho2 >= 1.  The ISAC rate sees its waveform's rho2; the FDSAC rate, on
-    a sub-band free of radar interference, rho2 = 1.
+    interference-free log2 det(I_N + p H H^H) at power p.
 
     For N = 2 the Gram entries are formed in real arithmetic, x * conj(y)
     as (xr*yr - xi*(-yi), xr*(-yi) + xi*yr) and |g12| by np.abs of the
     complex sum: these round exactly as the einsum Gram of the other
     branches, which numpy's ``x * y.conj()`` and ``np.hypot`` do not.
     """
-    if p_c < 0.0:
-        raise ModelError("p_c must be nonnegative")
-    if rho2 < 1.0:
-        raise ModelError("slot noise must be >= 1")
+    if p < 0.0:
+        raise ModelError("power must be nonnegative")
     h = np.asarray(h_batch, dtype=complex)
-    if p_c == 0.0:
+    if p == 0.0:
         return np.zeros(h.shape[0])
-    scale = p_c / rho2
     n = h.shape[1]
     if n == 2:
         xr, xi = h[:, 0].real, h[:, 0].imag
@@ -77,13 +73,12 @@ def ul_rate_batch(h_batch, p_c, rho2):
         g12.real = _sum_columns(xr * yr - xi * -yi)
         g12.imag = _sum_columns(xr * -yi + xi * yr)
         cross = np.abs(g12) ** 2
-        return np.log2((1.0 + scale * g11) * (1.0 + scale * g22)
-                       - scale * scale * cross)
+        return np.log2((1.0 + p * g11) * (1.0 + p * g22) - p * p * cross)
     gram = np.einsum("tik,tjk->tij", h, h.conj())
     if n == 1:
-        return np.log2(1.0 + scale * np.real(gram[:, 0, 0]))
+        return np.log2(1.0 + p * np.real(gram[:, 0, 0]))
     eye = np.eye(n, dtype=complex)
-    return np.linalg.slogdet(eye[None, :, :] + scale * gram)[1] / math.log(2.0)
+    return np.linalg.slogdet(eye[None, :, :] + p * gram)[1] / math.log(2.0)
 
 
 def _sum_columns(terms):
@@ -94,13 +89,20 @@ def _sum_columns(terms):
     return total
 
 
+def _isac_power(p_c, rho2):
+    # the power of the interference-free kernel that gives the ISAC rate
+    if rho2 < 1.0:
+        raise ModelError("slot noise must be >= 1")
+    return p_c / rho2
+
+
 def ul_outage_prob(trail, r_target, p_c, rho2, min_events=200,
                    max_trials=10_000_000) -> MonteCarloEstimate:
     """Probability that the uplink ISAC sum rate at slot noise rho2 falls
     below target, over an uplink outage trail
     (``mc.outage_trail(cfg, chan.STREAM_UPLINK)``)."""
-    return mc.outage(trail, chan.STREAM_UPLINK, ul_rate_batch, r_target, p_c,
-                     1.0, min_events, max_trials, (rho2,))
+    return mc.outage(trail, chan.STREAM_UPLINK, ul_rate_batch, r_target,
+                     _isac_power(p_c, rho2), 1.0, min_events, max_trials)
 
 
 def ul_outage_prob_fdsac(trail, r_target, alpha, p_c, min_events=200,
@@ -108,13 +110,13 @@ def ul_outage_prob_fdsac(trail, r_target, alpha, p_c, min_events=200,
     """Outage of the bandwidth-split uplink baseline (interference-free,
     rho2 = 1) over an uplink outage trail."""
     return mc.outage(trail, chan.STREAM_UPLINK, ul_rate_batch, r_target, p_c,
-                     alpha, min_events, max_trials, (1.0,))
+                     alpha, min_events, max_trials)
 
 
 def ul_ecr(draws, p_c, rho2) -> MonteCarloEstimate:
     """Ergodic uplink ISAC sum rate at slot noise rho2 over an uplink draw
     set (``mc.link_draws(cfg, chan.STREAM_UPLINK)``)."""
-    return mc.ergodic(draws, lambda h, p: ul_rate_batch(h, p, rho2), p_c, 1.0)
+    return mc.ergodic(draws, ul_rate_batch, _isac_power(p_c, rho2), 1.0)
 
 
 def ul_ecr_asymptote(p_c, k_users, n_antennas, rho2) -> float:
@@ -135,4 +137,4 @@ def ul_ecr_fdsac(draws, alpha, p_c) -> MonteCarloEstimate:
     Per trial: alpha * log2 det(I_N + (p_c / alpha) H_u H_u^H); the
     communication sub-band sees no radar interference.
     """
-    return mc.ergodic(draws, lambda h, p: ul_rate_batch(h, p, 1.0), p_c, alpha)
+    return mc.ergodic(draws, ul_rate_batch, p_c, alpha)

@@ -18,9 +18,9 @@ def drawn(monkeypatch):
     keys = []
     sample = chan.sample_channel_block
 
-    def counting(corr, columns, seed, block, stream, trials=None):
+    def counting(root, columns, seed, block, stream, trials=None):
         keys.append((block, stream, trials))
-        return sample(corr, columns, seed, block, stream, trials)
+        return sample(root, columns, seed, block, stream, trials)
 
     monkeypatch.setattr(chan, "sample_channel_block", counting)
     monkeypatch.setattr(dl, "_sigma_cache", {})

@@ -34,7 +34,10 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import typing
 from pathlib import Path
+
+import numpy as np
 
 import isacsim
 
@@ -324,3 +327,44 @@ def test_the_bench_tracer_still_binds_what_it_counts():
     from isacsim.downlink import MeanInputCovariance
     fields = {f.name for f in dataclasses.fields(MeanInputCovariance)}
     assert {"p_c", "trials_used"} <= fields
+    # the tracer reads the sampler's block key by name
+    sampler = inspect.signature(_package_function("channel.sample_channel_block"))
+    assert {"seed", "block", "stream"} <= set(sampler.parameters)
+
+
+# ---------------------------------------------------------------------------
+# Results that hold arrays
+# ---------------------------------------------------------------------------
+
+def _array_dataclasses():
+    # every dataclass of the package with an np.ndarray field
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"isacsim.{path.stem}")
+        for value in vars(module).values():
+            if (inspect.isclass(value) and dataclasses.is_dataclass(value)
+                    and value.__module__ == module.__name__
+                    and np.ndarray in typing.get_type_hints(value).values()):
+                found.append(value)
+    return found
+
+
+def test_a_result_that_holds_arrays_compares_by_identity():
+    # a generated __eq__ compares the arrays, whose truth value raises, and
+    # the generated __hash__ of a frozen class hashes them, which raises
+    classes = _array_dataclasses()
+    assert {c.__name__ for c in classes} >= {"MeanInputCovariance", "RateRegion"}
+    for cls in classes:
+        assert not cls.__dataclass_params__.eq, cls.__name__
+
+
+def test_two_array_results_compare_and_hash():
+    from isacsim.downlink import MeanInputCovariance
+    from isacsim.region import RateRegion
+    pairs = [(MeanInputCovariance(np.eye(2, dtype=complex), 10, 1.0),
+              MeanInputCovariance(np.eye(2, dtype=complex), 10, 1.0)),
+             (RateRegion("p_c", *[np.array([0.0, 1.0])] * 4),
+              RateRegion("p_c", *[np.array([0.0, 1.0])] * 4))]
+    for a, b in pairs:
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2

@@ -1,15 +1,13 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from isacsim import channel as chan
+from isacsim import mc
 from isacsim.channel import (
     BLOCK_SIZE,
     STREAM_COVARIANCE,
     STREAM_DOWNLINK,
     STREAM_UPLINK,
-    CorrelationMatrix,
     SimConfig,
     exp_correlation,
     sample_channel_block,
@@ -20,12 +18,13 @@ from isacsim.sensing import dl_sr
 
 class TestExpCorrelation:
     def test_rho_zero_is_identity(self):
-        assert np.allclose(exp_correlation(2, 0.0).matrix, np.eye(2))
+        assert np.array_equal(exp_correlation(2, 0.0), np.eye(2))
 
     def test_known_entries(self):
-        r = exp_correlation(2, 0.7).matrix
+        r = exp_correlation(2, 0.7)
+        assert isinstance(r, np.ndarray) and r.dtype == complex
         assert np.allclose(r, [[1.0, 0.7], [0.7, 1.0]])
-        r3 = exp_correlation(3, 0.8).matrix
+        r3 = exp_correlation(3, 0.8)
         assert np.allclose(r3, [[1.0, 0.8, 0.64],
                                 [0.8, 1.0, 0.8],
                                 [0.64, 0.8, 1.0]])
@@ -39,18 +38,24 @@ class TestCorrelationMatrix:
     def test_singular_target_rejected_by_sensing_rate(self):
         # a singular PSD matrix is a valid channel correlation, but as a
         # sensing target it has a mode that no power reaches
-        singular = CorrelationMatrix(matrix=np.ones((2, 2)))
+        singular = np.ones((2, 2))
+        root = matrix_sqrt_psd(singular)
+        assert np.allclose(root @ root.conj().T, singular, atol=1e-9)
         with pytest.raises(ModelError):
             dl_sr(singular, 2, 4, 1.0, 1.0)
 
     def test_rejects_non_hermitian(self):
+        # where a correlation is used: its root, and a sensing rate
+        skew = np.array([[1.0, 0.5], [0.1, 1.0]])
         with pytest.raises(ModelError):
-            CorrelationMatrix(matrix=np.array([[1.0, 0.5], [0.1, 1.0]]))
+            matrix_sqrt_psd(skew)
+        with pytest.raises(ModelError):
+            dl_sr(skew, 2, 4, 1.0, 1.0)
 
     def test_sqrt_reconstructs(self):
         r = exp_correlation(3, 0.6)
-        b = r.root
-        assert np.allclose(b @ b.conj().T, r.matrix, atol=1e-9)
+        b = matrix_sqrt_psd(r)
+        assert np.allclose(b @ b.conj().T, r, atol=1e-9)
 
 
 class TestSimConfig:
@@ -66,15 +71,19 @@ class TestSimConfig:
         assert hash(a) == hash(b) and a == b
 
 
+def corr_root(dim, rho):
+    return matrix_sqrt_psd(exp_correlation(dim, rho))
+
+
 class TestSampling:
     def test_determinism(self):
-        r = exp_correlation(2, 0.7)
+        r = corr_root(2, 0.7)
         h1 = sample_channel_block(r, 2, 42, 0, STREAM_DOWNLINK)[17]
         h2 = sample_channel_block(r, 2, 42, 0, STREAM_DOWNLINK)[17]
         assert np.array_equal(h1, h2)
 
     def test_streams_differ(self):
-        r = exp_correlation(2, 0.7)
+        r = corr_root(2, 0.7)
         a = sample_channel_block(r, 2, seed=5, block=0, stream=STREAM_DOWNLINK)[0]
         b = sample_channel_block(r, 2, seed=5, block=0, stream=STREAM_UPLINK)[0]
         assert not np.allclose(a, b)
@@ -82,7 +91,7 @@ class TestSampling:
     def test_empirical_covariance_identity(self):
         n = 100_000
         blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
-        ident = CorrelationMatrix(np.eye(2, dtype=complex))
+        ident = np.eye(2, dtype=complex)
         acc = np.zeros((2, 2), dtype=complex)
         for b in range(blocks):
             h = sample_channel_block(ident, 1, 0, b, STREAM_UPLINK)[:, :, 0]
@@ -94,16 +103,17 @@ class TestSampling:
         n = 100_000
         blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
         r = exp_correlation(2, 0.7)
+        root = matrix_sqrt_psd(r)
         acc = np.zeros((2, 2), dtype=complex)
         for b in range(blocks):
-            h = sample_channel_block(r, 1, 1, b, STREAM_DOWNLINK)[:, :, 0]
+            h = sample_channel_block(root, 1, 1, b, STREAM_DOWNLINK)[:, :, 0]
             acc += np.einsum("ti,tj->ij", h, h.conj())
         emp = acc / (blocks * BLOCK_SIZE)
-        assert np.max(np.abs(emp - r.matrix)) < 0.02
+        assert np.max(np.abs(emp - r)) < 0.02
 
     def test_cross_trial_independence(self):
         # consecutive trials' first entries should be uncorrelated
-        r = exp_correlation(2, 0.7)
+        r = corr_root(2, 0.7)
         h = sample_channel_block(r, 1, 2, 0, STREAM_COVARIANCE)[:, 0, 0]
         x, y = h[:-1], h[1:]
         num = np.mean(x * y.conj()) - np.mean(x) * np.conj(np.mean(y))
@@ -111,15 +121,15 @@ class TestSampling:
         assert corr < 0.03
 
 
-def einsum_block(corr, columns, seed, block, stream):
+def einsum_block(root, columns, seed, block, stream):
     # reference sampler: two draws, a complex sum divided by sqrt(2), and
-    # the correlated transform as an einsum with a freshly computed root
+    # the correlated transform as an einsum unless the root is exactly I
     rng = np.random.default_rng((seed, stream, block))
-    shape = (BLOCK_SIZE, corr.dim, columns)
+    shape = (BLOCK_SIZE, len(root), columns)
     w = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-    if np.allclose(corr.matrix, np.eye(corr.dim)):
+    if np.array_equal(root, np.eye(len(root))):
         return w
-    return np.einsum("ij,tjk->tik", matrix_sqrt_psd(corr.matrix), w)
+    return np.einsum("ij,tjk->tik", root, w)
 
 
 class TestSamplerBytes:
@@ -128,12 +138,12 @@ class TestSamplerBytes:
     @pytest.mark.parametrize("rho", [0.0, 0.5, 0.8, 0.999])
     def test_matches_the_einsum_sampler(self, dim, columns, rho):
         # a prefix of n trials holds the bytes of the whole block's first n
-        corr = exp_correlation(dim, rho)
+        root = corr_root(dim, rho)
         for stream in (STREAM_DOWNLINK, STREAM_UPLINK, STREAM_COVARIANCE):
             for block in (0, 1, 7):
-                whole = einsum_block(corr, columns, 11, block, stream)
+                whole = einsum_block(root, columns, 11, block, stream)
                 for n in (None, 1, 37, 150, BLOCK_SIZE - 1, BLOCK_SIZE):
-                    got = sample_channel_block(corr, columns, 11, block, stream, n)
+                    got = sample_channel_block(root, columns, 11, block, stream, n)
                     expect = whole[:n]
                     assert got.shape == expect.shape
                     assert got.tobytes() == expect.tobytes()
@@ -144,41 +154,58 @@ class TestSamplerBytes:
         # (dim, columns, trials) buffer, at every prefix length
         monkeypatch.setattr(chan, "BLOCK_SIZE", 16)
         for dim in (1, 2, 3):
-            corr = exp_correlation(dim, rho)
-            assert corr.is_identity == (rho == 0.0 or dim == 1)
+            root = corr_root(dim, rho)
+            # the i.i.d. path runs exactly when the root is exactly I
+            assert np.array_equal(root, np.eye(dim)) == (rho == 0.0 or dim == 1)
             for columns in (1, 2, 3):
                 for n in range(1, 17):
-                    h = sample_channel_block(corr, columns, 4, 0, STREAM_DOWNLINK, n)
+                    h = sample_channel_block(root, columns, 4, 0, STREAM_DOWNLINK, n)
                     assert h.shape == (n, dim, columns)
                     assert h.strides[0] == h.itemsize
                     assert h.transpose(1, 2, 0).flags.c_contiguous
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8])
+    def test_an_uncorrelated_root_draws_the_iid_path(self, dim):
+        # rho = 0 gives exactly I, and its root is exactly I, so a
+        # downlink at rho_cu = 0 draws the same bytes as the i.i.d. uplink
+        root = corr_root(dim, 0.0)
+        assert np.array_equal(root, np.eye(dim))
+        assert sample_channel_block(root, 2, 9, 0, STREAM_DOWNLINK).tobytes() == \
+            sample_channel_block(np.eye(dim), 2, 9, 0, STREAM_DOWNLINK).tobytes()
+
     @pytest.mark.parametrize("trials", [0, -1, BLOCK_SIZE + 1, 2.0, "3"])
     def test_rejects_trials_outside_one_block(self, trials):
         with pytest.raises(ModelError):
-            sample_channel_block(exp_correlation(2, 0.5), 2, 0, 0,
+            sample_channel_block(corr_root(2, 0.5), 2, 0, 0,
                                  STREAM_DOWNLINK, trials)
 
     def test_reads_the_block_size_when_called(self, monkeypatch):
         monkeypatch.setattr(chan, "BLOCK_SIZE", 64)
-        corr = exp_correlation(2, 0.5)
-        assert sample_channel_block(corr, 2, 0, 0, STREAM_DOWNLINK).shape == (64, 2, 2)
+        root = corr_root(2, 0.5)
+        assert sample_channel_block(root, 2, 0, 0, STREAM_DOWNLINK).shape == (64, 2, 2)
         with pytest.raises(ModelError):
-            sample_channel_block(corr, 2, 0, 0, STREAM_DOWNLINK, 65)
+            sample_channel_block(root, 2, 0, 0, STREAM_DOWNLINK, 65)
 
     def test_root_is_computed_once(self, monkeypatch):
-        corr = exp_correlation(3, 0.8)
-        assert np.array_equal(corr.root, matrix_sqrt_psd(corr.matrix))
-        assert not corr.is_identity
+        # mc.blocks computes one root per call, however many blocks it
+        # yields (none for the i.i.d. uplink); the sampler computes none
+        monkeypatch.setattr(chan, "BLOCK_SIZE", 16)
+        cfg = SimConfig(M=3, N=2, K=2, L=4, rho_cu=0.8, seed=3)
+        root = corr_root(3, 0.8)
+        eigh, roots = np.linalg.eigh, []
 
-        def fail(a):
-            raise AssertionError("root recomputed")
+        def counting(a):
+            roots.append(a)
+            return eigh(a)
 
-        monkeypatch.setattr(chan, "matrix_sqrt_psd", fail)
-        sample_channel_block(corr, 2, 0, 0, STREAM_DOWNLINK)
-
-    def test_cached_fields_take_no_part_in_comparison(self):
-        corr = exp_correlation(2, 0.5)
-        assert not corr.root.flags.writeable
-        assert [f.name for f in dataclasses.fields(corr) if f.compare] == [
-            "matrix"]
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        for stream, expect in ((STREAM_DOWNLINK, 1), (STREAM_COVARIANCE, 1),
+                               (STREAM_UPLINK, 0)):
+            for trials in (1, 16, 17, 50):
+                roots.clear()
+                got = list(mc.blocks(cfg, stream, trials))
+                assert len(got) == -(-trials // 16)
+                assert len(roots) == expect, (stream, trials)
+        roots.clear()
+        sample_channel_block(root, 2, 0, 0, STREAM_DOWNLINK)
+        assert roots == []

@@ -23,7 +23,7 @@ from isacsim.downlink import (
     mac_to_bc_covariance,
 )
 from isacsim.mc import link_draws, outage_trail
-from isacsim.numerics import ModelError
+from isacsim.numerics import ModelError, matrix_sqrt_psd
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -35,8 +35,8 @@ def scalar_cfg(seed=0):
 
 def _channels(m, k_users, rho, count, seed):
     # the first ``count`` downlink draws of one block, correlation rho at the BS
-    corr = chan.exp_correlation(m, rho)
-    return chan.sample_channel_block(corr, k_users, seed, 0,
+    root = matrix_sqrt_psd(chan.exp_correlation(m, rho))
+    return chan.sample_channel_block(root, k_users, seed, 0,
                                      chan.STREAM_DOWNLINK)[:count]
 
 
@@ -251,7 +251,7 @@ def _stack(m, k_users, rho, seed):
     rng = np.random.default_rng(seed)
     shape = (8, m, k_users)
     w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return chan.exp_correlation(m, rho).root @ (w / np.sqrt(2.0))
+    return matrix_sqrt_psd(chan.exp_correlation(m, rho)) @ (w / np.sqrt(2.0))
 
 
 class TestAllocationProperties:
@@ -373,8 +373,8 @@ class TestLayoutBytes:
     @pytest.mark.parametrize("rho", [0.0, 0.8, 0.999])
     def test_kernels_ignore_the_layout(self, m, k_users, rho):
         count = 1024 if k_users <= 2 else 128
-        h = chan.sample_channel_block(chan.exp_correlation(m, rho), k_users, 7,
-                                      0, chan.STREAM_COVARIANCE, count)
+        h = chan.sample_channel_block(matrix_sqrt_psd(chan.exp_correlation(m, rho)),
+                                      k_users, 7, 0, chan.STREAM_COVARIANCE, count)
         copy = np.ascontiguousarray(h)
         assert h.strides[0] == h.itemsize
         for p_c in (1e-2, 1.0, 1e2, 1e6):
@@ -403,8 +403,8 @@ class TestMeanCovariance:
         cfg = SimConfig(M=m, N=m, K=k_users, L=4, seed=5)
         trials = block + 37  # crosses a block boundary
         est = estimate_mean_covariance(cfg, p_c=4.0, trials=trials)
-        blocks = [chan.sample_channel_block(cfg.r_cu(), k_users, cfg.seed, b,
-                                            chan.STREAM_COVARIANCE)
+        blocks = [chan.sample_channel_block(matrix_sqrt_psd(cfg.r_cu()), k_users,
+                                            cfg.seed, b, chan.STREAM_COVARIANCE)
                   for b in range(2)]
         acc = np.zeros((m, m), dtype=complex)
         for t in range(trials):

@@ -10,39 +10,39 @@ from isacsim import downlink as dl
 from isacsim import mc
 from isacsim import uplink as ul
 from isacsim.channel import SimConfig
-from isacsim.numerics import ModelError
+from isacsim.numerics import ModelError, matrix_sqrt_psd
 
 CFG = SimConfig(M=2, N=2, K=2, L=4, seed=21)
 P_C = 10.0
 ALPHA = 0.5
 PROFILE = 2.0  # an uplink ISAC slot noise rho2
-CLEAN = 1.0
-UL_CORR = chan.CorrelationMatrix(np.eye(CFG.N, dtype=complex))
+DL_ROOT = matrix_sqrt_psd(CFG.r_cu())
+UL_ROOT = np.eye(CFG.N, dtype=complex)
 
 
 def _draws(stream, trials):
     return mc.link_draws(replace(CFG, trials=trials), stream)
 
 
-# per system: its stream, its channel correlation, its per-trial rate, its
-# outage estimator over a trail at a power and its ergodic estimator at P_C
-# (FDSAC at bandwidth share ALPHA)
+# per system: its stream, the root of its channel correlation, its per-trial
+# rate, its outage estimator over a trail at a power and its ergodic
+# estimator at P_C (FDSAC at bandwidth share ALPHA)
 SYSTEMS = {
-    "disac": (chan.STREAM_DOWNLINK, CFG.r_cu(),
+    "disac": (chan.STREAM_DOWNLINK, DL_ROOT,
               lambda h: dl.dl_sum_rate_batch(h, P_C),
               lambda t, r, p, **kw: dl.dl_outage_prob(t, r, p, **kw),
               lambda trials: dl.dl_ecr(_draws(chan.STREAM_DOWNLINK, trials), P_C)),
-    "dfdsac": (chan.STREAM_DOWNLINK, CFG.r_cu(),
+    "dfdsac": (chan.STREAM_DOWNLINK, DL_ROOT,
                lambda h: ALPHA * dl.dl_sum_rate_batch(h, P_C / ALPHA),
                lambda t, r, p, **kw: dl.dl_outage_prob_fdsac(t, r, ALPHA, p, **kw),
                lambda trials: dl.dl_ecr_fdsac(_draws(chan.STREAM_DOWNLINK, trials),
                                               ALPHA, P_C)),
-    "uisac": (chan.STREAM_UPLINK, UL_CORR,
-              lambda h: ul.ul_rate_batch(h, P_C, PROFILE),
+    "uisac": (chan.STREAM_UPLINK, UL_ROOT,
+              lambda h: ul.ul_rate_batch(h, P_C / PROFILE),
               lambda t, r, p, **kw: ul.ul_outage_prob(t, r, p, PROFILE, **kw),
               lambda trials: ul.ul_ecr(_draws(chan.STREAM_UPLINK, trials), P_C, PROFILE)),
-    "ufdsac": (chan.STREAM_UPLINK, UL_CORR,
-               lambda h: ALPHA * ul.ul_rate_batch(h, P_C / ALPHA, CLEAN),
+    "ufdsac": (chan.STREAM_UPLINK, UL_ROOT,
+               lambda h: ALPHA * ul.ul_rate_batch(h, P_C / ALPHA),
                lambda t, r, p, **kw: ul.ul_outage_prob_fdsac(t, r, ALPHA, p, **kw),
                lambda trials: ul.ul_ecr_fdsac(_draws(chan.STREAM_UPLINK, trials),
                                               ALPHA, P_C)),
@@ -51,8 +51,8 @@ SYSTEMS = {
 
 def _block_rates(system, block, count=None):
     # the rates of the first ``count`` trials of one block of the system's link
-    stream, corr, rate, _, _ = SYSTEMS[system]
-    h = chan.sample_channel_block(corr, CFG.K, CFG.seed, block, stream)
+    stream, root, rate, _, _ = SYSTEMS[system]
+    h = chan.sample_channel_block(root, CFG.K, CFG.seed, block, stream)
     return rate(h[:count])
 
 
@@ -194,8 +194,11 @@ def test_an_ascending_sweep_draws_each_block_once(system, drawn):
 
 def test_a_trail_restarts_for_another_system():
     # points of different systems on one trail per link, each at a higher
-    # power than the last and each changing one thing: the kernel, alpha,
-    # the slot noise, the target or the cap must start the trail afresh
+    # p_c than the last and each changing one thing: the kernel, alpha, the
+    # target or the cap must start the trail afresh.  The uplink ISAC rate
+    # is the FDSAC kernel at p_c / rho2: at rho2 = 1 it is the system of
+    # FDSAC at alpha = 1 (the trail carries), and the higher slot noise
+    # lowers the power (the trail starts afresh)
     down, up = chan.STREAM_DOWNLINK, chan.STREAM_UPLINK
     many = 20_000  # events: these points stop at the cap
     points = [  # estimator, link, arguments before and after p_c, target,
@@ -206,7 +209,7 @@ def test_a_trail_restarts_for_another_system():
         (dl.dl_outage_prob_fdsac, down, (0.9,), (), 4.0, many, CAP),
         (dl.dl_outage_prob_fdsac, down, (0.9,), (), 4.0, many, CAP + chan.BLOCK_SIZE),
         (ul.ul_outage_prob_fdsac, up, (1.0,), (), 3.0, EVENTS, CAP),
-        (ul.ul_outage_prob, up, (), (CLEAN,), 3.0, EVENTS, CAP),
+        (ul.ul_outage_prob, up, (), (1.0,), 3.0, EVENTS, CAP),
         (ul.ul_outage_prob, up, (), (PROFILE,), 3.0, EVENTS, CAP),
     ]
     shared = {s: mc.outage_trail(CFG, s) for s in (down, up)}
@@ -305,7 +308,7 @@ def test_zero_input_needs_no_trial(name, arg, value, drawn):
 
 @pytest.mark.parametrize("kernel, columns", [
     (dl.dl_sum_rate_batch, 1), (dl.dl_sum_rate_batch, 2),
-    (lambda h, p: ul.ul_rate_batch(h, p, PROFILE), 2)],
+    (ul.ul_rate_batch, 2)],
     ids=["dl_k1", "dl_k2", "ul"])
 def test_rate_kernels_reject_negative_power(kernel, columns):
     # one scalar check per call: a negative power would give nan rates
@@ -318,8 +321,8 @@ def test_rate_kernels_reject_negative_power(kernel, columns):
            [chan.STREAM_DOWNLINK, chan.STREAM_UPLINK, chan.STREAM_COVARIANCE]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_a_trial_does_not_depend_on_the_trials_requested(trial, dim, rho, stream, seed):
-    corr = chan.exp_correlation(dim, rho)
+    cfg = SimConfig(M=dim, N=dim, K=min(dim, 2), L=dim, rho_cu=rho, seed=seed)
     size = chan.BLOCK_SIZE
-    draws = [np.concatenate(list(mc.blocks(corr, 2, seed, stream, trials)))[trial]
+    draws = [np.concatenate(list(mc.blocks(cfg, stream, trials)))[trial]
              for trials in (trial + 1, size, size + 1, 3 * size) if trials > trial]
     assert all(d.tobytes() == draws[0].tobytes() for d in draws)

@@ -256,7 +256,7 @@ class TestEscapeCause:
     P = 10.0
 
     def test_dl_fdsac_slope_unbounded_isac_finite(self, cfg):
-        rt = cfg.r_target().matrix
+        rt = cfg.r_target()
         sr_max = fdsac_sr(rt, cfg.N, cfg.L, self.P, 0.0)
         # shared draws: CR(alpha) / alpha = E[R(p_c / alpha)] exactly
         draws = link_draws(cfg, STREAM_DOWNLINK)
@@ -271,7 +271,7 @@ class TestEscapeCause:
         assert fd[-1] > isac[-1]
 
     def test_ul_fdsac_slope_unbounded_isac_finite(self, cfg):
-        rt = cfg.r_target().matrix
+        rt = cfg.r_target()
         alphas = 1.0 - HALVINGS
         draws = link_draws(cfg, STREAM_UPLINK)
         cr_max = ul_ecr_fdsac(draws, 1.0, self.P).mean

@@ -13,7 +13,7 @@ from isacsim.sensing import (
     ul_sr,
 )
 
-RT = exp_correlation(2, 0.7).matrix  # eigenvalues 1.7 and 0.3
+RT = exp_correlation(2, 0.7)  # eigenvalues 1.7 and 0.3
 
 
 def hand_rate(p_s, sigma2):
@@ -81,7 +81,8 @@ class TestSensingRate:
             dl_sr(singular, 2, 4, 1.0, 1.0)
 
     def test_takes_a_correlation_matrix(self):
-        assert ul_sr(exp_correlation(2, 0.7), 2, 4, 10.0)[0] == ul_sr(
+        # a plain real nested list gives the rate of the complex array
+        assert ul_sr([[1.0, 0.7], [0.7, 1.0]], 2, 4, 10.0)[0] == ul_sr(
             RT, 2, 4, 10.0)[0]
 
     @pytest.mark.parametrize("rate", [

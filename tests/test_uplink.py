@@ -9,7 +9,7 @@ from scipy.special import exp1
 from isacsim import channel as chan
 from isacsim.channel import SimConfig, exp_correlation
 from isacsim.mc import link_draws, outage_trail
-from isacsim.numerics import ModelError
+from isacsim.numerics import ModelError, matrix_sqrt_psd
 from isacsim.sensing import build_waveform, ul_sr
 from isacsim.uplink import (
     sensing_profile,
@@ -21,7 +21,7 @@ from isacsim.uplink import (
     ul_rate_batch,
 )
 
-RT = exp_correlation(2, 0.7).matrix
+RT = exp_correlation(2, 0.7)
 CLEAN = 1.0  # the slot noise of a frame without radar interference
 
 
@@ -73,16 +73,35 @@ class TestSlotNoise:
         assert rho2 == pytest.approx(3.98039216, abs=1e-6)
 
     def test_rejects_sub_unit_noise(self):
-        h = np.ones((1, 2, 2), dtype=complex)
-        with pytest.raises(ModelError):
-            ul_rate_batch(h, 1.0, np.nextafter(1.0, 0.0))
+        # at every power, a silent link too: no trial is needed to see it
+        cfg = SimConfig(M=2, N=2, K=2, L=4, trials=100)
+        below = np.nextafter(1.0, 0.0)
+        for p_c in (0.0, 1.0):
+            with pytest.raises(ModelError):
+                ul_outage_prob(outage_trail(cfg, chan.STREAM_UPLINK), 1.0, p_c, below)
+            with pytest.raises(ModelError):
+                ul_ecr(link_draws(cfg, chan.STREAM_UPLINK), p_c, below)
+
+    def test_isac_estimates_run_the_kernel_at_p_c_over_rho2(self):
+        # bit for bit: the ECR sums, and the outage counts, the kernel's
+        # rates at p_c / rho2
+        cfg = SimConfig(M=2, N=2, K=2, L=4, trials=3000, seed=8)
+        draws = link_draws(cfg, chan.STREAM_UPLINK)
+        for p_c in (0.3, 10.0, 1e4):
+            for rho2 in (CLEAN, PAPER, 7.5):
+                rates = np.concatenate([ul_rate_batch(h, p_c / rho2) for h in draws])
+                assert ul_ecr(draws, p_c, rho2).mean == float(np.sum(rates)) / 3000
+                target = float(np.median(rates))
+                est = ul_outage_prob(outage_trail(cfg, chan.STREAM_UPLINK), target,
+                                     p_c, rho2, min_events=3000, max_trials=3000)
+                assert est.mean == np.count_nonzero(rates < target) / 3000
 
 
 class TestRates:
     def test_single_antenna_slot_rate(self):
         h = np.array([[1.0 + 1.0j]])
         assert ul_slot_rate(h, 3.0, 2.0) == pytest.approx(math.log2(4.0))
-        assert ul_rate_batch(h[None], 3.0, 2.0)[0] == pytest.approx(math.log2(4.0))
+        assert ul_rate_batch(h[None], 3.0 / 2.0)[0] == pytest.approx(math.log2(4.0))
 
     def test_avg_over_slots(self):
         # the per-slot average over the built waveform's own slot noises is
@@ -94,7 +113,7 @@ class TestRates:
             _, rho2 = sensing_profile(RT, 2, 4, p_s)
             slots = slot_noises(RT, 2, 4, p_s)
             for p_c in (0.1, 10.0, 1e4):
-                batch = ul_rate_batch(h, p_c, rho2)
+                batch = ul_rate_batch(h, p_c / rho2)
                 loops = [ul_avg_rate(h[i], p_c, slots) for i in range(16)]
                 assert np.allclose(batch, loops, rtol=0.0, atol=1e-12), (p_s, p_c)
 
@@ -102,14 +121,14 @@ class TestRates:
         rng = np.random.default_rng(23)
         h = (rng.standard_normal((32, 2, 2))
              + 1j * rng.standard_normal((32, 2, 2))) / np.sqrt(2.0)
-        batch = ul_rate_batch(h, 5.0, 2.0)
+        batch = ul_rate_batch(h, 5.0 / 2.0)
         loops = [ul_slot_rate(h[i], 5.0, 2.0) for i in range(32)]
         assert np.allclose(batch, loops, atol=1e-9)
 
     def test_interference_hurts(self):
         h = np.array([[1.0], [1.0]], dtype=complex)
-        quiet = ul_rate_batch(h[None], 4.0, CLEAN)[0]
-        noisy = ul_rate_batch(h[None], 4.0, 3.0)[0]
+        quiet = ul_rate_batch(h[None], 4.0 / CLEAN)[0]
+        noisy = ul_rate_batch(h[None], 4.0 / 3.0)[0]
         assert noisy < quiet
 
 
@@ -188,12 +207,12 @@ class TestRateBytes:
     @pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3)])
     @pytest.mark.parametrize("rho", [0.0, 0.8])
     def test_matches_the_einsum_gram(self, n, k, rho):
-        h = chan.sample_channel_block(exp_correlation(n, rho), k, 3, 0,
-                                      chan.STREAM_UPLINK)[:2048]
+        h = chan.sample_channel_block(matrix_sqrt_psd(exp_correlation(n, rho)), k,
+                                      3, 0, chan.STREAM_UPLINK)[:2048]
         for p_c in np.logspace(-2.0, 6.0, 9):
-            assert same_bytes(ul_rate_batch(h, p_c, PAPER),
+            assert same_bytes(ul_rate_batch(h, p_c / PAPER),
                               einsum_logdet(h, p_c / PAPER)), p_c
-            assert same_bytes(ul_rate_batch(h, p_c, CLEAN),
+            assert same_bytes(ul_rate_batch(h, p_c),
                               einsum_logdet(h, p_c)), p_c
 
 
@@ -204,14 +223,14 @@ class TestLayoutBytes:
     @pytest.mark.parametrize("rho", [0.0, 0.8, 0.999])
     def test_kernels_ignore_the_layout(self, n, rho):
         for k in range(1, n + 1):
-            h = chan.sample_channel_block(exp_correlation(n, rho), k, 5, 0,
-                                          chan.STREAM_UPLINK, 1024)
+            h = chan.sample_channel_block(matrix_sqrt_psd(exp_correlation(n, rho)),
+                                          k, 5, 0, chan.STREAM_UPLINK, 1024)
             copy = np.ascontiguousarray(h)
             for p_c in np.logspace(-2.0, 6.0, 9):
-                assert same_bytes(ul_rate_batch(h, p_c, CLEAN),
-                                  ul_rate_batch(copy, p_c, CLEAN)), (k, p_c)
-                assert same_bytes(ul_rate_batch(h, p_c, PAPER),
-                                  ul_rate_batch(copy, p_c, PAPER)), (k, p_c)
+                assert same_bytes(ul_rate_batch(h, p_c),
+                                  ul_rate_batch(copy, p_c)), (k, p_c)
+                assert same_bytes(ul_rate_batch(h, p_c / PAPER),
+                                  ul_rate_batch(copy, p_c / PAPER)), (k, p_c)
 
 
 class TestExpansionProperties:
@@ -224,7 +243,7 @@ class TestExpansionProperties:
         rng = np.random.default_rng(seed)
         shape = (8, 2, columns)
         w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        h = exp_correlation(2, rho).root @ (w / np.sqrt(2.0))
+        h = matrix_sqrt_psd(exp_correlation(2, rho)) @ (w / np.sqrt(2.0))
         scale = 10.0 ** (snr_db / 10.0)
         gram = h @ h.conj().transpose(0, 2, 1)
         expect = np.linalg.slogdet(np.eye(2) + scale * gram)[1] / math.log(2.0)
@@ -232,4 +251,4 @@ class TestExpansionProperties:
                        axis=1)
         kappa = diag / 2.0 ** expect
         bound = 1e-12 * np.abs(expect) + 32 * np.finfo(float).eps * kappa / math.log(2.0)
-        assert np.all(np.abs(ul_rate_batch(h, scale, CLEAN) - expect) <= bound)
+        assert np.all(np.abs(ul_rate_batch(h, scale) - expect) <= bound)
