@@ -195,8 +195,8 @@ _DIVERSITY_CAP = 60_000_000
 
 def criterion_dl_diversity(seed=DEFAULT_SEED):
     """Downlink outage decay order = MK = 4 within +-0.5."""
-    trail = mc.outage_trail(_paper_cfg(seed), STREAM_DOWNLINK)
-    ops = [dl.dl_outage_prob(trail, 5.0, 10 ** (g / 10.0),
+    link = mc.Link(_paper_cfg(seed), STREAM_DOWNLINK)
+    ops = [dl.dl_outage_prob(link, 5.0, 10 ** (g / 10.0),
                              min_events=_DIVERSITY_EVENTS,
                              max_trials=_DIVERSITY_CAP).mean
            for g in _DL_DIVERSITY_GRID_DB]
@@ -209,8 +209,8 @@ def criterion_ul_diversity(seed=DEFAULT_SEED):
     """Uplink outage decay order = NK = 4 within +-0.5."""
     cfg = _paper_cfg(seed)
     _, rho2 = ul.sensing_profile(cfg.r_target(), cfg.N, cfg.L, cfg.p_s)
-    trail = mc.outage_trail(cfg, STREAM_UPLINK)
-    ops = [ul.ul_outage_prob(trail, 5.0, 10 ** (g / 10.0), rho2,
+    link = mc.Link(cfg, STREAM_UPLINK)
+    ops = [ul.ul_outage_prob(link, 5.0, 10 ** (g / 10.0), rho2,
                              min_events=_DIVERSITY_EVENTS,
                              max_trials=_DIVERSITY_CAP).mean
            for g in _UL_DIVERSITY_GRID_DB]
@@ -223,10 +223,10 @@ def criterion_ecr_slopes(seed=DEFAULT_SEED):
     """Downlink and uplink ECR gain over a 10 dB step = K log2(10) +- 2%."""
     cfg = _paper_cfg(seed)
     target = 2.0 * math.log2(10.0)
-    down = mc.link_draws(cfg, STREAM_DOWNLINK)
+    down = mc.Link(cfg, STREAM_DOWNLINK)
     d = dl.dl_ecr(down, 1e4).mean - dl.dl_ecr(down, 1e3).mean
     _, rho2 = ul.sensing_profile(cfg.r_target(), cfg.N, cfg.L, cfg.p_s)
-    up = mc.link_draws(cfg, STREAM_UPLINK)
+    up = mc.Link(cfg, STREAM_UPLINK)
     u = ul.ul_ecr(up, 1e4, rho2).mean - ul.ul_ecr(up, 1e3, rho2).mean
     err = max(abs(d - target), abs(u - target)) / target
     return (err <= 0.02, err,
@@ -246,14 +246,14 @@ def criterion_ecr_asymptote(seed=DEFAULT_SEED):
     e_iid = dl.ed_closed_form_iid(cfg.M, cfg.K)
     log_det = float(np.linalg.slogdet(cfg.r_cu())[1]) / math.log(2.0)
     _, rho2 = ul.sensing_profile(cfg.r_target(), cfg.N, cfg.L, cfg.p_s)
-    iid = mc.link_draws(replace(cfg, rho_cu=0.0), STREAM_DOWNLINK)
+    iid = mc.Link(replace(cfg, rho_cu=0.0), STREAM_DOWNLINK)
     checks = (
         ("iid dl", dl.dl_ecr(iid, 1e4).mean,
          dl.dl_ecr_asymptote(1e4, cfg.K, e_iid)),
         (f"dl rho_cu {cfg.rho_cu:g}",
-         dl.dl_ecr(mc.link_draws(cfg, STREAM_DOWNLINK), 1e4).mean,
+         dl.dl_ecr(mc.Link(cfg, STREAM_DOWNLINK), 1e4).mean,
          dl.dl_ecr_asymptote(1e4, cfg.K, e_iid + log_det)),
-        ("ul", ul.ul_ecr(mc.link_draws(cfg, STREAM_UPLINK), 1e4, rho2).mean,
+        ("ul", ul.ul_ecr(mc.Link(cfg, STREAM_UPLINK), 1e4, rho2).mean,
          ul.ul_ecr_asymptote(1e4, cfg.K, cfg.N, rho2)),
     )
     gap = max(abs(est - line) for _, est, line in checks)
@@ -405,20 +405,20 @@ def criterion_regions(seed=DEFAULT_SEED):
     decade = math.log2(10.0)
 
     # every region of a link averages the same draws
-    down = mc.link_draws(cfg, STREAM_DOWNLINK)
-    d_far, d_note = _escape(rg.dl_isac_region(cfg, down, p_c, p_s),
-                            rg.dl_fdsac_region(cfg, down, p_c, p_s))
+    down = mc.Link(cfg, STREAM_DOWNLINK)
+    d_far, d_note = _escape(rg.dl_isac_region(down, p_c, p_s),
+                            rg.dl_fdsac_region(down, p_c, p_s))
     d_err, d_fixed = _dof_step(
-        lambda g: (rg.dl_isac_region(cfg, down, p_c, g),
-                   rg.dl_fdsac_region(cfg, down, p_c, g)),
+        lambda g: (rg.dl_isac_region(down, p_c, g),
+                   rg.dl_fdsac_region(down, p_c, g)),
         "sr", "cr", cfg.N * cfg.M / cfg.L * decade, lambda a: 1.0 - a)
 
-    up = mc.link_draws(cfg, STREAM_UPLINK)
-    u_far, u_note = _escape(rg.ul_isac_region(cfg, up, p_c, p_s),
-                            rg.ul_fdsac_region(cfg, up, p_c, p_s))
+    up = mc.Link(cfg, STREAM_UPLINK)
+    u_far, u_note = _escape(rg.ul_isac_region(up, p_c, p_s),
+                            rg.ul_fdsac_region(up, p_c, p_s))
     u_err, u_fixed = _dof_step(
-        lambda g: (rg.ul_isac_region(cfg, up, g, p_s),
-                   rg.ul_fdsac_region(cfg, up, g, p_s)),
+        lambda g: (rg.ul_isac_region(up, g, p_s),
+                   rg.ul_fdsac_region(up, g, p_s)),
         "cr", "sr", cfg.K * decade, lambda a: a)
 
     err = max(d_err, u_err)

@@ -126,24 +126,20 @@ def _sweep(params, default_stop, default_step):
 
 
 def _run_vs_snr(cfg, params, experiment):
-    # outage (op_vs_snr) or ergodic rate (ecr_vs_snr) of the four systems
+    # outage (op_vs_snr) or ergodic rate (ecr_vs_snr) of the four systems,
+    # each over the one Monte Carlo link of its stream
     alpha, target = params["alpha"], params["target_rate"]
     kw = dict(min_events=params["min_events"], max_trials=params["max_trials"])
     _, rho2 = ul.sensing_profile(cfg.r_target(), cfg.N, cfg.L, cfg.p_s)
+    down, up = mc.Link(cfg, STREAM_DOWNLINK), mc.Link(cfg, STREAM_UPLINK)
     if experiment == "op_vs_snr":
-        # each system carries its own outage trials from point to point
-        disac, dfdsac = (mc.outage_trail(cfg, STREAM_DOWNLINK) for _ in range(2))
-        uisac, ufdsac = (mc.outage_trail(cfg, STREAM_UPLINK) for _ in range(2))
         systems = {
-            "disac": lambda p: dl.dl_outage_prob(disac, target, p, **kw),
-            "dfdsac": lambda p: dl.dl_outage_prob_fdsac(dfdsac, target, alpha, p, **kw),
-            "uisac": lambda p: ul.ul_outage_prob(uisac, target, p, rho2, **kw),
-            "ufdsac": lambda p: ul.ul_outage_prob_fdsac(ufdsac, target, alpha, p, **kw),
+            "disac": lambda p: dl.dl_outage_prob(down, target, p, **kw),
+            "dfdsac": lambda p: dl.dl_outage_prob_fdsac(down, target, alpha, p, **kw),
+            "uisac": lambda p: ul.ul_outage_prob(up, target, p, rho2, **kw),
+            "ufdsac": lambda p: ul.ul_outage_prob_fdsac(up, target, alpha, p, **kw),
         }
     else:
-        # every point's ergodic rate averages the same draws of its link
-        down = mc.link_draws(cfg, STREAM_DOWNLINK)
-        up = mc.link_draws(cfg, STREAM_UPLINK)
         systems = {
             "disac": lambda p: dl.dl_ecr(down, p),
             "dfdsac": lambda p: dl.dl_ecr_fdsac(down, alpha, p),
@@ -155,6 +151,10 @@ def _run_vs_snr(cfg, params, experiment):
         p_c = db_to_linear(p_db)
         for name, estimate in systems.items():
             est = estimate(p_c)
+            if experiment == "op_vs_snr" and est.mean == 0.0 and est.trials:
+                log.warning("%s at p_c=%.3g dB: no outage in %d trials; the "
+                            "one-sided 95%% bound is %.3g", name, p_db,
+                            est.trials, 3.0 / est.trials)
             rows.append((p_db, name, est.mean, est.std_error, est.trials))
         log.info("%s p_c=%.3g dB done", experiment, p_db)
     column = experiment.split("_")[0]
@@ -200,8 +200,8 @@ def _run_region(cfg, params, link):
     else:
         sweeps, stream = (rg.ul_isac_region, rg.ul_fdsac_region), STREAM_UPLINK
     # both sweeps average the same draws of the link
-    draws = mc.link_draws(cfg, stream)
-    isac, fdsac = (sweep(cfg, draws, cfg.p_c, cfg.p_s, grid_size=params["grid_size"])
+    shared = mc.Link(cfg, stream)
+    isac, fdsac = (sweep(shared, cfg.p_c, cfg.p_s, grid_size=params["grid_size"])
                    for sweep in sweeps)
     _log_containment(link, isac, fdsac)
     return ["system", "sweep_param", "sweep_value", "cr", "cr_std_err", "sr"], \

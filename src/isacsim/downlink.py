@@ -391,31 +391,31 @@ def sensing_noise(cfg: chan.SimConfig, p_c) -> float:
 # Monte Carlo estimates
 # ---------------------------------------------------------------------------
 
-def dl_outage_prob(trail, r_target, p_c, min_events=200,
+def dl_outage_prob(link, r_target, p_c, min_events=200,
                    max_trials=10_000_000) -> MonteCarloEstimate:
     """Probability that the downlink sum rate falls below ``r_target``, over
-    a downlink outage trail (``mc.outage_trail(cfg, chan.STREAM_DOWNLINK)``).
+    a downlink ``mc.Link(cfg, chan.STREAM_DOWNLINK)``.
 
     Adaptive trial policy: whole blocks are processed until at least
     ``min_events`` outages have been seen or ``max_trials`` is reached,
     whichever comes first.  The binomial standard error is reported.
     """
-    return mc.outage(trail, chan.STREAM_DOWNLINK, dl_sum_rate_batch, r_target,
+    return mc.outage(link, chan.STREAM_DOWNLINK, dl_sum_rate_batch, r_target,
                      p_c, 1.0, min_events, max_trials)
 
 
-def dl_outage_prob_fdsac(trail, r_target, alpha, p_c, min_events=200,
+def dl_outage_prob_fdsac(link, r_target, alpha, p_c, min_events=200,
                          max_trials=10_000_000) -> MonteCarloEstimate:
     """Outage of the bandwidth-split baseline rate alpha * R_d(p_c / alpha)
-    over a downlink outage trail."""
-    return mc.outage(trail, chan.STREAM_DOWNLINK, dl_sum_rate_batch, r_target,
+    over a downlink ``mc.Link``."""
+    return mc.outage(link, chan.STREAM_DOWNLINK, dl_sum_rate_batch, r_target,
                      p_c, alpha, min_events, max_trials)
 
 
-def dl_ecr(draws, p_c) -> MonteCarloEstimate:
-    """Ergodic downlink sum rate over a downlink draw set
-    (``mc.link_draws(cfg, chan.STREAM_DOWNLINK)``)."""
-    return mc.ergodic(draws, dl_sum_rate_batch, p_c, 1.0)
+def dl_ecr(link, p_c) -> MonteCarloEstimate:
+    """Ergodic downlink sum rate over the draw set of a downlink
+    ``mc.Link(cfg, chan.STREAM_DOWNLINK)``."""
+    return mc.ergodic(link, chan.STREAM_DOWNLINK, dl_sum_rate_batch, p_c, 1.0)
 
 
 def ed_closed_form_iid(m_antennas, k_users) -> float:
@@ -437,11 +437,11 @@ def dl_ecr_asymptote(p_c, k_users, e_d) -> float:
     return k_users * math.log2(p_c / k_users) + e_d
 
 
-def dl_ecr_fdsac(draws, alpha, p_c) -> MonteCarloEstimate:
+def dl_ecr_fdsac(link, alpha, p_c) -> MonteCarloEstimate:
     """Ergodic rate of the bandwidth-split baseline with fraction ``alpha``
-    over a downlink draw set.
+    over the draw set of a downlink ``mc.Link``.
 
     Per trial: alpha * dl_sum_rate(H, p_c / alpha); alpha = 0 gives 0 by
     the continuity convention.
     """
-    return mc.ergodic(draws, dl_sum_rate_batch, p_c, alpha)
+    return mc.ergodic(link, chan.STREAM_DOWNLINK, dl_sum_rate_batch, p_c, alpha)

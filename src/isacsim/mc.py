@@ -10,13 +10,11 @@ per-trial rates R of a block h of its channels at power p.  ``blocks`` is
 the one map from a stream to its channels: uplink channels are i.i.d., and
 downlink and covariance channels are correlated at the BS by R_cu.
 
-An ergodic estimate runs a fixed number of trials, so a sweep draws its
-link's channels once (``link_draws``) and hands the same draw set to every
-point.
-
-An outage estimate stops at a trial that depends on the data, so a sweep
-hands each system an outage trail (``outage_trail``) instead, which
-carries the system's outage trials from one point to the next:
+Every estimate runs over a ``Link``, which a sweep builds once per link.
+An ergodic estimate runs a fixed number of trials, so every one of a link
+averages the link's one draw set.  An outage estimate stops at a trial
+that depends on the data, so the link instead keeps an outage trail for
+each system, which carries its outage trials from one point to the next:
 
 - Every rate is nondecreasing in power, so on the same draws the outages
   at a higher power are among those at a lower one.
@@ -29,9 +27,8 @@ carries the system's outage trials from one point to the next:
 - The slack is far above any rate kernel's rounding error, so a trial left
   behind cannot be in outage at the higher power: every estimate keeps the
   bits a fresh trail gives it.
-- A lower power, or any change of system (kernel, alpha, target or trial
-  cap), starts the trail afresh, and a fresh trail draws
-  every block as it goes.
+- A point at a lower power starts its system's trail afresh, and a fresh
+  trail draws every block as it goes.
 - A trail carries fewer than ``min_events`` + ``BLOCK_SIZE`` trials (the
   largest ``min_events`` of its points), besides any whose rate lies
   within the slack of the target: the blocks before the last one it drew
@@ -49,8 +46,7 @@ import numpy as np
 from . import channel as chan
 from .numerics import ModelError, matrix_sqrt_psd
 
-__all__ = ["MonteCarloEstimate", "blocks", "link_draws", "outage_trail",
-           "outage", "ergodic"]
+__all__ = ["MonteCarloEstimate", "Link", "blocks", "outage", "ergodic"]
 
 # bits a carried trial's rate may lie above the target: far above the error
 # of every rate kernel (the K >= 3 solve is certified to 1e-9 bit)
@@ -86,61 +82,59 @@ def blocks(cfg, stream, trials, start=0):
                                         stream, min(size, trials - start))
 
 
-def link_draws(cfg, stream) -> tuple:
-    """The draw set of one link: the read-only channel blocks of its trials
-    0 .. cfg.trials-1, which every ergodic estimate of a sweep shares.
+class Link:
+    """The Monte Carlo state of one link (``stream``) of cfg: the read-only
+    draw set of its trials 0 .. cfg.trials-1, drawn on first use and shared
+    by every ergodic estimate (cfg.trials * dim * K complex numbers, 16
+    bytes each), and one outage trail per system it serves (``trails``,
+    keyed by kernel, alpha, target and trial cap)."""
 
-    It holds cfg.trials * dim * K complex numbers (16 bytes each).
-    """
-    draws = tuple(blocks(cfg, stream, cfg.trials))
-    for h in draws:
-        h.flags.writeable = False
-    return draws
+    def __init__(self, cfg, stream):
+        self.cfg, self.stream = cfg, stream
+        self.trails = {}
+        self._draws = None
+
+    def draws(self) -> tuple:
+        """The ergodic draw set, drawn on the first call."""
+        if self._draws is None:
+            self._draws = tuple(blocks(self.cfg, self.stream, self.cfg.trials))
+            for h in self._draws:
+                h.flags.writeable = False
+        return self._draws
 
 
 class _Trail:
     """What one outage system carries from one point to the next: the
-    system and power of the last point, the trials drawn from each block so
-    far (``sizes``), and the candidates as a C-contiguous (dim, K, n)
-    buffer (``carried``, so ``carried.transpose(2, 0, 1)`` is a trial-minor
-    batch) with the block of each (``block``)."""
+    power of the last point, the trials drawn from each block so far
+    (``sizes``), and the candidates as a C-contiguous (dim, K, n) buffer
+    (``carried``, so ``carried.transpose(2, 0, 1)`` is a trial-minor batch;
+    None until the first block is drawn) with the block of each
+    (``block``)."""
 
-    def __init__(self, cfg, stream):
-        self.cfg, self.stream = cfg, stream
-        self.restart(None)
-
-    def restart(self, system):
-        self.system, self.p_c, self.sizes = system, 0.0, []
-        dim = self.cfg.N if self.stream == chan.STREAM_UPLINK else self.cfg.M
-        self.carried = np.empty((dim, self.cfg.K, 0), dtype=complex)
+    def __init__(self):
+        self.p_c, self.sizes, self.carried = 0.0, [], None
         self.block = np.empty(0, dtype=np.intp)
 
 
-def outage_trail(cfg, stream) -> _Trail:
-    """A fresh outage trail of one link, for one system's outage sweep
-    (module docstring): the outage counterpart of ``link_draws``."""
-    return _Trail(cfg, stream)
-
-
-def outage(trail, stream, rate, r_target, p_c, alpha=1.0, min_events=200,
-           max_trials=10_000_000) -> MonteCarloEstimate:
+def outage(link, stream, rate, r_target, p_c, alpha, min_events,
+           max_trials) -> MonteCarloEstimate:
     """Probability that alpha * rate(H, p_c / alpha) falls below
-    ``r_target``, over the channels of an outage trail of link ``stream``.
+    ``r_target``, over the channels of a ``Link`` of stream ``stream``.
 
     Blocks are counted in order until at least ``min_events`` outages have
     been seen or ``max_trials`` is reached, whichever comes first; the
     binomial standard error is reported.  The candidates of the blocks the
-    trail holds decide their counts, and the point's candidates stay in the
-    trail for the next point.  A zero target is never missed and a silent
-    link always is, so both return without a trial: trials = 0.
+    system's trail holds decide their counts, and the point's candidates
+    stay in the trail for the next point.  A zero target is never missed
+    and a silent link always is, so both return without a trial:
+    trials = 0.
     """
-    if trail.stream != stream:
-        raise ModelError("the outage trail belongs to the other link")
-    if _silent(p_c, alpha, r_target, max_trials) or r_target == 0.0:
+    if _silent(link, stream, p_c, alpha, r_target, max_trials) or r_target == 0.0:
         return MonteCarloEstimate(float(r_target > 0.0), 0.0, 0)
     system = (rate, alpha, r_target, max_trials)
-    if system != trail.system or p_c < trail.p_c:
-        trail.restart(system)
+    trail = link.trails.get(system)
+    if trail is None or p_c < trail.p_c:
+        trail = link.trails[system] = _Trail()
 
     def outages(h):
         # the outage and candidate masks of a trial-minor batch
@@ -161,8 +155,9 @@ def outage(trail, stream, rate, r_target, p_c, alpha=1.0, min_events=200,
     events = int(counts[:stop + 1].sum())
     done = sum(trail.sizes[:stop + 1])
     if stop == len(counts):
-        parts, tags, sizes = [trail.carried], [trail.block], list(trail.sizes)
-        for h in blocks(trail.cfg, stream, max_trials, done):
+        parts = [] if trail.carried is None else [trail.carried]
+        tags, sizes = [trail.block], list(trail.sizes)
+        for h in blocks(link.cfg, stream, max_trials, done):
             out, keep = outages(h)
             events += int(np.count_nonzero(out))
             done += len(h)
@@ -179,9 +174,11 @@ def outage(trail, stream, rate, r_target, p_c, alpha=1.0, min_events=200,
     return MonteCarloEstimate(mean=p, std_error=se, trials=done)
 
 
-def _silent(p_c, alpha, r_target, trials):
+def _silent(link, stream, p_c, alpha, r_target, trials):
     # The one input check of every estimator; True when no rate is carried
     # (zero power or zero bandwidth), so the estimate needs no trial.
+    if link.stream != stream:
+        raise ModelError("the link is the other stream")
     if not 0.0 <= alpha <= 1.0:
         raise ModelError("alpha must lie in [0, 1]")
     if r_target < 0.0:
@@ -193,15 +190,15 @@ def _silent(p_c, alpha, r_target, trials):
     return p_c == 0.0 or alpha == 0.0
 
 
-def ergodic(draws, rate, p_c, alpha=1.0) -> MonteCarloEstimate:
-    """Mean of alpha * rate(H, p_c / alpha) over every trial of a draw set
-    (``link_draws``), block by block; a silent link carries rate 0 without
-    a trial."""
-    trials = sum(len(h) for h in draws)
-    if _silent(p_c, alpha, 0.0, trials):
+def ergodic(link, stream, rate, p_c, alpha) -> MonteCarloEstimate:
+    """Mean of alpha * rate(H, p_c / alpha) over every trial of the draw
+    set of a ``Link`` of stream ``stream``, block by block; a silent link
+    carries rate 0 without a trial."""
+    trials = link.cfg.trials
+    if _silent(link, stream, p_c, alpha, 0.0, trials):
         return MonteCarloEstimate(0.0, 0.0, 0)
     total = total_sq = 0.0
-    for h in draws:
+    for h in link.draws():
         rates = alpha * rate(h, p_c / alpha)
         total += float(np.sum(rates))
         total_sq += float(np.sum(rates * rates))

@@ -2,9 +2,9 @@
 
 Each region is a one-parameter sweep of (ECR, SR) operating points: the
 power split (ISAC) or the bandwidth share alpha (FDSAC).  A sweep takes
-its link's draw set (``mc.link_draws``), which the ISAC and FDSAC sweeps of
-a link can share, and every point's ECR averages the same draws, each as
-its own estimate would.  A region holds its corners as columns over the
+an ``mc.Link``, which the ISAC and FDSAC sweeps of a link can share, and
+every point's ECR averages the link's one draw set, each as its own
+estimate would.  A region holds its corners as columns over the
 sweep grid; it is the downward-closed union of the rectangles
 [0, cr_i] x [0, sr_i], so containment reduces to corner dominance
 (``corner_gaps``).
@@ -25,7 +25,6 @@ import numpy as np
 from . import downlink as dl
 from . import sensing as sn
 from . import uplink as ul
-from .channel import SimConfig
 from .numerics import ModelError
 
 __all__ = [
@@ -66,54 +65,54 @@ def _sweep(param, lo, hi, grid_size, corner) -> RateRegion:
     return RateRegion(param, grid, *columns)
 
 
-def dl_isac_region(cfg: SimConfig, draws, p_c_max, p_s_max,
-                   grid_size=DEFAULT_GRID) -> RateRegion:
+def dl_isac_region(link, p_c_max, p_s_max, grid_size=DEFAULT_GRID) -> RateRegion:
     """Downlink region: sweep p_c in [0, p_c_max] at fixed p_s = p_s_max,
-    over the downlink draw set ``draws`` of cfg.
+    over a downlink ``mc.Link``.
 
     Higher communication power raises the sensing interference through the
     mean input covariance, so sr falls as cr grows along the sweep.
     """
+    cfg = link.cfg
     rt = cfg.r_target()
     return _sweep("p_c", 0.0, p_c_max, grid_size, lambda p_c: (
-        dl.dl_ecr(draws, p_c),
+        dl.dl_ecr(link, p_c),
         sn.dl_sr(rt, cfg.N, cfg.L, p_s_max, dl.sensing_noise(cfg, p_c))[0]))
 
 
-def ul_isac_region(cfg: SimConfig, draws, p_c_max, p_s_max,
-                   grid_size=DEFAULT_GRID) -> RateRegion:
+def ul_isac_region(link, p_c_max, p_s_max, grid_size=DEFAULT_GRID) -> RateRegion:
     """Uplink region: sweep p_s in [0, p_s_max] at fixed p_c = p_c_max,
-    over the uplink draw set ``draws`` of cfg.
+    over an uplink ``mc.Link``.
 
     Higher sensing power raises the slot noise seen by the uplink decoder,
     so cr falls as sr grows along the sweep.
     """
+    cfg = link.cfg
     rt = cfg.r_target()
 
     def corner(p_s):
         sr, rho2 = ul.sensing_profile(rt, cfg.N, cfg.L, p_s)
-        return ul.ul_ecr(draws, p_c_max, rho2), sr
+        return ul.ul_ecr(link, p_c_max, rho2), sr
 
     return _sweep("p_s", 0.0, p_s_max, grid_size, corner)
 
 
-def dl_fdsac_region(cfg: SimConfig, draws, p_c, p_s,
-                    grid_size=DEFAULT_GRID) -> RateRegion:
-    """Downlink bandwidth-split region: sweep alpha in [0, 1] over the
-    downlink draw set ``draws``."""
+def dl_fdsac_region(link, p_c, p_s, grid_size=DEFAULT_GRID) -> RateRegion:
+    """Downlink bandwidth-split region: sweep alpha in [0, 1] over a
+    downlink ``mc.Link``."""
+    cfg = link.cfg
     rt = cfg.r_target()
     return _sweep("alpha", 0.0, 1.0, grid_size, lambda alpha: (
-        dl.dl_ecr_fdsac(draws, alpha, p_c),
+        dl.dl_ecr_fdsac(link, alpha, p_c),
         sn.fdsac_sr(rt, cfg.N, cfg.L, p_s, alpha)))
 
 
-def ul_fdsac_region(cfg: SimConfig, draws, p_c, p_s,
-                    grid_size=DEFAULT_GRID) -> RateRegion:
-    """Uplink bandwidth-split region: sweep alpha in [0, 1] over the uplink
-    draw set ``draws``."""
+def ul_fdsac_region(link, p_c, p_s, grid_size=DEFAULT_GRID) -> RateRegion:
+    """Uplink bandwidth-split region: sweep alpha in [0, 1] over an uplink
+    ``mc.Link``."""
+    cfg = link.cfg
     rt = cfg.r_target()
     return _sweep("alpha", 0.0, 1.0, grid_size, lambda alpha: (
-        ul.ul_ecr_fdsac(draws, alpha, p_c),
+        ul.ul_ecr_fdsac(link, alpha, p_c),
         sn.fdsac_sr(rt, cfg.N, cfg.L, p_s, alpha)))
 
 

@@ -96,27 +96,27 @@ def _isac_power(p_c, rho2):
     return p_c / rho2
 
 
-def ul_outage_prob(trail, r_target, p_c, rho2, min_events=200,
+def ul_outage_prob(link, r_target, p_c, rho2, min_events=200,
                    max_trials=10_000_000) -> MonteCarloEstimate:
     """Probability that the uplink ISAC sum rate at slot noise rho2 falls
-    below target, over an uplink outage trail
-    (``mc.outage_trail(cfg, chan.STREAM_UPLINK)``)."""
-    return mc.outage(trail, chan.STREAM_UPLINK, ul_rate_batch, r_target,
+    below target, over an uplink ``mc.Link(cfg, chan.STREAM_UPLINK)``."""
+    return mc.outage(link, chan.STREAM_UPLINK, ul_rate_batch, r_target,
                      _isac_power(p_c, rho2), 1.0, min_events, max_trials)
 
 
-def ul_outage_prob_fdsac(trail, r_target, alpha, p_c, min_events=200,
+def ul_outage_prob_fdsac(link, r_target, alpha, p_c, min_events=200,
                          max_trials=10_000_000) -> MonteCarloEstimate:
     """Outage of the bandwidth-split uplink baseline (interference-free,
-    rho2 = 1) over an uplink outage trail."""
-    return mc.outage(trail, chan.STREAM_UPLINK, ul_rate_batch, r_target, p_c,
+    rho2 = 1) over an uplink ``mc.Link``."""
+    return mc.outage(link, chan.STREAM_UPLINK, ul_rate_batch, r_target, p_c,
                      alpha, min_events, max_trials)
 
 
-def ul_ecr(draws, p_c, rho2) -> MonteCarloEstimate:
-    """Ergodic uplink ISAC sum rate at slot noise rho2 over an uplink draw
-    set (``mc.link_draws(cfg, chan.STREAM_UPLINK)``)."""
-    return mc.ergodic(draws, ul_rate_batch, _isac_power(p_c, rho2), 1.0)
+def ul_ecr(link, p_c, rho2) -> MonteCarloEstimate:
+    """Ergodic uplink ISAC sum rate at slot noise rho2 over the draw set of
+    an uplink ``mc.Link(cfg, chan.STREAM_UPLINK)``."""
+    return mc.ergodic(link, chan.STREAM_UPLINK, ul_rate_batch,
+                      _isac_power(p_c, rho2), 1.0)
 
 
 def ul_ecr_asymptote(p_c, k_users, n_antennas, rho2) -> float:
@@ -130,11 +130,11 @@ def ul_ecr_asymptote(p_c, k_users, n_antennas, rho2) -> float:
             - k_users * math.log2(rho2))
 
 
-def ul_ecr_fdsac(draws, alpha, p_c) -> MonteCarloEstimate:
-    """Ergodic rate of the bandwidth-split uplink baseline over an uplink
-    draw set.
+def ul_ecr_fdsac(link, alpha, p_c) -> MonteCarloEstimate:
+    """Ergodic rate of the bandwidth-split uplink baseline over the draw set
+    of an uplink ``mc.Link``.
 
     Per trial: alpha * log2 det(I_N + (p_c / alpha) H_u H_u^H); the
     communication sub-band sees no radar interference.
     """
-    return mc.ergodic(draws, ul_rate_batch, p_c, alpha)
+    return mc.ergodic(link, chan.STREAM_UPLINK, ul_rate_batch, p_c, alpha)

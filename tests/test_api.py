@@ -38,6 +38,7 @@ import typing
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import isacsim
 
@@ -296,11 +297,18 @@ def _package_function(qualified):
     return getattr(importlib.import_module(f"isacsim.{layer}"), name)
 
 
+def _shortcut_args(name):
+    # the tracer's SHORTCUT_ARGS an estimator takes: p_c on every one, the
+    # target on the outage estimators, alpha on the FDSAC ones
+    return ({"p_c"} | ({"r_target"} if "outage" in name else set())
+            | ({"alpha"} if "fdsac" in name else set()))
+
+
 def test_the_bench_tracer_still_binds_what_it_counts():
     # The tracer wraps each function of TRACED, keyed by the function object,
-    # counts trials by binding the estimators' p_c by name, reads the
-    # covariance estimate's p_c and trials_used, and counts region points by
-    # len(result.grid).  A rename, a deletion or an alias here would break
+    # counts trials by binding the estimators' SHORTCUT_ARGS by name, reads
+    # the covariance estimate's p_c and trials_used, and counts region points
+    # by len(result.grid).  A rename, a deletion or an alias here would break
     # its spans or its trial count, which only bench/tests would see.
     tracer = _bench_tracer()
     traced = [f"{layer}.{name}" for layer, names in tracer.TRACED.items()
@@ -320,7 +328,8 @@ def test_the_bench_tracer_still_binds_what_it_counts():
             for name in estimators:
                 wrapped = _package_function(name)
                 assert wrapped is not originals[name], name
-                assert "p_c" in inspect.signature(wrapped).parameters, name
+                params = set(inspect.signature(wrapped).parameters)
+                assert _shortcut_args(name) <= params, name
         finally:
             spans.uninstall()
         assert {name: _package_function(name) for name in estimators} == originals
@@ -330,6 +339,44 @@ def test_the_bench_tracer_still_binds_what_it_counts():
     # the tracer reads the sampler's block key by name
     sampler = inspect.signature(_package_function("channel.sample_channel_block"))
     assert {"seed", "block", "stream"} <= set(sampler.parameters)
+    assert {arg for name in estimators for arg in _shortcut_args(name)} == \
+        set(tracer.SHORTCUT_ARGS)
+
+
+# The bench's tiny runs (bench/tests/test_bench.py) and the trials its gate
+# expects of each
+TINY = {
+    "op_vs_snr": {"sweep_db": [10.0], "min_events": 5, "max_trials": 16384, "seed": 7},
+    "region_dl": {"grid_size": 2, "trials": 1000, "seed": 7},
+    "ecr_vs_snr": {"M": 3, "N": 3, "K": 3, "L": 4, "trials": 5, "sweep_db": [10.0],
+                   "seed": 7},
+}
+
+
+@pytest.mark.parametrize("experiment", TINY)
+def test_the_bench_trial_gate_counts_each_tiny_run(experiment, tmp_path, monkeypatch):
+    # what the bench's COUNTED tracer sees in a run: no covariance cache hit,
+    # and the trials of the CSV; at grid 2 the p_c = 0 and alpha = 0 region
+    # points compute no trial, and the other ISAC point adds a 10,000-trial
+    # mean covariance to its ECR trials
+    from isacsim import cli
+    from isacsim import downlink as dl
+
+    monkeypatch.setattr(dl, "_sigma_cache", {})  # cold, as in a fresh process
+    tracer = _bench_tracer()
+    cfg, params = cli.parse_config(TINY[experiment])
+    out = tmp_path / "out.csv"
+    counts = tracer.Tracer(tracer.COUNTED).install()
+    try:
+        assert cli.run(experiment, cfg, params, str(out)) == 0
+    finally:
+        counts.uninstall()
+    assert counts.covariance_cache_hits == 0
+    if experiment == "region_dl":
+        assert counts.trials_used == 2 * cfg.trials + 10_000
+    else:
+        rows = out.read_text().splitlines()[1:]
+        assert counts.trials_used == sum(int(r.split(",")[-1]) for r in rows) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,32 @@ class TestMain:
         assert match, line
         assert (match[1] == "False") == (int(match[2]) > 0)
 
+    def test_an_outage_with_no_event_is_logged_not_printed(self, tmp_path, caplog):
+        # no trial of any system misses a 0.05-bit target at 10 dB: the CSV
+        # prints the 0 it always has, and the log warns with each system's
+        # one-sided 95% bound 3 / trials
+        caplog.set_level(logging.INFO, logger="isacsim")
+        out = tmp_path / "op.csv"
+
+        def run(target):
+            caplog.clear()
+            cfg, params = cli.parse_config({"target_rate": target, "sweep_db": [10.0],
+                                            "max_trials": 10000, "seed": 1})
+            assert cli.run("op_vs_snr", cfg, params, str(out)) == 0
+            return (out.read_text().splitlines()[1:],
+                    [r.getMessage() for r in caplog.records
+                     if r.levelno == logging.WARNING])
+
+        systems = ("disac", "dfdsac", "uisac", "ufdsac")
+        rows, warnings = run(0.05)
+        assert rows == [f"10,{name},0,0,10000" for name in systems]
+        assert warnings == [f"{name} at p_c=10 dB: no outage in 10000 trials; the "
+                            f"one-sided 95% bound is 0.0003" for name in systems]
+        # every system misses a 5-bit target: no warning
+        rows, warnings = run(5.0)
+        assert all(row.split(",")[2] != "0" for row in rows)
+        assert warnings == []
+
     def test_bad_config_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"bogus": 1}))

@@ -22,7 +22,7 @@ from isacsim.downlink import (
     estimate_mean_covariance,
     mac_to_bc_covariance,
 )
-from isacsim.mc import link_draws, outage_trail
+from isacsim.mc import Link, blocks
 from isacsim.numerics import ModelError, matrix_sqrt_psd
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -239,7 +239,7 @@ class TestNewtonSteps:
 
         monkeypatch.setattr(dl, "_gram", counting)
         cfg = SimConfig(M=3, N=3, K=3, L=4, trials=150, seed=1234)
-        draws = link_draws(cfg, chan.STREAM_DOWNLINK)
+        draws = list(blocks(cfg, chan.STREAM_DOWNLINK, cfg.trials))
         for p_c in (1.0, 2.0, 10.0, 20.0, 100.0, 200.0, 1000.0, 2000.0):
             for h in draws:
                 dual_mac_power_alloc(h, p_c)
@@ -439,31 +439,31 @@ class TestMeanCovariance:
 
 class TestOutage:
     @staticmethod
-    def trail(cfg):
-        return outage_trail(cfg, chan.STREAM_DOWNLINK)
+    def link(cfg):
+        return Link(cfg, chan.STREAM_DOWNLINK)
 
     def test_scalar_rayleigh_oracle(self):
         # P(log2(1 + g) < 1) = 1 - exp(-1) for g ~ Exp(1)
         cfg = scalar_cfg(seed=4)
-        est = dl_outage_prob(self.trail(cfg), 1.0, 1.0, min_events=2000)
+        est = dl_outage_prob(self.link(cfg), 1.0, 1.0, min_events=2000)
         assert est.mean == pytest.approx(1.0 - math.exp(-1.0), abs=0.02)
         assert est.std_error > 0.0
 
     def test_edge_cases(self):
-        trail = self.trail(scalar_cfg())
-        assert dl_outage_prob(trail, 0.0, 1.0).mean == 0.0
-        assert dl_outage_prob(trail, 1.0, 0.0).mean == 1.0
+        link = self.link(scalar_cfg())
+        assert dl_outage_prob(link, 0.0, 1.0).mean == 0.0
+        assert dl_outage_prob(link, 1.0, 0.0).mean == 1.0
 
     def test_monotone_in_power(self):
-        trail = self.trail(SimConfig(M=2, N=2, K=2, L=4, seed=6))
-        lo = dl_outage_prob(trail, 5.0, 10.0, min_events=500).mean
-        hi = dl_outage_prob(trail, 5.0, 100.0, min_events=500).mean
+        link = self.link(SimConfig(M=2, N=2, K=2, L=4, seed=6))
+        lo = dl_outage_prob(link, 5.0, 10.0, min_events=500).mean
+        hi = dl_outage_prob(link, 5.0, 100.0, min_events=500).mean
         assert hi < lo
 
     def test_fdsac_alpha_one_matches_isac(self):
         cfg = SimConfig(M=2, N=2, K=2, L=4, seed=6)
-        a = dl_outage_prob(self.trail(cfg), 5.0, 10.0, min_events=500)
-        b = dl_outage_prob_fdsac(self.trail(cfg), 5.0, 1.0, 10.0, min_events=500)
+        a = dl_outage_prob(self.link(cfg), 5.0, 10.0, min_events=500)
+        b = dl_outage_prob_fdsac(self.link(cfg), 5.0, 1.0, 10.0, min_events=500)
         assert a.mean == b.mean
 
 
@@ -471,16 +471,16 @@ class TestErgodicRate:
     def test_scalar_rayleigh_oracle(self):
         # E[log2(1 + g)] = e * E1(1) / ln 2 for g ~ Exp(1)
         cfg = scalar_cfg(seed=8)
-        est = dl_ecr(link_draws(cfg, chan.STREAM_DOWNLINK), 1.0)
+        est = dl_ecr(Link(cfg, chan.STREAM_DOWNLINK), 1.0)
         expect = math.e * float(exp1(1.0)) / math.log(2.0)
         assert est.mean == pytest.approx(expect, abs=3.5 * est.std_error)
 
     def test_fdsac_alpha_limits(self):
         cfg = SimConfig(M=2, N=2, K=2, L=4, seed=9, trials=5000)
-        draws = link_draws(cfg, chan.STREAM_DOWNLINK)
-        assert dl_ecr_fdsac(draws, 0.0, 10.0).mean == 0.0
-        full = dl_ecr_fdsac(draws, 1.0, 10.0)
-        plain = dl_ecr(draws, 10.0)
+        link = Link(cfg, chan.STREAM_DOWNLINK)
+        assert dl_ecr_fdsac(link, 0.0, 10.0).mean == 0.0
+        full = dl_ecr_fdsac(link, 1.0, 10.0)
+        plain = dl_ecr(link, 10.0)
         assert full.mean == pytest.approx(plain.mean, abs=1e-12)
 
     def test_ed_closed_form_values(self):
@@ -497,6 +497,6 @@ class TestErgodicRate:
             2.0 * math.log2(50.0) + e_d)
 
     def test_rejects_bad_alpha(self):
-        draws = link_draws(scalar_cfg(), chan.STREAM_DOWNLINK)
+        link = Link(scalar_cfg(), chan.STREAM_DOWNLINK)
         with pytest.raises(ModelError):
-            dl_ecr_fdsac(draws, 1.5, 1.0)
+            dl_ecr_fdsac(link, 1.5, 1.0)

@@ -20,31 +20,31 @@ DL_ROOT = matrix_sqrt_psd(CFG.r_cu())
 UL_ROOT = np.eye(CFG.N, dtype=complex)
 
 
-def _draws(stream, trials):
-    return mc.link_draws(replace(CFG, trials=trials), stream)
+def _link(stream, trials):
+    return mc.Link(replace(CFG, trials=trials), stream)
 
 
 # per system: its stream, the root of its channel correlation, its per-trial
-# rate, its outage estimator over a trail at a power and its ergodic
+# rate, its outage estimator over a link at a power and its ergodic
 # estimator at P_C (FDSAC at bandwidth share ALPHA)
 SYSTEMS = {
     "disac": (chan.STREAM_DOWNLINK, DL_ROOT,
               lambda h: dl.dl_sum_rate_batch(h, P_C),
               lambda t, r, p, **kw: dl.dl_outage_prob(t, r, p, **kw),
-              lambda trials: dl.dl_ecr(_draws(chan.STREAM_DOWNLINK, trials), P_C)),
+              lambda trials: dl.dl_ecr(_link(chan.STREAM_DOWNLINK, trials), P_C)),
     "dfdsac": (chan.STREAM_DOWNLINK, DL_ROOT,
                lambda h: ALPHA * dl.dl_sum_rate_batch(h, P_C / ALPHA),
                lambda t, r, p, **kw: dl.dl_outage_prob_fdsac(t, r, ALPHA, p, **kw),
-               lambda trials: dl.dl_ecr_fdsac(_draws(chan.STREAM_DOWNLINK, trials),
+               lambda trials: dl.dl_ecr_fdsac(_link(chan.STREAM_DOWNLINK, trials),
                                               ALPHA, P_C)),
     "uisac": (chan.STREAM_UPLINK, UL_ROOT,
               lambda h: ul.ul_rate_batch(h, P_C / PROFILE),
               lambda t, r, p, **kw: ul.ul_outage_prob(t, r, p, PROFILE, **kw),
-              lambda trials: ul.ul_ecr(_draws(chan.STREAM_UPLINK, trials), P_C, PROFILE)),
+              lambda trials: ul.ul_ecr(_link(chan.STREAM_UPLINK, trials), P_C, PROFILE)),
     "ufdsac": (chan.STREAM_UPLINK, UL_ROOT,
                lambda h: ALPHA * ul.ul_rate_batch(h, P_C / ALPHA),
                lambda t, r, p, **kw: ul.ul_outage_prob_fdsac(t, r, ALPHA, p, **kw),
-               lambda trials: ul.ul_ecr_fdsac(_draws(chan.STREAM_UPLINK, trials),
+               lambda trials: ul.ul_ecr_fdsac(_link(chan.STREAM_UPLINK, trials),
                                               ALPHA, P_C)),
 }
 
@@ -72,7 +72,7 @@ def test_outage_stops_after_the_first_block_with_enough_events(system, drawn):
     min_events = chan.BLOCK_SIZE // 2
     assert events[0] < min_events <= sum(events)
     drawn.clear()
-    est = outage(mc.outage_trail(CFG, stream), r_target, P_C,
+    est = outage(mc.Link(CFG, stream), r_target, P_C,
                  min_events=min_events, max_trials=10 * chan.BLOCK_SIZE)
     assert est.trials == 2 * chan.BLOCK_SIZE
     assert drawn == [(0, stream, chan.BLOCK_SIZE), (1, stream, chan.BLOCK_SIZE)]
@@ -85,7 +85,7 @@ def test_outage_with_rare_events_stops_at_the_trial_cap(system, drawn):
     for trials, counts in PREFIXES:
         rates = np.concatenate([_block_rates(system, b, n) for b, n in enumerate(counts)])
         drawn.clear()
-        est = outage(mc.outage_trail(CFG, stream), 0.05, P_C, min_events=200,
+        est = outage(mc.Link(CFG, stream), 0.05, P_C, min_events=200,
                      max_trials=trials)
         assert est.trials == trials
         assert drawn == [(b, stream, n) for b, n in enumerate(counts)]
@@ -104,10 +104,11 @@ def test_ergodic_runs_exactly_the_requested_trials(system, drawn):
         assert est.mean == sum(sums) / trials
 
 
-# Outage trails.  A trail carries a system's candidates from point to point;
-# every estimate must equal, field for field, the one a fresh trail gives.
-# At a target of 3 bits and 400 events these sweeps stop every system in
-# its first block at 8 dB and at the cap at 18 dB.
+# Outage trails.  A link keeps a trail per system, which carries the
+# system's candidates from point to point; every estimate must equal, field
+# for field, the one a fresh link gives.  At a target of 3 bits and 400
+# events these sweeps stop every system in its first block at 8 dB and at
+# the cap at 18 dB.
 R_TARGET, EVENTS = 3.0, 400
 CAP = 6 * chan.BLOCK_SIZE + 77  # not a multiple of the block size
 TRAIL_SWEEPS = {
@@ -124,16 +125,16 @@ def _fields(est):
 
 
 def _trail_sweep(system, cfg, r_target, points, max_trials=CAP):
-    # each point (dB, min_events) over one trail, and over a fresh trail each
+    # each point (dB, min_events) over one link, and over a fresh link each
     stream, _, _, outage, _ = SYSTEMS[system]
-    trail = mc.outage_trail(cfg, stream)
+    link = mc.Link(cfg, stream)
 
-    def at(t, db, events):
-        return _fields(outage(t, r_target, 10.0 ** (db / 10.0),
+    def at(on, db, events):
+        return _fields(outage(on, r_target, 10.0 ** (db / 10.0),
                               min_events=events, max_trials=max_trials))
 
-    carried = [at(trail, db, events) for db, events in points]
-    fresh = [at(mc.outage_trail(cfg, stream), db, events) for db, events in points]
+    carried = [at(link, db, events) for db, events in points]
+    fresh = [at(mc.Link(cfg, stream), db, events) for db, events in points]
     return carried, fresh
 
 
@@ -152,7 +153,7 @@ def test_a_trail_stops_inside_the_blocks_it_carries(system):
     # and at 10 dB exactly as many events as the first block holds, so
     # the stop is at that block's end
     stream, _, _, outage, _ = SYSTEMS[system]
-    first = outage(mc.outage_trail(CFG, stream), R_TARGET, 10.0, min_events=1,
+    first = outage(mc.Link(CFG, stream), R_TARGET, 10.0, min_events=1,
                    max_trials=chan.BLOCK_SIZE)
     exact = round(first.mean * first.trials)
     points = [(8.0, 20_000), (10.0, exact), (12.0, 5000), (14.0, 1)]
@@ -179,26 +180,51 @@ def test_a_trail_matches_fresh_estimates_at_k3_near_rank_one(system):
 @pytest.mark.parametrize("system", SYSTEMS)
 def test_an_ascending_sweep_draws_each_block_once(system, drawn):
     stream, _, _, outage, _ = SYSTEMS[system]
-    trail = mc.outage_trail(CFG, stream)
+    link = mc.Link(CFG, stream)
     trials = []
     for db in TRAIL_SWEEPS["ascending"]:
-        est = outage(trail, R_TARGET, 10.0 ** (db / 10.0), min_events=EVENTS,
+        est = outage(link, R_TARGET, 10.0 ** (db / 10.0), min_events=EVENTS,
                      max_trials=CAP)
         trials.append(est.trials)
         # fewer than min_events + BLOCK_SIZE trials carried
+        (trail,) = link.trails.values()
         assert len(trail.block) < EVENTS + chan.BLOCK_SIZE
     assert trials[0] == chan.BLOCK_SIZE and trials[-1] == CAP
     assert len(set(trials)) >= 3
     assert drawn == [(b, stream, chan.BLOCK_SIZE) for b in range(6)] + [(6, stream, 77)]
 
 
-def test_a_trail_restarts_for_another_system():
-    # points of different systems on one trail per link, each at a higher
+@pytest.mark.parametrize("pair", [("disac", "dfdsac"), ("uisac", "ufdsac")],
+                         ids=["downlink", "uplink"])
+def test_a_link_alternating_two_systems_gives_each_the_fresh_estimate(pair, drawn):
+    # the ISAC and FDSAC systems of one link take turns over ascending, then
+    # descending powers: each point is the one a fresh link gives it, and
+    # each system draws the blocks it draws on a link of its own
+    stream = SYSTEMS[pair[0]][0]
+    powers = TRAIL_SWEEPS["ascending"] + TRAIL_SWEEPS["descending"]
+
+    def sweep(link_of):
+        return [_fields(SYSTEMS[system][3](link_of(system), R_TARGET,
+                                           10.0 ** (db / 10.0), min_events=EVENTS,
+                                           max_trials=CAP))
+                for db in powers for system in pair]
+
+    shared = mc.Link(CFG, stream)
+    alternating = sweep(lambda system: shared)
+    shared_blocks = len(drawn)
+    own = {system: mc.Link(CFG, stream) for system in pair}
+    assert alternating == sweep(own.get)
+    assert shared_blocks == len(drawn) - shared_blocks
+    assert alternating == sweep(lambda system: mc.Link(CFG, stream))
+
+
+def test_a_link_keeps_one_trail_per_system():
+    # points of different systems on one link per stream, each at a higher
     # p_c than the last and each changing one thing: the kernel, alpha, the
-    # target or the cap must start the trail afresh.  The uplink ISAC rate
-    # is the FDSAC kernel at p_c / rho2: at rho2 = 1 it is the system of
-    # FDSAC at alpha = 1 (the trail carries), and the higher slot noise
-    # lowers the power (the trail starts afresh)
+    # target or the cap names another system, whose trail starts afresh.
+    # The uplink ISAC rate is the FDSAC kernel at p_c / rho2: at rho2 = 1 it
+    # is the system of FDSAC at alpha = 1 (its trail carries), and the
+    # higher slot noise lowers the power (the trail starts afresh)
     down, up = chan.STREAM_DOWNLINK, chan.STREAM_UPLINK
     many = 20_000  # events: these points stop at the cap
     points = [  # estimator, link, arguments before and after p_c, target,
@@ -212,20 +238,21 @@ def test_a_trail_restarts_for_another_system():
         (ul.ul_outage_prob, up, (), (1.0,), 3.0, EVENTS, CAP),
         (ul.ul_outage_prob, up, (), (PROFILE,), 3.0, EVENTS, CAP),
     ]
-    shared = {s: mc.outage_trail(CFG, s) for s in (down, up)}
+    shared = {s: mc.Link(CFG, s) for s in (down, up)}
 
-    def run(trail_of):
-        return [_fields(estimate(trail_of(stream), r, *before, 10.0 ** (db / 10.0),
+    def run(link_of):
+        return [_fields(estimate(link_of(stream), r, *before, 10.0 ** (db / 10.0),
                                  *after, min_events=events, max_trials=cap))
                 for db, (estimate, stream, before, after, r, events, cap)
                 in enumerate(points, start=10)]
 
-    assert run(shared.get) == run(lambda s: mc.outage_trail(CFG, s))
+    assert run(shared.get) == run(lambda s: mc.Link(CFG, s))
+    assert [len(shared[s].trails) for s in (down, up)] == [5, 1]
 
 
 @pytest.mark.parametrize("system", SYSTEMS)
 def test_a_point_that_fails_leaves_the_trail_whole(system, monkeypatch):
-    # the third block drawn fails; the sweep goes on over the same trail
+    # the third block drawn fails; the sweep goes on over the same link
     stream, _, _, outage, _ = SYSTEMS[system]
     sample, calls = chan.sample_channel_block, []
 
@@ -235,50 +262,49 @@ def test_a_point_that_fails_leaves_the_trail_whole(system, monkeypatch):
             raise ArithmeticError("no draw")
         return sample(*args)
 
-    trail = mc.outage_trail(CFG, stream)
+    link = mc.Link(CFG, stream)
     monkeypatch.setattr(chan, "sample_channel_block", failing)
     carried = []
     for db in TRAIL_SWEEPS["ascending"]:
         try:
-            carried.append(_fields(outage(trail, R_TARGET, 10.0 ** (db / 10.0),
+            carried.append(_fields(outage(link, R_TARGET, 10.0 ** (db / 10.0),
                                           min_events=EVENTS, max_trials=CAP)))
         except ArithmeticError:
             carried.append(None)
     monkeypatch.undo()
-    fresh = [_fields(outage(mc.outage_trail(CFG, stream), R_TARGET, 10.0 ** (db / 10.0),
+    fresh = [_fields(outage(mc.Link(CFG, stream), R_TARGET, 10.0 ** (db / 10.0),
                             min_events=EVENTS, max_trials=CAP))
              for db in TRAIL_SWEEPS["ascending"]]
     assert carried.count(None) == 1
     assert [c for c in carried if c] == [f for c, f in zip(carried, fresh) if c]
 
 
-def test_a_trail_serves_only_its_link():
-    with pytest.raises(ModelError):
-        dl.dl_outage_prob(mc.outage_trail(CFG, chan.STREAM_UPLINK), 5.0, P_C)
-    with pytest.raises(ModelError):
-        ul.ul_outage_prob_fdsac(mc.outage_trail(CFG, chan.STREAM_DOWNLINK),
-                                5.0, ALPHA, P_C)
-
-
 OUTAGE = dict(r_target=1.0, min_events=200, max_trials=chan.BLOCK_SIZE)
-DL_DRAWS = _draws(chan.STREAM_DOWNLINK, 100)
-UL_DRAWS = _draws(chan.STREAM_UPLINK, 100)
-DL_TRAIL = mc.outage_trail(CFG, chan.STREAM_DOWNLINK)
-UL_TRAIL = mc.outage_trail(CFG, chan.STREAM_UPLINK)
-# estimator, its first argument (an outage trail or a draw set), its other
-# arguments
+# estimator, its stream, its arguments after the link (ergodic estimates
+# average 100 trials)
 ESTIMATORS = {
-    "dl_outage_prob": (dl.dl_outage_prob, DL_TRAIL, dict(OUTAGE, p_c=1.0)),
-    "dl_outage_prob_fdsac": (dl.dl_outage_prob_fdsac, DL_TRAIL,
+    "dl_outage_prob": (dl.dl_outage_prob, chan.STREAM_DOWNLINK, dict(OUTAGE, p_c=1.0)),
+    "dl_outage_prob_fdsac": (dl.dl_outage_prob_fdsac, chan.STREAM_DOWNLINK,
                              dict(OUTAGE, alpha=0.5, p_c=1.0)),
-    "dl_ecr": (dl.dl_ecr, DL_DRAWS, dict(p_c=1.0)),
-    "dl_ecr_fdsac": (dl.dl_ecr_fdsac, DL_DRAWS, dict(alpha=0.5, p_c=1.0)),
-    "ul_outage_prob": (ul.ul_outage_prob, UL_TRAIL, dict(OUTAGE, p_c=1.0, rho2=PROFILE)),
-    "ul_outage_prob_fdsac": (ul.ul_outage_prob_fdsac, UL_TRAIL,
+    "dl_ecr": (dl.dl_ecr, chan.STREAM_DOWNLINK, dict(p_c=1.0)),
+    "dl_ecr_fdsac": (dl.dl_ecr_fdsac, chan.STREAM_DOWNLINK, dict(alpha=0.5, p_c=1.0)),
+    "ul_outage_prob": (ul.ul_outage_prob, chan.STREAM_UPLINK,
+                       dict(OUTAGE, p_c=1.0, rho2=PROFILE)),
+    "ul_outage_prob_fdsac": (ul.ul_outage_prob_fdsac, chan.STREAM_UPLINK,
                              dict(OUTAGE, alpha=0.5, p_c=1.0)),
-    "ul_ecr": (ul.ul_ecr, UL_DRAWS, dict(p_c=1.0, rho2=PROFILE)),
-    "ul_ecr_fdsac": (ul.ul_ecr_fdsac, UL_DRAWS, dict(alpha=0.5, p_c=1.0)),
+    "ul_ecr": (ul.ul_ecr, chan.STREAM_UPLINK, dict(p_c=1.0, rho2=PROFILE)),
+    "ul_ecr_fdsac": (ul.ul_ecr_fdsac, chan.STREAM_UPLINK, dict(alpha=0.5, p_c=1.0)),
 }
+
+
+def test_a_link_serves_only_its_stream():
+    # M = N: a block of the other stream has the shape the kernel takes
+    other = {chan.STREAM_DOWNLINK: chan.STREAM_UPLINK,
+             chan.STREAM_UPLINK: chan.STREAM_DOWNLINK}
+    for name, (estimator, stream, kwargs) in ESTIMATORS.items():
+        with pytest.raises(ModelError, match="other stream"):
+            estimator(_link(other[stream], 100), **kwargs)
+        assert estimator(_link(stream, 100), **kwargs).trials > 0, name
 
 
 def _cases(values):
@@ -289,9 +315,9 @@ def _cases(values):
 @pytest.mark.parametrize("name, arg, value", _cases([
     ("r_target", -1.0), ("p_c", -1.0), ("alpha", -0.5), ("alpha", 1.5)]))
 def test_every_estimator_rejects_bad_input(name, arg, value):
-    estimator, first, kwargs = ESTIMATORS[name]
+    estimator, stream, kwargs = ESTIMATORS[name]
     with pytest.raises(ModelError):
-        estimator(first, **{**kwargs, arg: value})
+        estimator(_link(stream, 100), **{**kwargs, arg: value})
 
 
 @pytest.mark.parametrize("name, arg, value", _cases([
@@ -299,8 +325,8 @@ def test_every_estimator_rejects_bad_input(name, arg, value):
 def test_zero_input_needs_no_trial(name, arg, value, drawn):
     # a zero target is never missed; zero power or bandwidth carries no rate;
     # the closed-form value claims no trial
-    estimator, first, kwargs = ESTIMATORS[name]
-    est = estimator(first, **{**kwargs, arg: value})
+    estimator, stream, kwargs = ESTIMATORS[name]
+    est = estimator(_link(stream, 100), **{**kwargs, arg: value})
     outage = "outage" in name and arg != "r_target"
     assert (est.mean, est.std_error, est.trials) == (1.0 if outage else 0.0, 0.0, 0)
     assert drawn == []

@@ -9,7 +9,7 @@ from isacsim import sensing as sn
 from isacsim import uplink as ul
 from isacsim.channel import STREAM_COVARIANCE, STREAM_DOWNLINK, STREAM_UPLINK, SimConfig
 from isacsim.downlink import dl_ecr_fdsac
-from isacsim.mc import link_draws
+from isacsim.mc import Link
 from isacsim.numerics import ModelError
 from isacsim.region import (
     RateRegion,
@@ -117,15 +117,13 @@ def cfg():
 
 class TestSweeps:
     def test_dl_tradeoff_direction(self, cfg):
-        reg = dl_isac_region(cfg, link_draws(cfg, STREAM_DOWNLINK), 10.0, 10.0,
-                             grid_size=5)
+        reg = dl_isac_region(Link(cfg, STREAM_DOWNLINK), 10.0, 10.0, grid_size=5)
         assert np.all(np.diff(reg.cr) >= 0.0)  # more comm power, more rate
         assert np.all(np.diff(reg.sr) <= 0.0)  # and more interference
         assert reg.cr[0] == 0.0
 
     def test_ul_tradeoff_direction(self, cfg):
-        reg = ul_isac_region(cfg, link_draws(cfg, STREAM_UPLINK), 10.0, 10.0,
-                             grid_size=5)
+        reg = ul_isac_region(Link(cfg, STREAM_UPLINK), 10.0, 10.0, grid_size=5)
         assert np.all(np.diff(reg.sr) >= 0.0)  # sweep raises sensing power
         assert np.all(np.diff(reg.cr) <= 0.0)
         assert reg.sr[0] == 0.0
@@ -141,12 +139,11 @@ class TestSweeps:
 
         monkeypatch.setattr(sn, "waterfill", counting)
         cfg = replace(cfg, trials=100)
-        ul_isac_region(cfg, link_draws(cfg, STREAM_UPLINK), 10.0, 10.0, grid_size=5)
+        ul_isac_region(Link(cfg, STREAM_UPLINK), 10.0, 10.0, grid_size=5)
         assert len(calls) == 5
 
     def test_fdsac_endpoints(self, cfg):
-        reg = dl_fdsac_region(cfg, link_draws(cfg, STREAM_DOWNLINK), 10.0, 10.0,
-                              grid_size=5)
+        reg = dl_fdsac_region(Link(cfg, STREAM_DOWNLINK), 10.0, 10.0, grid_size=5)
         assert reg.cr[0] == 0.0   # alpha = 0: no communication
         assert reg.sr[-1] == 0.0  # alpha = 1: no sensing
 
@@ -154,47 +151,46 @@ class TestSweeps:
         # p_c = 0 and alpha = 0 both mean interference-free sensing only;
         # p_c = p_c_max and alpha = 1 both mean full-band communication.
         cfg = replace(cfg, trials=20_000)
-        draws = link_draws(cfg, STREAM_DOWNLINK)
-        isac = dl_isac_region(cfg, draws, 10.0, 10.0, grid_size=5)
-        fdsac = dl_fdsac_region(cfg, draws, 10.0, 10.0, grid_size=5)
+        link = Link(cfg, STREAM_DOWNLINK)
+        isac = dl_isac_region(link, 10.0, 10.0, grid_size=5)
+        fdsac = dl_fdsac_region(link, 10.0, 10.0, grid_size=5)
         assert isac.sr[0] == pytest.approx(fdsac.sr[0], abs=1e-9)
         assert isac.cr[-1] == pytest.approx(fdsac.cr[-1], abs=1e-9)
 
     def test_ul_fdsac_region_runs(self, cfg):
-        reg = ul_fdsac_region(cfg, link_draws(cfg, STREAM_UPLINK), 10.0, 10.0,
-                              grid_size=5)
+        reg = ul_fdsac_region(Link(cfg, STREAM_UPLINK), 10.0, 10.0, grid_size=5)
         assert len(reg.grid) == len(reg.cr) == len(reg.cr_se) == len(reg.sr) == 5
         assert np.all(np.diff(reg.cr) >= 0.0) and np.all(np.diff(reg.sr) <= 0.0)
 
     def test_rejects_tiny_grid(self, cfg):
         with pytest.raises(ModelError):
-            dl_isac_region(cfg, (), 10.0, 10.0, grid_size=1)
+            dl_isac_region(Link(cfg, STREAM_DOWNLINK), 10.0, 10.0, grid_size=1)
 
 
-# Shared draws.  A sweep averages the ergodic set it is given and draws no
-# channel of its link; every point's estimate is bit for bit the one-point
-# estimate over a fresh draw set.
+# Shared draws.  A sweep averages the one draw set of the link it is given,
+# drawn once; every point's estimate is bit for bit the one-point estimate
+# over a fresh link.
 TWO_BLOCKS = SimConfig(M=2, N=2, K=2, L=4, trials=chan.BLOCK_SIZE + 37, seed=43)
 
 # sweep, the stream of its ergodic set, and the one-point estimate of each
-# corner: estimate(draws, cfg, p_max, grid value) at p_max = 10, p_s = 10
+# corner: estimate(link, cfg, p_max, grid value) at p_max = 10, p_s = 10
 SWEEPS = {
     "dl_isac": (dl_isac_region, STREAM_DOWNLINK,
-                lambda d, cfg, p, g: dl.dl_ecr(d, g)),
+                lambda link, cfg, p, g: dl.dl_ecr(link, g)),
     "ul_isac": (ul_isac_region, STREAM_UPLINK,
-                lambda d, cfg, p, g: ul.ul_ecr(
-                    d, p, ul.sensing_profile(cfg.r_target(), cfg.N, cfg.L, g)[1])),
+                lambda link, cfg, p, g: ul.ul_ecr(
+                    link, p, ul.sensing_profile(cfg.r_target(), cfg.N, cfg.L, g)[1])),
     "dl_fdsac": (dl_fdsac_region, STREAM_DOWNLINK,
-                 lambda d, cfg, p, g: dl.dl_ecr_fdsac(d, g, p)),
+                 lambda link, cfg, p, g: dl.dl_ecr_fdsac(link, g, p)),
     "ul_fdsac": (ul_fdsac_region, STREAM_UPLINK,
-                 lambda d, cfg, p, g: ul.ul_ecr_fdsac(d, g, p)),
+                 lambda link, cfg, p, g: ul.ul_ecr_fdsac(link, g, p)),
 }
 
 
 @pytest.mark.parametrize("sweep", SWEEPS)
 def test_a_sweep_draws_its_ergodic_set_once(sweep, drawn):
     region, stream, _ = SWEEPS[sweep]
-    region(TWO_BLOCKS, link_draws(TWO_BLOCKS, stream), 10.0, 10.0, grid_size=5)
+    region(Link(TWO_BLOCKS, stream), 10.0, 10.0, grid_size=5)
     size = chan.BLOCK_SIZE
     assert [k for k in drawn if k[1] != STREAM_COVARIANCE] == \
         [(0, stream, size), (1, stream, 37)]
@@ -204,9 +200,9 @@ def test_a_sweep_draws_its_ergodic_set_once(sweep, drawn):
 def test_each_corner_is_the_one_point_estimate(sweep):
     region, stream, estimate = SWEEPS[sweep]
     cfg = replace(TWO_BLOCKS, seed=44)
-    reg = region(cfg, link_draws(cfg, stream), 10.0, 10.0, grid_size=5)
+    reg = region(Link(cfg, stream), 10.0, 10.0, grid_size=5)
     for g, cr, cr_se in zip(reg.grid, reg.cr, reg.cr_se):
-        est = estimate(link_draws(cfg, stream), cfg, 10.0, g)
+        est = estimate(Link(cfg, stream), cfg, 10.0, g)
         assert (cr.hex(), cr_se.hex()) == (est.mean.hex(), est.std_error.hex())
 
 
@@ -223,8 +219,7 @@ def test_every_mean_covariance_draws_its_own_blocks(drawn, monkeypatch):
         return result
 
     monkeypatch.setattr(dl, "estimate_mean_covariance", counting)
-    reg = dl_isac_region(TWO_BLOCKS, link_draws(TWO_BLOCKS, STREAM_DOWNLINK),
-                         10.0, 10.0, grid_size=5)
+    reg = dl_isac_region(Link(TWO_BLOCKS, STREAM_DOWNLINK), 10.0, 10.0, grid_size=5)
     size, cov = chan.BLOCK_SIZE, STREAM_COVARIANCE
     assert [p_c for p_c, _ in calls] == list(reg.grid)
     for p_c, blocks in calls:
@@ -259,12 +254,12 @@ class TestEscapeCause:
         rt = cfg.r_target()
         sr_max = fdsac_sr(rt, cfg.N, cfg.L, self.P, 0.0)
         # shared draws: CR(alpha) / alpha = E[R(p_c / alpha)] exactly
-        draws = link_draws(cfg, STREAM_DOWNLINK)
+        link = Link(cfg, STREAM_DOWNLINK)
         fd = np.divide(
-            [dl_ecr_fdsac(draws, a, self.P).mean for a in HALVINGS],
+            [dl_ecr_fdsac(link, a, self.P).mean for a in HALVINGS],
             [sr_max - fdsac_sr(rt, cfg.N, cfg.L, self.P, a) for a in HALVINGS])
         _assert_unbounded(fd)
-        ends = [dl_isac_region(cfg, draws, p_c, self.P, grid_size=2)
+        ends = [dl_isac_region(link, p_c, self.P, grid_size=2)
                 for p_c in HALVINGS]
         isac = np.divide([r.cr[-1] for r in ends], [r.sr[0] - r.sr[-1] for r in ends])
         _assert_converges(isac)
@@ -273,13 +268,13 @@ class TestEscapeCause:
     def test_ul_fdsac_slope_unbounded_isac_finite(self, cfg):
         rt = cfg.r_target()
         alphas = 1.0 - HALVINGS
-        draws = link_draws(cfg, STREAM_UPLINK)
-        cr_max = ul_ecr_fdsac(draws, 1.0, self.P).mean
+        link = Link(cfg, STREAM_UPLINK)
+        cr_max = ul_ecr_fdsac(link, 1.0, self.P).mean
         fd = np.divide(
             [fdsac_sr(rt, cfg.N, cfg.L, self.P, a) for a in alphas],
-            [cr_max - ul_ecr_fdsac(draws, a, self.P).mean for a in alphas])
+            [cr_max - ul_ecr_fdsac(link, a, self.P).mean for a in alphas])
         _assert_unbounded(fd)
-        ends = [ul_isac_region(cfg, draws, self.P, p_s, grid_size=2)
+        ends = [ul_isac_region(link, self.P, p_s, grid_size=2)
                 for p_s in HALVINGS]
         isac = np.divide([r.sr[-1] for r in ends], [r.cr[0] - r.cr[-1] for r in ends])
         _assert_converges(isac)

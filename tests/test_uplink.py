@@ -8,7 +8,7 @@ from scipy.special import exp1
 
 from isacsim import channel as chan
 from isacsim.channel import SimConfig, exp_correlation
-from isacsim.mc import link_draws, outage_trail
+from isacsim.mc import Link
 from isacsim.numerics import ModelError, matrix_sqrt_psd
 from isacsim.sensing import build_waveform, ul_sr
 from isacsim.uplink import (
@@ -78,21 +78,22 @@ class TestSlotNoise:
         below = np.nextafter(1.0, 0.0)
         for p_c in (0.0, 1.0):
             with pytest.raises(ModelError):
-                ul_outage_prob(outage_trail(cfg, chan.STREAM_UPLINK), 1.0, p_c, below)
+                ul_outage_prob(Link(cfg, chan.STREAM_UPLINK), 1.0, p_c, below)
             with pytest.raises(ModelError):
-                ul_ecr(link_draws(cfg, chan.STREAM_UPLINK), p_c, below)
+                ul_ecr(Link(cfg, chan.STREAM_UPLINK), p_c, below)
 
     def test_isac_estimates_run_the_kernel_at_p_c_over_rho2(self):
         # bit for bit: the ECR sums, and the outage counts, the kernel's
         # rates at p_c / rho2
         cfg = SimConfig(M=2, N=2, K=2, L=4, trials=3000, seed=8)
-        draws = link_draws(cfg, chan.STREAM_UPLINK)
+        link = Link(cfg, chan.STREAM_UPLINK)
         for p_c in (0.3, 10.0, 1e4):
             for rho2 in (CLEAN, PAPER, 7.5):
-                rates = np.concatenate([ul_rate_batch(h, p_c / rho2) for h in draws])
-                assert ul_ecr(draws, p_c, rho2).mean == float(np.sum(rates)) / 3000
+                rates = np.concatenate([ul_rate_batch(h, p_c / rho2)
+                                        for h in link.draws()])
+                assert ul_ecr(link, p_c, rho2).mean == float(np.sum(rates)) / 3000
                 target = float(np.median(rates))
-                est = ul_outage_prob(outage_trail(cfg, chan.STREAM_UPLINK), target,
+                est = ul_outage_prob(Link(cfg, chan.STREAM_UPLINK), target,
                                      p_c, rho2, min_events=3000, max_trials=3000)
                 assert est.mean == np.count_nonzero(rates < target) / 3000
 
@@ -134,30 +135,30 @@ class TestRates:
 
 class TestOutage:
     @staticmethod
-    def trail(cfg):
-        return outage_trail(cfg, chan.STREAM_UPLINK)
+    def link(cfg):
+        return Link(cfg, chan.STREAM_UPLINK)
 
     def test_scalar_rayleigh_oracle(self):
         cfg = scalar_cfg(seed=31)
-        est = ul_outage_prob(self.trail(cfg), 1.0, 1.0, CLEAN, min_events=2000)
+        est = ul_outage_prob(self.link(cfg), 1.0, 1.0, CLEAN, min_events=2000)
         assert est.mean == pytest.approx(1.0 - math.exp(-1.0), abs=0.02)
 
     def test_edge_cases(self):
-        trail = self.trail(scalar_cfg())
-        assert ul_outage_prob(trail, 0.0, 1.0, CLEAN).mean == 0.0
-        assert ul_outage_prob(trail, 1.0, 0.0, CLEAN).mean == 1.0
+        link = self.link(scalar_cfg())
+        assert ul_outage_prob(link, 0.0, 1.0, CLEAN).mean == 0.0
+        assert ul_outage_prob(link, 1.0, 0.0, CLEAN).mean == 1.0
 
     def test_fdsac_alpha_one_equals_clean_isac(self):
         cfg = SimConfig(M=2, N=2, K=2, L=4, seed=33)
-        a = ul_outage_prob(self.trail(cfg), 5.0, 10.0, CLEAN, min_events=500)
-        b = ul_outage_prob_fdsac(self.trail(cfg), 5.0, 1.0, 10.0, min_events=500)
+        a = ul_outage_prob(self.link(cfg), 5.0, 10.0, CLEAN, min_events=500)
+        b = ul_outage_prob_fdsac(self.link(cfg), 5.0, 1.0, 10.0, min_events=500)
         assert a.mean == b.mean
 
 
 class TestErgodic:
     def test_scalar_rayleigh_oracle(self):
         cfg = scalar_cfg(seed=35)
-        est = ul_ecr(link_draws(cfg, chan.STREAM_UPLINK), 1.0, CLEAN)
+        est = ul_ecr(Link(cfg, chan.STREAM_UPLINK), 1.0, CLEAN)
         expect = math.e * float(exp1(1.0)) / math.log(2.0)
         assert est.mean == pytest.approx(expect, abs=3.5 * est.std_error)
 
@@ -171,13 +172,13 @@ class TestErgodic:
     def test_asymptote_tracks_ecr(self):
         cfg = SimConfig(M=2, N=2, K=2, L=4, seed=37)
         _, rho2 = sensing_profile(RT, 2, 4, 10.0)
-        mc = ul_ecr(link_draws(cfg, chan.STREAM_UPLINK), 1e4, rho2)
+        mc = ul_ecr(Link(cfg, chan.STREAM_UPLINK), 1e4, rho2)
         line = ul_ecr_asymptote(1e4, 2, 2, rho2)
         assert mc.mean == pytest.approx(line, abs=0.1)
 
     def test_fdsac_zero_alpha(self):
-        draws = link_draws(scalar_cfg(), chan.STREAM_UPLINK)
-        assert ul_ecr_fdsac(draws, 0.0, 1.0).mean == 0.0
+        link = Link(scalar_cfg(), chan.STREAM_UPLINK)
+        assert ul_ecr_fdsac(link, 0.0, 1.0).mean == 0.0
 
 
 def einsum_logdet(h, scale):
