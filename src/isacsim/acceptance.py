@@ -1,7 +1,7 @@
 """Acceptance criteria for the whole toolkit, runnable from tests or the CLI.
 
 Each criterion returns (passed, value, detail); ``run_all`` times it and
-gates it on its wall-time limit in ``TIME_LIMITS``.  Independent oracles
+gates it on its wall-time limit in ``CRITERIA``.  Independent oracles
 (grid search, random-allocation sampling, Monte Carlo cross-checks) live
 here next to the checks that use them, never sharing code with the
 solvers they validate.
@@ -193,30 +193,35 @@ _DIVERSITY_EVENTS = 8000
 _DIVERSITY_CAP = 60_000_000
 
 
+def _diversity(grid_db, outage):
+    """Outage decay order = 4 within +-0.5 over ``grid_db``, where
+    ``outage(p, **stopping)`` estimates the outage at power p."""
+    ops = [outage(10 ** (g / 10.0), min_events=_DIVERSITY_EVENTS,
+                  max_trials=_DIVERSITY_CAP).mean for g in grid_db]
+    slope, r2 = an.fit_diversity(grid_db, ops)
+    div = -slope
+    return abs(div - 4.0) <= 0.5, div, f"fitted {div:.3f}, r2 {r2:.4f}"
+
+
+def _rho2(cfg):
+    # the uplink slot noise of the p_s waveform
+    return ul.sensing_profile(cfg.r_target(), cfg.N, cfg.L, cfg.p_s)[1]
+
+
 def criterion_dl_diversity(seed=DEFAULT_SEED):
     """Downlink outage decay order = MK = 4 within +-0.5."""
     link = mc.Link(_paper_cfg(seed), STREAM_DOWNLINK)
-    ops = [dl.dl_outage_prob(link, 5.0, 10 ** (g / 10.0),
-                             min_events=_DIVERSITY_EVENTS,
-                             max_trials=_DIVERSITY_CAP).mean
-           for g in _DL_DIVERSITY_GRID_DB]
-    fit = an.fit_diversity(_DL_DIVERSITY_GRID_DB, ops)
-    div = -fit.slope
-    return abs(div - 4.0) <= 0.5, div, f"fitted {div:.3f}, r2 {fit.r_squared:.4f}"
+    return _diversity(_DL_DIVERSITY_GRID_DB,
+                      lambda p, **kw: dl.dl_outage_prob(link, 5.0, p, **kw))
 
 
 def criterion_ul_diversity(seed=DEFAULT_SEED):
     """Uplink outage decay order = NK = 4 within +-0.5."""
     cfg = _paper_cfg(seed)
-    _, rho2 = ul.sensing_profile(cfg.r_target(), cfg.N, cfg.L, cfg.p_s)
+    rho2 = _rho2(cfg)
     link = mc.Link(cfg, STREAM_UPLINK)
-    ops = [ul.ul_outage_prob(link, 5.0, 10 ** (g / 10.0), rho2,
-                             min_events=_DIVERSITY_EVENTS,
-                             max_trials=_DIVERSITY_CAP).mean
-           for g in _UL_DIVERSITY_GRID_DB]
-    fit = an.fit_diversity(_UL_DIVERSITY_GRID_DB, ops)
-    div = -fit.slope
-    return abs(div - 4.0) <= 0.5, div, f"fitted {div:.3f}, r2 {fit.r_squared:.4f}"
+    return _diversity(_UL_DIVERSITY_GRID_DB,
+                      lambda p, **kw: ul.ul_outage_prob(link, 5.0, p, rho2, **kw))
 
 
 def criterion_ecr_slopes(seed=DEFAULT_SEED):
@@ -225,7 +230,7 @@ def criterion_ecr_slopes(seed=DEFAULT_SEED):
     target = 2.0 * math.log2(10.0)
     down = mc.Link(cfg, STREAM_DOWNLINK)
     d = dl.dl_ecr(down, 1e4).mean - dl.dl_ecr(down, 1e3).mean
-    _, rho2 = ul.sensing_profile(cfg.r_target(), cfg.N, cfg.L, cfg.p_s)
+    rho2 = _rho2(cfg)
     up = mc.Link(cfg, STREAM_UPLINK)
     u = ul.ul_ecr(up, 1e4, rho2).mean - ul.ul_ecr(up, 1e3, rho2).mean
     err = max(abs(d - target), abs(u - target)) / target
@@ -245,7 +250,7 @@ def criterion_ecr_asymptote(seed=DEFAULT_SEED):
     cfg = _paper_cfg(seed)
     e_iid = dl.ed_closed_form_iid(cfg.M, cfg.K)
     log_det = float(np.linalg.slogdet(cfg.r_cu())[1]) / math.log(2.0)
-    _, rho2 = ul.sensing_profile(cfg.r_target(), cfg.N, cfg.L, cfg.p_s)
+    rho2 = _rho2(cfg)
     iid = mc.Link(replace(cfg, rho_cu=0.0), STREAM_DOWNLINK)
     checks = (
         ("iid dl", dl.dl_ecr(iid, 1e4).mean,
@@ -284,23 +289,29 @@ def criterion_sr_brute_force(seed=DEFAULT_SEED):
             f"worst margin {worst:.3e}; ul_sr {sr_u:.5f} (hand 2.3137)")
 
 
+def _sr_curves(cfg, grid_db):
+    """The downlink ISAC, uplink ISAC and alpha = 0.5 FDSAC sensing rates
+    at each p_s of ``grid_db``, and the downlink sensing noise at p_c."""
+    rt = cfg.r_target()
+    s2 = dl.sensing_noise(cfg, cfg.p_c)
+    rows = []
+    for g in grid_db:
+        p_s = 10 ** (g / 10.0)
+        rows.append((sn.dl_sr(rt, cfg.N, cfg.L, p_s, s2)[0],
+                     sn.ul_sr(rt, cfg.N, cfg.L, p_s)[0],
+                     sn.fdsac_sr(rt, cfg.N, cfg.L, p_s, 0.5)))
+    return np.array(rows).T, s2
+
+
 def criterion_sr_slopes(seed=DEFAULT_SEED):
     """Sensing-rate slopes NM/L = 1, split baseline 0.5, high-SNR form,
     with the downlink sensing noise evaluated at p_c = 0 dB."""
     cfg = _paper_cfg(seed)
     rt = cfg.r_target()
-    s2 = dl.sensing_noise(cfg, cfg.p_c)
     grid_db = np.arange(30.0, 50.01, 2.5)
-    dl_vals, ul_vals, fd_vals = [], [], []
-    for g in grid_db:
-        p_s = 10 ** (g / 10.0)
-        dl_vals.append(sn.dl_sr(rt, cfg.N, cfg.L, p_s, s2)[0])
-        ul_vals.append(sn.ul_sr(rt, cfg.N, cfg.L, p_s)[0])
-        fd_vals.append(sn.fdsac_sr(rt, cfg.N, cfg.L, p_s, 0.5))
-    win = (30.0, 50.0)
-    s_dl = an.fit_highsnr_slope(grid_db, dl_vals, win).slope
-    s_ul = an.fit_highsnr_slope(grid_db, ul_vals, win).slope
-    s_fd = an.fit_highsnr_slope(grid_db, fd_vals, win).slope
+    curves, s2 = _sr_curves(cfg, grid_db)
+    s_dl, s_ul, s_fd = (an.fit_highsnr_slope(grid_db, c, (30.0, 50.0))[0]
+                        for c in curves)
     approx, valid = sn.sr_highsnr(rt, cfg.N, cfg.L, 1e4, sigma2=s2)
     gap = abs(approx - sn.dl_sr(rt, cfg.N, cfg.L, 1e4, s2)[0])
     err = max(abs(s_dl - 1.0), abs(s_ul - 1.0), abs(s_fd - 0.5) * 2.0)
@@ -313,26 +324,17 @@ def criterion_sr_slopes(seed=DEFAULT_SEED):
 def criterion_sr_orderings(seed=DEFAULT_SEED):
     """Sensing-rate crossover (downlink) and uniform dominance (uplink),
     with the downlink sensing noise evaluated at p_c = 0 dB."""
-    cfg = _paper_cfg(seed)
-    rt = cfg.r_target()
-    s2 = dl.sensing_noise(cfg, cfg.p_c)
     grid_db = np.arange(0.0, 30.01, 5.0)
-    ok = True
+    curves, _ = _sr_curves(_paper_cfg(seed), grid_db)
     notes = []
-    for g in grid_db:
-        p_s = 10 ** (g / 10.0)
-        d_isac = sn.dl_sr(rt, cfg.N, cfg.L, p_s, s2)[0]
-        u_isac = sn.ul_sr(rt, cfg.N, cfg.L, p_s)[0]
-        fdsac = sn.fdsac_sr(rt, cfg.N, cfg.L, p_s, 0.5)
+    for g, d_isac, u_isac, fdsac in zip(grid_db, *curves):
         if g <= 5.0 and not fdsac > d_isac:
-            ok = False
             notes.append(f"low-SNR crossover violated at {g} dB")
         if g >= 25.0 and not d_isac > fdsac:
-            ok = False
             notes.append(f"high-SNR crossover violated at {g} dB")
         if not u_isac > fdsac:
-            ok = False
             notes.append(f"uplink dominance violated at {g} dB")
+    ok = not notes
     return ok, float(ok), "; ".join(notes) or "all orderings hold"
 
 
@@ -350,34 +352,34 @@ def _rise_error(lo, hi, coord, predicted):
     return float(np.max(err))
 
 
-def _dof_step(regions_at, rising, still, dof, fdsac_share):
-    """Rise of the ISAC and FDSAC regions over a 30 -> 40 dB power step.
+def _link_regions(regions_at, p0, rising, still, dof, fdsac_share):
+    """One link's checks for ``criterion_regions``.
 
-    ``regions_at(p)`` returns the (isac, fdsac) regions with the stepped
-    power at p.  Every ISAC point must gain ``dof`` in ``rising`` and every
-    FDSAC corner ``fdsac_share(alpha) * dof``; ``still`` must not move, as
-    the draws are the same.  Returns (worst relative error, still fixed).
+    ``regions_at(p)`` returns the link's (isac, fdsac) regions with the
+    stepped power at p.  At the operating power p0 the far ISAC corner
+    must lie outside FDSAC by more than the 3-SE slack; the detail names
+    the worst FDSAC corner outside ISAC.  Over a 30 -> 40 dB step every
+    ISAC point must gain ``dof`` in ``rising`` and every FDSAC corner
+    ``fdsac_share(alpha) * dof``; ``still`` must not move, as the draws
+    are the same.  Returns (worst relative error of the step, whether the
+    far corner escapes and ``still`` holds, detail).
     """
+    isac, fdsac = regions_at(p0)
+    slack, gaps, escaping = rg.fdsac_escapes(isac, fdsac)
+    far = float(rg.corner_gaps(fdsac, isac.cr[-1:], isac.sr[-1:],
+                               cr_slack=slack)[0])
+    i = int(np.argmax(gaps))
     (i_lo, f_lo), (i_hi, f_hi) = regions_at(1e3), regions_at(1e4)
     err = max(_rise_error(i_lo, i_hi, rising, dof),
               _rise_error(f_lo, f_hi, rising, fdsac_share(f_lo.grid) * dof))
     fixed = all(np.array_equal(getattr(lo, still), getattr(hi, still))
                 for lo, hi in ((i_lo, i_hi), (f_lo, f_hi)))
-    return err, fixed
-
-
-def _escape(isac, fdsac):
-    """Whether the far ISAC corner lies outside FDSAC by more than the
-    3-SE slack, and a note naming the worst FDSAC corner outside ISAC."""
-    slack, gaps, escaping = rg.fdsac_escapes(isac, fdsac)
-    far = float(rg.corner_gaps(fdsac, isac.cr[-1:], isac.sr[-1:],
-                               cr_slack=slack)[0])
-    i = int(np.argmax(gaps))
-    note = (f"far corner gap {far:.3f} (slack {slack:.3f}); "
-            f"fdsac contained {escaping == 0} ({escaping}/{len(gaps)} "
-            f"corners escape), worst alpha {fdsac.grid[i]:.3f} "
-            f"(cr {fdsac.cr[i]:.3f}, sr {fdsac.sr[i]:.3f}, gap {gaps[i]:.3f})")
-    return far > slack, note
+    return err, fixed and far > slack, (
+        f"{rising} dof err {err:.4f}, {still} fixed {fixed}, "
+        f"far corner gap {far:.3f} (slack {slack:.3f}); "
+        f"fdsac contained {escaping == 0} ({escaping}/{len(gaps)} "
+        f"corners escape), worst alpha {fdsac.grid[i]:.3f} "
+        f"(cr {fdsac.cr[i]:.3f}, sr {fdsac.sr[i]:.3f}, gap {gaps[i]:.3f})")
 
 
 def criterion_regions(seed=DEFAULT_SEED):
@@ -406,25 +408,17 @@ def criterion_regions(seed=DEFAULT_SEED):
 
     # every region of a link averages the same draws
     down = mc.Link(cfg, STREAM_DOWNLINK)
-    d_far, d_note = _escape(rg.dl_isac_region(down, p_c, p_s),
-                            rg.dl_fdsac_region(down, p_c, p_s))
-    d_err, d_fixed = _dof_step(
+    d_err, d_ok, d_note = _link_regions(
         lambda g: (rg.dl_isac_region(down, p_c, g),
                    rg.dl_fdsac_region(down, p_c, g)),
-        "sr", "cr", cfg.N * cfg.M / cfg.L * decade, lambda a: 1.0 - a)
-
+        p_s, "sr", "cr", cfg.N * cfg.M / cfg.L * decade, lambda a: 1.0 - a)
     up = mc.Link(cfg, STREAM_UPLINK)
-    u_far, u_note = _escape(rg.ul_isac_region(up, p_c, p_s),
-                            rg.ul_fdsac_region(up, p_c, p_s))
-    u_err, u_fixed = _dof_step(
+    u_err, u_ok, u_note = _link_regions(
         lambda g: (rg.ul_isac_region(up, g, p_s),
                    rg.ul_fdsac_region(up, g, p_s)),
-        "cr", "sr", cfg.K * decade, lambda a: a)
-
+        p_c, "cr", "sr", cfg.K * decade, lambda a: a)
     err = max(d_err, u_err)
-    return (err <= 0.02 and d_fixed and u_fixed and d_far and u_far, err,
-            f"dl sr dof err {d_err:.4f}, cr fixed {d_fixed}, {d_note}; "
-            f"ul cr dof err {u_err:.4f}, sr fixed {u_fixed}, {u_note}")
+    return err <= 0.02 and d_ok and u_ok, err, f"dl {d_note}; ul {u_note}"
 
 
 def criterion_determinism(seed=DEFAULT_SEED):
@@ -442,7 +436,8 @@ def criterion_determinism(seed=DEFAULT_SEED):
         for i in range(2):
             path = os.path.join(tmp, f"run{i}.csv")
             status = cli.run("op_vs_snr", cfg, params, path)
-            assert status == 0
+            if status != 0:
+                return False, 0.0, f"op_vs_snr exited {status}"
             with open(path, "rb") as fh:
                 outputs.append(fh.read())
     same = outputs[0] == outputs[1] and len(outputs[0]) > 0
@@ -450,44 +445,33 @@ def criterion_determinism(seed=DEFAULT_SEED):
             "byte-identical rerun" if same else "outputs differ")
 
 
-CRITERIA = (
-    criterion_waterfill_oracle,
-    criterion_dual_mac_optimality,
-    criterion_ecr_constant,
-    criterion_dl_diversity,
-    criterion_ul_diversity,
-    criterion_ecr_slopes,
-    criterion_ecr_asymptote,
-    criterion_sr_brute_force,
-    criterion_sr_slopes,
-    criterion_sr_orderings,
-    criterion_regions,
-    criterion_determinism,
-)
-
-# Wall-time limit (s) of each criterion that has one: it fails if slower.
-TIME_LIMITS = {
+# Every criterion in run order, with its wall-time limit (s): it fails if
+# slower.
+CRITERIA = {
     criterion_waterfill_oracle: 10.0,
     criterion_dual_mac_optimality: 30.0,
     criterion_ecr_constant: 30.0,
     criterion_dl_diversity: 600.0,
     criterion_ul_diversity: 600.0,
     criterion_ecr_slopes: 300.0,
+    criterion_ecr_asymptote: math.inf,
     criterion_sr_brute_force: 60.0,
+    criterion_sr_slopes: math.inf,
+    criterion_sr_orderings: math.inf,
     criterion_regions: 900.0,
+    criterion_determinism: math.inf,
 }
 
 
 def run_all(seed=DEFAULT_SEED):
     """Run every criterion, printing one pass/fail line per criterion."""
     results = []
-    for fn in CRITERIA:
+    for fn, limit in CRITERIA.items():
         start = time.perf_counter()
         passed, value, detail = fn(seed=seed)
         elapsed = time.perf_counter() - start
-        passed = passed and elapsed < TIME_LIMITS.get(fn, math.inf)
-        res = CriterionResult(fn.__name__.removeprefix("criterion_"), passed,
-                              value, detail, elapsed)
+        res = CriterionResult(fn.__name__.removeprefix("criterion_"),
+                              passed and elapsed < limit, value, detail, elapsed)
         results.append(res)
         status = "PASS" if res.passed else "FAIL"
         print(f"[{status}] {res.name}: {res.detail} ({res.elapsed:.1f}s)")

@@ -3,37 +3,29 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import ModelError
 
-__all__ = ["SlopeFit", "fit_highsnr_slope", "fit_diversity"]
-
-
-@dataclass(frozen=True)
-class SlopeFit:
-    """Least-squares line fit on a declared abscissa transform."""
-
-    slope: float
-    r_squared: float
+__all__ = ["fit_highsnr_slope", "fit_diversity"]
 
 
 def _least_squares(x, y):
+    # (slope, r_squared) of the least-squares line
     slope, intercept = np.polyfit(x, y, 1)
     pred = slope * x + intercept
     ss_res = float(np.sum((y - pred) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
-    return SlopeFit(slope=float(slope), r_squared=min(r2, 1.0))
+    return float(slope), min(r2, 1.0)
 
 
-def fit_highsnr_slope(snr_db, rate, window_db) -> SlopeFit:
+def fit_highsnr_slope(snr_db, rate, window_db) -> tuple[float, float]:
     """Rate growth in bits per doubling of SNR over a dB window.
 
     Fits rate against log2 of the linear SNR for points with
-    window_db[0] <= snr_db <= window_db[1].
+    window_db[0] <= snr_db <= window_db[1], and returns (slope, r_squared).
     """
     snr_db = np.asarray(snr_db, dtype=float)
     rate = np.asarray(rate, dtype=float)
@@ -45,11 +37,12 @@ def fit_highsnr_slope(snr_db, rate, window_db) -> SlopeFit:
     return _least_squares(x, rate[mask])
 
 
-def fit_diversity(p_db, op) -> SlopeFit:
+def fit_diversity(p_db, op) -> tuple[float, float]:
     """Diversity order from the log-log decay of outage vs SNR.
 
     Fits log10(op) against log10 of the linear SNR, restricted to points
-    with 1e-4 <= op <= 1e-1; the diversity estimate is -slope.
+    with 1e-4 <= op <= 1e-1, and returns (slope, r_squared); the diversity
+    estimate is -slope.
     Zero-probability bins (no observed events) are dropped with a warning,
     never imputed.
     """

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from isacsim import acceptance
 from isacsim import channel as chan
 from isacsim import cli
 
@@ -118,6 +119,42 @@ class TestMain:
         rows, warnings = run(5.0)
         assert all(row.split(",")[2] != "0" for row in rows)
         assert warnings == []
+
+    @pytest.mark.parametrize("doc", [5, None, [["M", 3]], "abc", [1, 2]],
+                             ids=["number", "null", "pairs", "string", "list"])
+    def test_a_config_that_is_not_an_object_is_a_config_error(
+            self, tmp_path, capsys, doc):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "x.csv"
+        assert cli.main(["--experiment", "sr_vs_snr", "--config", str(path),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: config: a config is a JSON object, got {doc!r}\n"
+        assert not out.exists()
+
+    def test_the_acceptance_suite_takes_only_the_seed(
+            self, tmp_path, capsys, monkeypatch):
+        seeds = []
+        monkeypatch.setattr(acceptance, "run_all",
+                            lambda seed: seeds.append(seed) or [])
+        out = tmp_path / "x.csv"
+
+        def run(doc):
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(doc))
+            return cli.main(["--experiment", "acceptance", "--config", str(path),
+                             "--out", str(out)])
+
+        assert run({"M": 3, "N": 3, "K": 3, "trials": 10, "alpha": 0.9,
+                    "seed": 5}) == 2
+        assert "takes only seed" in capsys.readouterr().err
+        assert seeds == [] and not out.exists()
+        # a key at its default value changes nothing, and --seed is the seed
+        assert run({"seed": 5, "M": 2}) == 0
+        assert cli.main(["--experiment", "acceptance", "--seed", "7",
+                         "--out", str(out)]) == 0
+        assert seeds == [5, 7]
 
     def test_bad_config_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
