@@ -18,22 +18,36 @@ each system, which carries its outage trials from one point to the next:
 
 - Every rate is nondecreasing in power, so on the same draws the outages
   at a higher power are among those at a lower one.
-- A trail remembers the blocks its points have drawn, and keeps their
-  candidates: the trials whose rate at the last point lay below the target
+- A trail holds a set of blocks and keeps their candidates: the trials
+  whose rate at its power, that of its last point, lay below the target
   plus ``SLACK`` bits.
-- A point at a power no lower than the last evaluates only the candidates,
-  applies the per-block stopping rule to their cumulative counts, and
-  draws fresh blocks only past the remembered ones.
-- The slack is far above any rate kernel's rounding error, so a trial left
-  behind cannot be in outage at the higher power: every estimate keeps the
-  bits a fresh trail gives it.
-- A point at a lower power starts its system's trail afresh, and a fresh
-  trail draws every block as it goes.
-- A trail carries fewer than ``min_events`` + ``BLOCK_SIZE`` trials (the
-  largest ``min_events`` of its points), besides any whose rate lies
-  within the slack of the target: the blocks before the last one it drew
-  held fewer than ``min_events`` outages, and at a higher power they hold
-  no more.
+- A point at a power no lower than its trail's evaluates only the
+  candidates, and walks blocks 0, 1, ... with the per-block stopping rule:
+  the candidates count each held block, and every other block is drawn as
+  far as the system's trial cap needs.  A point at a lower power starts
+  its system's trail afresh.
+- Sharing: a point hands each block it draws to every other trail of the
+  link that does not hold it.  Each takes it at its own power, so its
+  later points, at that power or higher, can count the block from its
+  candidates.  A trail so holds blocks with gaps, which its points draw.
+- Room: a trail takes a shared block only while it carries fewer than
+  ``min_events`` (of its last point) + ``BLOCK_SIZE`` trials, so sharing
+  leaves it fewer than ``min_events`` + 2 ``BLOCK_SIZE``.  A point adds the
+  candidates of the blocks it draws; those before the last held fewer
+  than ``min_events`` outages.  Without the room, a system with frequent
+  outages would take every deep block of another.
+- Floor: every rate here is at least the best single user's at the whole
+  power, log2(1 + p max_k |h_k|^2).  Per block, the gain max_k |h_k|^2 of
+  every trial is computed once; a trial whose floor is at least the target
+  plus ``SLACK`` is neither an outage nor a candidate, so the kernel runs
+  only on the others, drawn or carried.
+- ``SLACK``, far above any rate kernel's rounding error, serves twice.  A
+  trial left behind lay at least ``SLACK`` above the target, so it cannot
+  be in outage at a higher power; and the floor decides a trial only when
+  it clears the target by ``SLACK``, so the kernel could not have found an
+  outage there.  So every estimate keeps the bits a fresh trail gives it.
+- A point commits every trail it changed at its end, so a point that
+  raises leaves the whole link as it was.
 """
 
 from __future__ import annotations
@@ -48,8 +62,9 @@ from .numerics import ModelError, matrix_sqrt_psd
 
 __all__ = ["MonteCarloEstimate", "Link", "blocks", "outage", "ergodic"]
 
-# bits a carried trial's rate may lie above the target: far above the error
-# of every rate kernel (the K >= 3 solve is certified to 1e-9 bit)
+# bits a carried trial's rate may lie above the target, and that the floor
+# must clear it by: far above the error of every rate kernel (the K >= 3
+# solve is certified to 1e-9 bit)
 SLACK = 1e-6
 
 
@@ -62,24 +77,26 @@ class MonteCarloEstimate:
     trials: int
 
 
-def blocks(cfg, stream, trials, start=0):
+def blocks(cfg, stream, trials):
     """Yield the channels (T, dim, cfg.K) of stream ``stream``, trials
-    start .. trials-1 (``start`` a multiple of ``BLOCK_SIZE``), one block
-    at a time.
+    0 .. trials-1, one block at a time.
 
     Uplink channels (dim N) are i.i.d.; downlink and covariance channels
     (dim M) are correlated by R_cu, whose root is computed once per call.
     Each block is drawn only up to the trials still wanted; trial t is the
     same draw whatever ``trials`` is.
     """
-    if stream == chan.STREAM_UPLINK:
-        root = np.eye(cfg.N, dtype=complex)
-    else:
-        root = matrix_sqrt_psd(cfg.r_cu())
-    size, trials = chan.BLOCK_SIZE, int(trials)
-    for start in range(start, trials, size):
+    root, size, trials = _root(cfg, stream), chan.BLOCK_SIZE, int(trials)
+    for start in range(0, trials, size):
         yield chan.sample_channel_block(root, cfg.K, cfg.seed, start // size,
                                         stream, min(size, trials - start))
+
+
+def _root(cfg, stream):
+    # the root of the channel correlation of a stream
+    if stream == chan.STREAM_UPLINK:
+        return np.eye(cfg.N, dtype=complex)
+    return matrix_sqrt_psd(cfg.r_cu())
 
 
 class Link:
@@ -104,16 +121,22 @@ class Link:
 
 
 class _Trail:
-    """What one outage system carries from one point to the next: the
-    power of the last point, the trials drawn from each block so far
-    (``sizes``), and the candidates as a C-contiguous (dim, K, n) buffer
-    (``carried``, so ``carried.transpose(2, 0, 1)`` is a trial-minor batch;
-    None until the first block is drawn) with the block of each
-    (``block``)."""
+    """What one outage system carries from one point to the next: the power
+    and ``min_events`` of its last point, the blocks it holds, and their
+    candidates as parts, each the block and floor gain of its trials and
+    their channels as a C-contiguous (dim, K, n) buffer (so
+    ``transpose(2, 0, 1)`` gives a trial-minor batch); ``carried`` counts
+    the candidates."""
 
-    def __init__(self):
-        self.p_c, self.sizes, self.carried = 0.0, [], None
-        self.block = np.empty(0, dtype=np.intp)
+    def __init__(self, p_c, min_events, held=(), parts=()):
+        self.p_c, self.min_events = p_c, min_events
+        self.held, self.parts = set(held), list(parts)
+        self.carried = sum(len(tags) for tags, _, _ in self.parts)
+
+    def take(self, block, part):
+        self.held.add(block)
+        self.parts.append(part)
+        self.carried += len(part[0])
 
 
 def outage(link, stream, rate, r_target, p_c, alpha, min_events,
@@ -124,54 +147,90 @@ def outage(link, stream, rate, r_target, p_c, alpha, min_events,
     Blocks are counted in order until at least ``min_events`` outages have
     been seen or ``max_trials`` is reached, whichever comes first; the
     binomial standard error is reported.  The candidates of the blocks the
-    system's trail holds decide their counts, and the point's candidates
-    stay in the trail for the next point.  A zero target is never missed
-    and a silent link always is, so both return without a trial:
-    trials = 0.
+    system's trail holds decide their counts, every other block is drawn,
+    and the point's candidates stay in the trail for the next point.  A
+    zero target is never missed and a silent link always is, so both
+    return without a trial: trials = 0.
     """
+    if min_events < 1:
+        raise ModelError("min_events must be positive")
     if _silent(link, stream, p_c, alpha, r_target, max_trials) or r_target == 0.0:
         return MonteCarloEstimate(float(r_target > 0.0), 0.0, 0)
-    system = (rate, alpha, r_target, max_trials)
-    trail = link.trails.get(system)
-    if trail is None or p_c < trail.p_c:
-        trail = link.trails[system] = _Trail()
-
-    def outages(h):
-        # the outage and candidate masks of a trial-minor batch
-        rates = alpha * rate(h, p_c / alpha)
-        return rates < r_target, rates < r_target + SLACK
-
-    # a point that raises leaves the trail whole: its candidates are those
-    # of the power it records, for the blocks it records
-    counts = np.zeros(len(trail.sizes), dtype=np.int64)
-    if len(trail.block):
-        out, keep = outages(trail.carried.transpose(2, 0, 1))
-        counts = np.bincount(trail.block[out], minlength=len(trail.sizes))
-        trail.carried = np.ascontiguousarray(trail.carried[:, :, keep])
-        trail.block = trail.block[keep]
-    trail.p_c = p_c
-    # the first block whose cumulative count reaches min_events, if any
-    stop = int(np.searchsorted(np.cumsum(counts), min_events))
-    events = int(counts[:stop + 1].sum())
-    done = sum(trail.sizes[:stop + 1])
-    if stop == len(counts):
-        parts = [] if trail.carried is None else [trail.carried]
-        tags, sizes = [trail.block], list(trail.sizes)
-        for h in blocks(link.cfg, stream, max_trials, done):
-            out, keep = outages(h)
-            events += int(np.count_nonzero(out))
-            done += len(h)
-            parts.append(h.transpose(1, 2, 0)[:, :, keep])
-            tags.append(np.full(parts[-1].shape[2], len(sizes)))
-            sizes.append(len(h))
-            if events >= min_events:
-                break
-        trail.sizes = sizes
-        trail.carried = np.concatenate(parts, axis=2)
-        trail.block = np.concatenate(tags)
+    system, size = (rate, alpha, r_target, max_trials), chan.BLOCK_SIZE
+    old, trail = link.trails.get(system), _Trail(p_c, min_events)
+    if old is not None and p_c >= old.p_c:
+        # the carried trials as one part, judged at this power
+        out, part = _judge(system, p_c, *(np.concatenate(x, axis=-1)
+                                          for x in zip(*old.parts)))
+        counts = np.bincount(out, minlength=max(old.held) + 1)
+        trail = _Trail(p_c, min_events, old.held, [part])
+    # the other trails this point hands its drawn blocks to, as it leaves
+    # them; the link takes every trail at the end, so a point that raises
+    # leaves it whole
+    shared, root = {}, None
+    events = done = block = 0
+    while events < min_events and done < max_trials:
+        n = min(size, max_trials - done)
+        if block in trail.held:
+            events += int(counts[block])
+        else:
+            # h stays referenced until the next block is drawn, as in a loop
+            # over ``blocks``: freed earlier, its pages go back to the system
+            # and fault in again at the next draw
+            root = _root(link.cfg, stream) if root is None else root
+            h = chan.sample_channel_block(root, link.cfg.K, link.cfg.seed,
+                                          block, stream, n)
+            hb = h.transpose(1, 2, 0)
+            gains = np.max(np.einsum("ikn,ikn->kn", hb.real, hb.real)
+                           + np.einsum("ikn,ikn->kn", hb.imag, hb.imag), axis=0)
+            tags = np.broadcast_to(block, n)
+            out, part = _judge(system, p_c, tags, gains, hb)
+            events += len(out)
+            trail.take(block, part)
+            for other, mate in link.trails.items():
+                mate = shared.get(other, mate)
+                need = min(size, other[3] - block * size)
+                if (other != system and 0 < need <= n and block not in mate.held
+                        and mate.carried < mate.min_events + size):
+                    if other not in shared:
+                        mate = shared[other] = _Trail(mate.p_c, mate.min_events,
+                                                      mate.held, mate.parts)
+                    mate.take(block, _judge(other, mate.p_c, tags[:need],
+                                            gains[:need], hb[:, :, :need])[1])
+        done += n
+        block += 1
+    link.trails.update(shared)
+    link.trails[system] = trail
     p = events / done
     se = math.sqrt(max(p * (1.0 - p), 0.0) / done)
     return MonteCarloEstimate(mean=p, std_error=se, trials=done)
+
+
+def _judge(system, p_c, tags, gains, hb):
+    # The outages (their blocks) and the candidate part of trials hb
+    # (dim, K, n) of ``tags`` blocks with floor gains ``gains``, for a system
+    # at power p_c.  Only the trials below the single-user floor run the
+    # kernel: every other one has alpha * R >= r_target + SLACK.  The
+    # candidates are copied once the kernel's batch is freed.
+    rate, alpha, r_target, _ = system
+    undecided = np.flatnonzero(gains < _floor(alpha, r_target, p_c))
+    rates = np.empty(0)
+    if len(undecided):
+        rates = alpha * rate(np.take(hb, undecided, axis=2).transpose(2, 0, 1),
+                             p_c / alpha)
+    keep = undecided[rates < r_target + SLACK]
+    return tags[undecided[rates < r_target]], (tags[keep], gains[keep],
+                                                np.take(hb, keep, axis=2))
+
+
+def _floor(alpha, r_target, p_c):
+    # The gain max_k |h_k|^2 from which the best single user alone gives
+    # alpha * log2(1 + (p_c / alpha) max_k |h_k|^2) >= r_target + SLACK: no
+    # floor (infinity) where 2 ** x overflows a float.
+    try:
+        return (2.0 ** ((r_target + SLACK) / alpha) - 1.0) * alpha / p_c
+    except OverflowError:
+        return math.inf
 
 
 def _silent(link, stream, p_c, alpha, r_target, trials):

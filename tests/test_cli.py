@@ -2,6 +2,7 @@ import json
 import logging
 import math
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,9 @@ import pytest
 from isacsim import acceptance
 from isacsim import channel as chan
 from isacsim import cli
+from isacsim import downlink as dl
+from isacsim import mc
+from isacsim import uplink as ul
 
 
 DATA = Path(__file__).parent / "data"
@@ -226,6 +230,19 @@ class TestMain:
                          "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("min_events", [0, -3])
+    def test_a_min_events_below_one_is_a_config_error(self, tmp_path, capsys,
+                                                      min_events):
+        # an outage estimate stops once it has seen min_events outages, so
+        # it needs at least one
+        out = tmp_path / "x.csv"
+        assert cli.main(["--experiment", "op_vs_snr", "--out", str(out),
+                         "--config", write_config(tmp_path, min_events=min_events,
+                                                  sweep_db=[10.0])]) == 2
+        assert capsys.readouterr().err == \
+            "error: config: min_events must be positive\n"
+        assert not out.exists()
+
 
     def test_ecr_vs_snr_draws_each_link_once(self, tmp_path, drawn):
         # every SNR point and system of a link shares one draw set
@@ -258,6 +275,41 @@ class TestMain:
         ordered = rows([0.0, 5.0, 10.0, 15.0, 20.0])
         assert rows([10.0, 20.0, 0.0, 15.0, 5.0]) == ordered
         assert rows([20.0, 15.0, 10.0, 5.0, 0.0]) == ordered
+
+    def test_op_vs_snr_work(self, tmp_path, monkeypatch):
+        # the work of an op_tail-shaped run: each drawn block serves every
+        # outage trail of its link that has room, and each kernel runs only
+        # on the trials the single-user floor leaves open.  Without sharing
+        # or the floor, the same run draws 90 blocks, runs 271,703 downlink
+        # and 464,222 uplink kernel trials and carries at most 3,343 trials
+        work, carried = Counter(), [0]
+
+        def counting(module, name, key):
+            fn = getattr(module, name)
+
+            def counted(*args):
+                out = fn(*args)
+                work[key] += 1 if key == "blocks" else len(out)
+                return out
+
+            monkeypatch.setattr(module, name, counted)
+
+        counting(chan, "sample_channel_block", "blocks")
+        counting(dl, "dl_sum_rate_batch", "downlink")
+        counting(ul, "ul_rate_batch", "uplink")
+        outage = mc.outage
+
+        def watched(link, *args):
+            est = outage(link, *args)
+            carried[0] = max([carried[0]] + [t.carried for t in link.trails.values()])
+            return est
+
+        monkeypatch.setattr(mc, "outage", watched)
+        cfg, params = cli.parse_config({"sweep_db": [17.5, 20.0, 22.5, 25.0],
+                                        "min_events": 100, "max_trials": 250_000})
+        assert cli.run("op_vs_snr", cfg, params, str(tmp_path / "op.csv")) == 0
+        assert work == {"blocks": 65, "downlink": 76_549, "uplink": 227_510}
+        assert carried[0] == 10_065 < params["min_events"] + 2 * chan.BLOCK_SIZE
 
 
 # Small runs whose CSVs were written by an earlier version: a change meant

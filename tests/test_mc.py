@@ -188,34 +188,45 @@ def test_an_ascending_sweep_draws_each_block_once(system, drawn):
         trials.append(est.trials)
         # fewer than min_events + BLOCK_SIZE trials carried
         (trail,) = link.trails.values()
-        assert len(trail.block) < EVENTS + chan.BLOCK_SIZE
+        assert trail.carried < EVENTS + chan.BLOCK_SIZE
     assert trials[0] == chan.BLOCK_SIZE and trials[-1] == CAP
     assert len(set(trials)) >= 3
     assert drawn == [(b, stream, chan.BLOCK_SIZE) for b in range(6)] + [(6, stream, 77)]
 
 
-@pytest.mark.parametrize("pair", [("disac", "dfdsac"), ("uisac", "ufdsac")],
+# blocks: those the ascending half draws on one shared link, and on a link
+# per system (7 blocks each)
+@pytest.mark.parametrize("pair, blocks", [(("disac", "dfdsac"), (10, 14)),
+                                          (("uisac", "ufdsac"), (8, 14))],
                          ids=["downlink", "uplink"])
-def test_a_link_alternating_two_systems_gives_each_the_fresh_estimate(pair, drawn):
+def test_a_link_alternating_two_systems_gives_each_the_fresh_estimate(pair, blocks,
+                                                                      drawn):
     # the ISAC and FDSAC systems of one link take turns over ascending, then
     # descending powers: each point is the one a fresh link gives it, and
-    # each system draws the blocks it draws on a link of its own
+    # over the ascending half the shared link draws fewer blocks than a link
+    # per system, since each new block serves both trails
     stream = SYSTEMS[pair[0]][0]
-    powers = TRAIL_SWEEPS["ascending"] + TRAIL_SWEEPS["descending"]
 
-    def sweep(link_of):
+    def sweep(link_of, powers):
         return [_fields(SYSTEMS[system][3](link_of(system), R_TARGET,
                                            10.0 ** (db / 10.0), min_events=EVENTS,
                                            max_trials=CAP))
                 for db in powers for system in pair]
 
+    def halves(link_of):
+        drawn.clear()
+        ascending = sweep(link_of, TRAIL_SWEEPS["ascending"])
+        count = len(drawn)
+        return ascending + sweep(link_of, TRAIL_SWEEPS["descending"]), count
+
     shared = mc.Link(CFG, stream)
-    alternating = sweep(lambda system: shared)
-    shared_blocks = len(drawn)
+    alternating, shared_blocks = halves(lambda system: shared)
     own = {system: mc.Link(CFG, stream) for system in pair}
-    assert alternating == sweep(own.get)
-    assert shared_blocks == len(drawn) - shared_blocks
-    assert alternating == sweep(lambda system: mc.Link(CFG, stream))
+    separate, own_blocks = halves(own.get)
+    assert alternating == separate
+    powers = TRAIL_SWEEPS["ascending"] + TRAIL_SWEEPS["descending"]
+    assert alternating == sweep(lambda system: mc.Link(CFG, stream), powers)
+    assert (shared_blocks, own_blocks) == blocks
 
 
 def test_a_link_keeps_one_trail_per_system():
@@ -279,6 +290,109 @@ def test_a_point_that_fails_leaves_the_trail_whole(system, monkeypatch):
     assert [c for c in carried if c] == [f for c, f in zip(carried, fresh) if c]
 
 
+# Random interleavings.  Several systems of one link (kernel, alpha, target,
+# trial cap) each sweep their own powers, ascending, descending or shuffled,
+# and the sweeps are interleaved at random; one draw in ten fails.  At K = 1
+# both kernels equal the single-user floor, and each target lies SLACK / 2
+# below the rate of a trial at its system's first power, so that trial is
+# carried only by a floor with the slack.
+INTERLEAVINGS = 8
+
+
+def _interleaving(rng, stream, cfg):
+    # the systems of one link and its points: (system, p_c, min_events)
+    size = chan.BLOCK_SIZE
+    kernel = dl.dl_sum_rate_batch if stream == chan.STREAM_DOWNLINK else ul.ul_rate_batch
+    root = DL_ROOT if stream == chan.STREAM_DOWNLINK else UL_ROOT
+    sweeps = []
+    for _ in range(int(rng.integers(2, 5))):
+        alpha = float(rng.choice([1.0, 1.0, 0.8, 0.5, 0.3]))
+        powers = 10.0 ** (rng.uniform(0.8, 1.8, int(rng.integers(2, 5))))
+        order = rng.choice(["ascending", "descending", "shuffled"])
+        powers = {"ascending": np.sort(powers), "descending": np.sort(powers)[::-1],
+                  "shuffled": powers}[order]
+        if cfg.K == 1:
+            h = chan.sample_channel_block(root, 1, cfg.seed, 0, stream)
+            rates = alpha * kernel(h, powers[0] / alpha)
+            target = float(rates[rng.integers(len(rates))]) - mc.SLACK / 2
+        else:
+            target = float(rng.uniform(2.0, 5.0))
+        cap = int(rng.integers(1, 5)) * size + int(rng.integers(1, size))
+        system = (kernel, alpha, target, cap)
+        sweeps.append([(system, float(p), int(rng.choice([1, 30, 300, 3000])))
+                       for p in powers])
+    turns = rng.permutation(np.repeat(np.arange(len(sweeps)), [len(s) for s in sweeps]))
+    return [sweeps[i].pop(0) for i in turns]
+
+
+def _point(link, system, p_c, min_events):
+    kernel, alpha, target, cap = system
+    return mc.outage(link, link.stream, kernel, target, p_c, alpha, min_events, cap)
+
+
+def _carried_blocks(system, trail, block_of):
+    # the carried trials of a trail per held block, and the trials of each
+    # held block whose rate at the trail's power lies below target + SLACK
+    kernel, alpha, target, cap = system
+    size = chan.BLOCK_SIZE
+    carried = np.concatenate([tags for tags, _, _ in trail.parts])
+    want = {b: int(np.count_nonzero(
+        alpha * kernel(block_of(b)[:min(size, cap - b * size)], trail.p_c / alpha)
+        < target + mc.SLACK)) for b in trail.held}
+    return {b: int(np.count_nonzero(carried == b)) for b in trail.held}, want
+
+
+@pytest.mark.parametrize("case", range(INTERLEAVINGS))
+@pytest.mark.parametrize("columns", [1, 2], ids=["k1", "k2"])
+@pytest.mark.parametrize("stream", [chan.STREAM_DOWNLINK, chan.STREAM_UPLINK],
+                         ids=["downlink", "uplink"])
+def test_random_interleavings_give_each_point_the_fresh_estimate(
+        stream, columns, case, monkeypatch):
+    cfg = replace(CFG, K=columns, seed=100 + case)
+    rng = np.random.default_rng([stream, columns, case])
+    points = _interleaving(rng, stream, cfg)
+    sample, size = chan.sample_channel_block, chan.BLOCK_SIZE
+    root = DL_ROOT if stream == chan.STREAM_DOWNLINK else UL_ROOT
+    fail = {"on": False}
+
+    def failing(*args):
+        if fail["on"] and rng.random() < 0.1:
+            raise ArithmeticError("no draw")
+        return sample(*args)
+
+    blocks = {}
+
+    def block_of(b):
+        if b not in blocks:
+            blocks[b] = sample(root, columns, cfg.seed, b, stream)
+        return blocks[b]
+
+    monkeypatch.setattr(chan, "sample_channel_block", failing)
+    link, failures = mc.Link(cfg, stream), 0
+    for system, p_c, events in points:
+        before = dict(link.trails)
+        fail["on"] = True
+        try:
+            est = _point(link, system, p_c, events)
+        except ArithmeticError:
+            # a point that raises leaves the whole link as it was
+            failures += 1
+            assert link.trails.keys() == before.keys()
+            assert all(link.trails[k] is before[k] for k in before)
+            continue
+        finally:
+            fail["on"] = False
+        assert _fields(est) == _fields(_point(mc.Link(cfg, stream), system, p_c,
+                                              events))
+        for other, trail in link.trails.items():
+            # a trail takes a block only while it has room for one more
+            if other != system and before.get(other) is not trail:
+                assert trail.carried < trail.min_events + 2 * size
+            got, want = _carried_blocks(other, trail, block_of)
+            assert got == want
+    assert failures < len(points)
+
+
 OUTAGE = dict(r_target=1.0, min_events=200, max_trials=chan.BLOCK_SIZE)
 # estimator, its stream, its arguments after the link (ergodic estimates
 # average 100 trials)
@@ -313,7 +427,8 @@ def _cases(values):
 
 
 @pytest.mark.parametrize("name, arg, value", _cases([
-    ("r_target", -1.0), ("p_c", -1.0), ("alpha", -0.5), ("alpha", 1.5)]))
+    ("r_target", -1.0), ("p_c", -1.0), ("alpha", -0.5), ("alpha", 1.5),
+    ("min_events", 0), ("min_events", -1)]))
 def test_every_estimator_rejects_bad_input(name, arg, value):
     estimator, stream, kwargs = ESTIMATORS[name]
     with pytest.raises(ModelError):
@@ -340,6 +455,34 @@ def test_rate_kernels_reject_negative_power(kernel, columns):
     # one scalar check per call: a negative power would give nan rates
     with pytest.raises(ModelError):
         kernel(np.ones((3, 2, columns), dtype=complex), -1.0)
+
+
+@given(columns=st.integers(1, 3), extra=st.integers(0, 2),
+       rho=st.floats(0.0, 0.999999), p_db=st.floats(-10.0, 60.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_every_rate_is_at_least_the_single_user_floor(columns, extra, rho, p_db, seed):
+    # the best user alone at the whole power: a sum rate at total power p
+    # is at least log2(1 + p max_k |h_k|^2), which decides the trials an
+    # outage point need not run its kernel on
+    dim = min(columns + extra, 3)
+    cfg = SimConfig(M=dim, N=dim, K=columns, L=dim, rho_cu=rho, seed=seed)
+    h = next(mc.blocks(cfg, chan.STREAM_DOWNLINK, 32))
+    p = 10.0 ** (p_db / 10.0)
+    floor = np.log2(1.0 + p * np.max(np.sum(np.abs(h) ** 2, axis=1), axis=1))
+    for kernel in (dl.dl_sum_rate_batch, ul.ul_rate_batch):
+        assert np.all(kernel(h, p) >= floor - 1e-8)
+
+
+@pytest.mark.parametrize("estimator, stream", [
+    (dl.dl_outage_prob_fdsac, chan.STREAM_DOWNLINK),
+    (ul.ul_outage_prob_fdsac, chan.STREAM_UPLINK)], ids=["downlink", "uplink"])
+def test_a_floor_past_the_float_range_leaves_every_trial_to_the_kernel(
+        estimator, stream):
+    # 2 ** ((50 + SLACK) / 0.01) overflows a float: no trial is decided by
+    # the floor, and every one misses the target
+    est = estimator(_link(stream, 100), 50.0, 0.01, 10.0, min_events=5,
+                    max_trials=1000)
+    assert _fields(est) == (1.0, 0.0, 1000)
 
 
 @given(trial=st.integers(0, 3 * chan.BLOCK_SIZE - 1), dim=st.integers(1, 3),
