@@ -1,7 +1,7 @@
 """Spatial correlation models and correlated Rayleigh channel sampling.
 
 A correlation is a plain complex (dim, dim) array; the sampler takes its
-square root R^{1/2}, which ``mc.blocks`` computes once per call.
+square root R^{1/2}, which each ``mc.Link`` computes once for its stream.
 
 Reproducibility model: trials are grouped into fixed-size blocks of
 ``BLOCK_SIZE`` consecutive trial indices.  The generator for a block is

@@ -1,13 +1,14 @@
 """Experiment orchestration: JSON config in, CSV out.
 
 Every experiment result is a pure function of (config, seed); reruns
-produce byte-identical CSV files.  Exit codes: 0 success, 2 config error,
-3 numerical failure.
+produce byte-identical CSV files.  Exit codes: 0 success, 2 config or
+output error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import logging
@@ -113,10 +114,11 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    # csv quotes the fields that hold a comma, such as an acceptance detail
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(header)
+        out.writerows([_fmt(v) for v in row] for row in rows)
     log.info("wrote %s (%d rows)", path, len(rows))
 
 
@@ -240,13 +242,18 @@ def run(name, cfg: SimConfig, params: dict, output_path) -> int:
             raise ModelError(f"unknown experiment {name!r}; "
                              f"choose from {tuple(_RUNNERS)}")
         header, rows = _RUNNERS[name](cfg, params)
-        _write_csv(output_path, header, rows)
     except ModelError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)
         return 3
+    # opened once the run has its rows: a failed run leaves the file as it was
+    try:
+        _write_csv(output_path, header, rows)
+    except OSError as exc:
+        print(f"error: output: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -365,7 +365,7 @@ def estimate_mean_covariance(cfg: chan.SimConfig, p_c=None,
         return result
 
     acc = np.zeros((m, m), dtype=complex)
-    for h in mc.blocks(cfg, chan.STREAM_COVARIANCE, trials):
+    for h in mc.Link(cfg, chan.STREAM_COVARIANCE).blocks(trials):
         powers = dual_mac_power_alloc(h, p_c)
         acc += np.sum(mac_to_bc_covariance(h, powers, p_c), axis=0)
     sigma = acc / trials
@@ -394,12 +394,8 @@ def sensing_noise(cfg: chan.SimConfig, p_c) -> float:
 def dl_outage_prob(link, r_target, p_c, min_events=200,
                    max_trials=10_000_000) -> MonteCarloEstimate:
     """Probability that the downlink sum rate falls below ``r_target``, over
-    a downlink ``mc.Link(cfg, chan.STREAM_DOWNLINK)``.
-
-    Adaptive trial policy: whole blocks are processed until at least
-    ``min_events`` outages have been seen or ``max_trials`` is reached,
-    whichever comes first.  The binomial standard error is reported.
-    """
+    a downlink ``mc.Link(cfg, chan.STREAM_DOWNLINK)``: ``mc.outage`` counts
+    blocks until ``min_events`` outages or ``max_trials`` trials."""
     return mc.outage(link, chan.STREAM_DOWNLINK, dl_sum_rate_batch, r_target,
                      p_c, 1.0, min_events, max_trials)
 

@@ -6,11 +6,12 @@ Every estimator of both links, ISAC and FDSAC alike, runs through here:
 the FDSAC rate with bandwidth share alpha is alpha * R(p_c / alpha), and
 alpha = 1 gives the ISAC rate R(p_c) exactly.  ``stream`` names the link
 (``STREAM_DOWNLINK`` or ``STREAM_UPLINK``) and ``rate(h, p)`` gives the
-per-trial rates R of a block h of its channels at power p.  ``blocks`` is
-the one map from a stream to its channels: uplink channels are i.i.d., and
-downlink and covariance channels are correlated at the BS by R_cu.
+per-trial rates R of a block h of its channels at power p.
 
 Every estimate runs over a ``Link``, which a sweep builds once per link.
+A ``Link`` is the one map from a stream to its channels: uplink channels
+are i.i.d., and downlink and covariance channels are correlated at the BS
+by R_cu, whose root each ``Link`` computes once.
 An ergodic estimate runs a fixed number of trials, so every one of a link
 averages the link's one draw set.  An outage estimate stops at a trial
 that depends on the data, so the link instead keeps an outage trail for
@@ -60,7 +61,7 @@ import numpy as np
 from . import channel as chan
 from .numerics import ModelError, matrix_sqrt_psd
 
-__all__ = ["MonteCarloEstimate", "Link", "blocks", "outage", "ergodic"]
+__all__ = ["MonteCarloEstimate", "Link", "outage", "ergodic"]
 
 # bits a carried trial's rate may lie above the target, and that the floor
 # must clear it by: far above the error of every rate kernel (the K >= 3
@@ -77,44 +78,37 @@ class MonteCarloEstimate:
     trials: int
 
 
-def blocks(cfg, stream, trials):
-    """Yield the channels (T, dim, cfg.K) of stream ``stream``, trials
-    0 .. trials-1, one block at a time.
-
-    Uplink channels (dim N) are i.i.d.; downlink and covariance channels
-    (dim M) are correlated by R_cu, whose root is computed once per call.
-    Each block is drawn only up to the trials still wanted; trial t is the
-    same draw whatever ``trials`` is.
-    """
-    root, size, trials = _root(cfg, stream), chan.BLOCK_SIZE, int(trials)
-    for start in range(0, trials, size):
-        yield chan.sample_channel_block(root, cfg.K, cfg.seed, start // size,
-                                        stream, min(size, trials - start))
-
-
-def _root(cfg, stream):
-    # the root of the channel correlation of a stream
-    if stream == chan.STREAM_UPLINK:
-        return np.eye(cfg.N, dtype=complex)
-    return matrix_sqrt_psd(cfg.r_cu())
-
-
 class Link:
-    """The Monte Carlo state of one link (``stream``) of cfg: the read-only
-    draw set of its trials 0 .. cfg.trials-1, drawn on first use and shared
-    by every ergodic estimate (cfg.trials * dim * K complex numbers, 16
-    bytes each), and one outage trail per system it serves (``trails``,
-    keyed by kernel, alpha, target and trial cap)."""
+    """The Monte Carlo state of one stream of cfg: its correlation root,
+    the read-only draw set of its trials 0 .. cfg.trials-1, drawn on first
+    use and shared by every ergodic estimate (cfg.trials * dim * K complex
+    numbers, 16 bytes each), and one outage trail per system it serves
+    (``trails``, keyed by kernel, alpha, target and trial cap)."""
 
     def __init__(self, cfg, stream):
         self.cfg, self.stream = cfg, stream
+        self._root = (np.eye(cfg.N, dtype=complex) if stream == chan.STREAM_UPLINK
+                      else matrix_sqrt_psd(cfg.r_cu()))
         self.trails = {}
         self._draws = None
+
+    def block(self, block, trials):
+        """The channels (trials, dim, cfg.K) of the first ``trials`` trials
+        of block ``block``: trial t is the same draw whatever ``trials`` is."""
+        return chan.sample_channel_block(self._root, self.cfg.K, self.cfg.seed,
+                                         block, self.stream, trials)
+
+    def blocks(self, trials):
+        """Yield the channels of trials 0 .. trials-1, one block at a time,
+        the last drawn only up to the trials still wanted."""
+        size = chan.BLOCK_SIZE
+        for start in range(0, trials, size):
+            yield self.block(start // size, min(size, trials - start))
 
     def draws(self) -> tuple:
         """The ergodic draw set, drawn on the first call."""
         if self._draws is None:
-            self._draws = tuple(blocks(self.cfg, self.stream, self.cfg.trials))
+            self._draws = tuple(self.blocks(self.cfg.trials))
             for h in self._draws:
                 h.flags.writeable = False
         return self._draws
@@ -167,7 +161,7 @@ def outage(link, stream, rate, r_target, p_c, alpha, min_events,
     # the other trails this point hands its drawn blocks to, as it leaves
     # them; the link takes every trail at the end, so a point that raises
     # leaves it whole
-    shared, root = {}, None
+    shared = {}
     events = done = block = 0
     while events < min_events and done < max_trials:
         n = min(size, max_trials - done)
@@ -175,11 +169,9 @@ def outage(link, stream, rate, r_target, p_c, alpha, min_events,
             events += int(counts[block])
         else:
             # h stays referenced until the next block is drawn, as in a loop
-            # over ``blocks``: freed earlier, its pages go back to the system
-            # and fault in again at the next draw
-            root = _root(link.cfg, stream) if root is None else root
-            h = chan.sample_channel_block(root, link.cfg.K, link.cfg.seed,
-                                          block, stream, n)
+            # over ``Link.blocks``: freed earlier, its pages go back to the
+            # system and fault in again at the next draw
+            h = link.block(block, n)
             hb = h.transpose(1, 2, 0)
             gains = np.max(np.einsum("ikn,ikn->kn", hb.real, hb.real)
                            + np.einsum("ikn,ikn->kn", hb.imag, hb.imag), axis=0)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from isacsim import channel as chan
+from isacsim import downlink as dl
 from isacsim import mc
+from isacsim import uplink as ul
 from isacsim.channel import (
     BLOCK_SIZE,
     STREAM_COVARIANCE,
@@ -186,12 +188,12 @@ class TestSamplerBytes:
         with pytest.raises(ModelError):
             sample_channel_block(root, 2, 0, 0, STREAM_DOWNLINK, 65)
 
-    def test_root_is_computed_once(self, monkeypatch):
-        # mc.blocks computes one root per call, however many blocks it
-        # yields (none for the i.i.d. uplink); the sampler computes none
+    def test_each_link_computes_its_root_once(self, monkeypatch, drawn):
+        # a Link computes its stream's root when it is built (none for the
+        # i.i.d. uplink), and every draw of its outage trails, its ergodic
+        # draw set and a blocks pass reuses it; the sampler computes none
         monkeypatch.setattr(chan, "BLOCK_SIZE", 16)
-        cfg = SimConfig(M=3, N=2, K=2, L=4, rho_cu=0.8, seed=3)
-        root = corr_root(3, 0.8)
+        cfg = SimConfig(M=3, N=2, K=2, L=4, rho_cu=0.8, trials=50, seed=3)
         eigh, roots = np.linalg.eigh, []
 
         def counting(a):
@@ -199,13 +201,22 @@ class TestSamplerBytes:
             return eigh(a)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
-        for stream, expect in ((STREAM_DOWNLINK, 1), (STREAM_COVARIANCE, 1),
-                               (STREAM_UPLINK, 0)):
+        for stream, rate, expect in (
+                (STREAM_DOWNLINK, dl.dl_sum_rate_batch, 1),
+                (STREAM_COVARIANCE, dl.dl_sum_rate_batch, 1),
+                (STREAM_UPLINK, ul.ul_rate_batch, 0)):
+            roots.clear()
+            drawn.clear()
+            link = mc.Link(cfg, stream)
+            for p_c in (1.0, 10.0, 100.0):
+                for alpha in (1.0, 0.5):
+                    mc.outage(link, stream, rate, 4.0, p_c, alpha, 5, 50)
+            mc.ergodic(link, stream, rate, 10.0, 1.0)
             for trials in (1, 16, 17, 50):
-                roots.clear()
-                got = list(mc.blocks(cfg, stream, trials))
-                assert len(got) == -(-trials // 16)
-                assert len(roots) == expect, (stream, trials)
+                assert len(list(link.blocks(trials))) == -(-trials // 16)
+            assert {key[1] for key in drawn} == {stream}
+            assert len(roots) == expect, stream
+        root = corr_root(3, 0.8)
         roots.clear()
         sample_channel_block(root, 2, 0, 0, STREAM_DOWNLINK)
         assert roots == []

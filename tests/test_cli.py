@@ -1,3 +1,4 @@
+import csv
 import json
 import logging
 import math
@@ -243,6 +244,21 @@ class TestMain:
             "error: config: min_events must be positive\n"
         assert not out.exists()
 
+    def test_an_unwritable_out_is_an_output_error(self, tmp_path, capsys):
+        # the CSV is opened once the run has its rows: a path inside a
+        # missing directory exits 2 with one line, not a traceback, and a
+        # failed run leaves an existing file as it was
+        out = tmp_path / "missing" / "x.csv"
+        assert cli.main(["--experiment", "sr_vs_snr", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: output: ") and err.count("\n") == 1
+        assert not out.parent.exists()
+        kept = tmp_path / "kept.csv"
+        kept.write_text("old\n")
+        assert cli.main(["--experiment", "sr_vs_snr", "--seed", "-1",
+                         "--out", str(kept)]) == 2
+        assert kept.read_text() == "old\n"
+
 
     def test_ecr_vs_snr_draws_each_link_once(self, tmp_path, drawn):
         # every SNR point and system of a link shares one draw set
@@ -326,6 +342,14 @@ GOLDEN = {
     "ecr_vs_snr": {"M": 3, "N": 3, "K": 3, "L": 4, "trials": 150,
                    "sweep_db": [0.0, 10.0, 20.0, 30.0], "seed": 1234},
 }
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in DATA.glob("*.csv")))
+def test_every_golden_row_has_the_header_columns(name):
+    # a field that holds a comma, such as an acceptance detail, is quoted
+    with open(DATA / name, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert rows and all(len(row) == len(header) for row in rows)
 
 
 @pytest.mark.parametrize("experiment", sorted(GOLDEN))

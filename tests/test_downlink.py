@@ -22,7 +22,7 @@ from isacsim.downlink import (
     estimate_mean_covariance,
     mac_to_bc_covariance,
 )
-from isacsim.mc import Link, blocks
+from isacsim.mc import Link
 from isacsim.numerics import ModelError, matrix_sqrt_psd
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -239,7 +239,7 @@ class TestNewtonSteps:
 
         monkeypatch.setattr(dl, "_gram", counting)
         cfg = SimConfig(M=3, N=3, K=3, L=4, trials=150, seed=1234)
-        draws = list(blocks(cfg, chan.STREAM_DOWNLINK, cfg.trials))
+        draws = list(Link(cfg, chan.STREAM_DOWNLINK).blocks(cfg.trials))
         for p_c in (1.0, 2.0, 10.0, 20.0, 100.0, 200.0, 1000.0, 2000.0):
             for h in draws:
                 dual_mac_power_alloc(h, p_c)

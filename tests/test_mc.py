@@ -466,7 +466,7 @@ def test_every_rate_is_at_least_the_single_user_floor(columns, extra, rho, p_db,
     # outage point need not run its kernel on
     dim = min(columns + extra, 3)
     cfg = SimConfig(M=dim, N=dim, K=columns, L=dim, rho_cu=rho, seed=seed)
-    h = next(mc.blocks(cfg, chan.STREAM_DOWNLINK, 32))
+    h = next(mc.Link(cfg, chan.STREAM_DOWNLINK).blocks(32))
     p = 10.0 ** (p_db / 10.0)
     floor = np.log2(1.0 + p * np.max(np.sum(np.abs(h) ** 2, axis=1), axis=1))
     for kernel in (dl.dl_sum_rate_batch, ul.ul_rate_batch):
@@ -492,6 +492,6 @@ def test_a_floor_past_the_float_range_leaves_every_trial_to_the_kernel(
 def test_a_trial_does_not_depend_on_the_trials_requested(trial, dim, rho, stream, seed):
     cfg = SimConfig(M=dim, N=dim, K=min(dim, 2), L=dim, rho_cu=rho, seed=seed)
     size = chan.BLOCK_SIZE
-    draws = [np.concatenate(list(mc.blocks(cfg, stream, trials)))[trial]
+    draws = [np.concatenate(list(mc.Link(cfg, stream).blocks(trials)))[trial]
              for trials in (trial + 1, size, size + 1, 3 * size) if trials > trial]
     assert all(d.tobytes() == draws[0].tobytes() for d in draws)
