@@ -131,11 +131,14 @@ def _sweep(params, default_stop, default_step):
 
 def _run_vs_snr(cfg, params, experiment):
     # outage (op_vs_snr) or ergodic rate (ecr_vs_snr) of the four systems,
-    # each over the one Monte Carlo link of its stream
+    # each over the one Monte Carlo link of its stream, which knows the
+    # sweep's powers, so an ergodic system runs at all of them in one pass
     alpha, target = params["alpha"], params["target_rate"]
     kw = dict(min_events=params["min_events"], max_trials=params["max_trials"])
     _, rho2 = ul.sensing_profile(cfg.r_target(), cfg.N, cfg.L, cfg.p_s)
-    down, up = mc.Link(cfg, STREAM_DOWNLINK), mc.Link(cfg, STREAM_UPLINK)
+    sweep = _sweep(params, 40.0, 2.5)
+    powers = [db_to_linear(p_db) for p_db in sweep]
+    down, up = (mc.Link(cfg, s, powers) for s in (STREAM_DOWNLINK, STREAM_UPLINK))
     if experiment == "op_vs_snr":
         systems = {
             "disac": lambda p: dl.dl_outage_prob(down, target, p, **kw),
@@ -151,8 +154,7 @@ def _run_vs_snr(cfg, params, experiment):
             "ufdsac": lambda p: ul.ul_ecr_fdsac(up, alpha, p),
         }
     rows = []
-    for p_db in _sweep(params, 40.0, 2.5):
-        p_c = db_to_linear(p_db)
+    for p_db, p_c in zip(sweep, powers):
         for name, estimate in systems.items():
             est = estimate(p_c)
             if experiment == "op_vs_snr" and est.mean == 0.0 and est.trials:

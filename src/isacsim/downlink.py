@@ -17,7 +17,7 @@ import numpy as np
 from . import channel as chan
 from . import mc
 from .mc import MonteCarloEstimate
-from .numerics import ModelError
+from .numerics import ModelError, nonnegative_power
 
 __all__ = [
     "MeanInputCovariance",
@@ -75,7 +75,8 @@ def _objective(h, powers):
 def _two_user_terms(h, p_c):
     # det(I + p1 h1 h1^H + p2 h2 h2^H) = 1 + p1 a + p2 b + p1 p2 gamma is
     # quadratic in p1 along p1 + p2 = p_c, so the optimum is closed form.
-    # h is (..., M, 2); returns p1, a, b, gamma, each of shape (...).
+    # h is (..., M, 2) and p_c a power or an array of shape (...); returns
+    # p1, a, b, gamma, each of shape (...).
     h1, h2 = h[..., 0], h[..., 1]
     a = np.sum(np.abs(h1) ** 2, axis=-1)
     b = np.sum(np.abs(h2) ** 2, axis=-1)
@@ -163,22 +164,25 @@ def _alloc_pairwise(h, p_c):
     # pair step is already the optimum of the face; where it empties user b
     # the trial is still shedding users, and the Newton point seldom wins.
     # Trials leave the active set once their gap is at most _GAP_TOL; an
-    # uncertified trial raises.
+    # uncertified trial raises.  Each trial carries its own budget p_c (a
+    # power, or an array of shape h.shape[:-2]) through the active set.
     k = h.shape[-1]
     flat = h.reshape((-1,) + h.shape[-2:])
+    budget = np.broadcast_to(p_c, h.shape[:-2]).reshape(-1)
     powers = np.empty((flat.shape[0], k))
     active = np.arange(flat.shape[0])
-    p = np.full(powers.shape, p_c / k)
+    p = np.repeat(budget[:, None] / k, k, axis=1)
     for _ in range(_MAX_ITER):
         gram = _gram(flat, p)
         q = np.diagonal(gram, axis1=-2, axis2=-1).real
-        gap = _fw_gap(q, p, p_c)
+        gap = _fw_gap(q, p, budget)
         done = gap <= _GAP_TOL
         if np.any(done):
             powers[active[done]] = p[done]
             keep = ~done
-            active, flat, p, q, gram = (active[keep], flat[keep], p[keep],
-                                        q[keep], gram[keep])
+            active, flat, p, q, gram, budget = (
+                active[keep], flat[keep], p[keep], q[keep], gram[keep],
+                budget[keep])
         if not active.size:
             return powers.reshape(h.shape[:-2] + (k,))
         rows = np.arange(active.size)
@@ -209,9 +213,11 @@ def dual_mac_power_alloc(h_d, p_c) -> np.ndarray:
     """Sum-rate maximizing powers for the dual multiple-access problem.
 
     Maximizes log2 det(I_M + sum_k p_k h_k h_k^H) over p_k >= 0 with
-    sum(p_k) = p_c.  ``h_d`` is one channel (M, K) or a stack (..., M, K);
-    returns the powers as an array (K,) or (..., K).  K = 1 and K = 2 are
-    solved in closed form.  Larger K is solved for the whole stack at once
+    sum(p_k) = p_c.  ``h_d`` is one channel (M, K) or a stack (..., M, K),
+    and ``p_c`` one budget or an array (...) of one per channel; returns
+    the powers as an array (K,) or (..., K), each channel's bit for bit
+    those of a call at its budget alone.  K = 1 and K = 2 are solved in
+    closed form.  Larger K is solved for the whole stack at once
     by greedy two-user water-filling: each step moves power between the
     users with the largest and the smallest gradient by the exact two-user
     optimum, or, where it gains at least as much, takes the Newton step on
@@ -221,14 +227,13 @@ def dual_mac_power_alloc(h_d, p_c) -> np.ndarray:
     not certified within 50,000 steps.
     """
     h = np.asarray(h_d, dtype=complex)
-    if p_c < 0.0:
-        raise ModelError("p_c must be nonnegative")
+    p_c = nonnegative_power(p_c, "p_c")
     shape = h.shape[:-2] + h.shape[-1:]
     k = shape[-1]
-    if p_c == 0.0:
+    if not p_c.any():
         return np.zeros(shape)
     if k == 1:
-        return np.full(shape, float(p_c))
+        return np.broadcast_to(p_c[..., None], shape).copy()
     if k == 2:
         t = _two_user_terms(h, p_c)[0]
         return np.stack([t, p_c - t], axis=-1)
@@ -238,8 +243,9 @@ def dual_mac_power_alloc(h_d, p_c) -> np.ndarray:
 def dl_sum_rate(h_d, p_c):
     """Maximal downlink sum rate (bits) over the dual-MAC powers.
 
-    A float for one channel (M, K); an array (...) for a stack (..., M, K),
-    allocated in one ``dual_mac_power_alloc`` call.
+    A float for one channel (M, K); an array (...) for a stack (..., M, K)
+    at one budget p_c or one per channel (...), allocated in one
+    ``dual_mac_power_alloc`` call.
     """
     h = np.asarray(h_d, dtype=complex)
     rate = _objective(h, dual_mac_power_alloc(h, p_c))
@@ -247,12 +253,13 @@ def dl_sum_rate(h_d, p_c):
 
 
 def dl_sum_rate_batch(h_batch, p_c):
-    """Vectorized dl_sum_rate over a batch of channels (T, M, K)."""
+    """Vectorized dl_sum_rate over a batch of channels (T, M, K) at one
+    power p_c or an array (T,) of one per trial; each trial's rate is bit
+    for bit that of a call at its power alone."""
     h = np.asarray(h_batch, dtype=complex)
     k = h.shape[2]
-    if p_c < 0.0:
-        raise ModelError("p_c must be nonnegative")
-    if p_c == 0.0:
+    p_c = nonnegative_power(p_c, "p_c")
+    if not p_c.any():
         return np.zeros(h.shape[0])
     if k == 1:
         g = np.sum(np.abs(h[:, :, 0]) ** 2, axis=1)

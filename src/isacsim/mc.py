@@ -13,7 +13,14 @@ A ``Link`` is the one map from a stream to its channels: uplink channels
 are i.i.d., and downlink and covariance channels are correlated at the BS
 by R_cu, whose root each ``Link`` computes once.
 An ergodic estimate runs a fixed number of trials, so every one of a link
-averages the link's one draw set.  An outage estimate stops at a trial
+averages the link's one draw set.  A link also knows the powers of its
+driver's sweep: the first ergodic estimate of a system at one of them
+computes the system at all of them in one pass over the draw set.  In
+each block of n trials, ``BLOCK_SIZE // n`` points (at least one) share a
+kernel call, stacked along the trial axis at one power per row, so a
+call never holds more than a block's rows; each point sums its own rows
+into its own totals in block order, so the sweep changes no bit of any
+estimate.  An outage estimate stops at a trial
 that depends on the data, so the link instead keeps an outage trail for
 each system, which carries its outage trials from one point to the next:
 
@@ -37,9 +44,13 @@ each system, which carries its outage trials from one point to the next:
   candidates of the blocks it draws; those before the last held fewer
   than ``min_events`` outages.  Without the room, a system with frequent
   outages would take every deep block of another.
-- Floor: every rate here is at least the best single user's at the whole
-  power, log2(1 + p max_k |h_k|^2).  Per block, the gain max_k |h_k|^2 of
-  every trial is computed once; a trial whose floor is at least the target
+- Floor: every rate here is at least log2(1 + p g) for a gain g that the
+  link's stream sets.  On the downlink the users share p, and g is the
+  best user's gain max_k |h_k|^2: the sum of the users' gains is no floor
+  there (two orthogonal users of gain g give 2 log2(1 + p g / 2), below
+  log2(1 + 2 p g)).  On the uplink each user sends at p, and g is
+  ||H||_F^2, since det(I + p H H^H) >= 1 + p tr(H H^H).  Per block, g is
+  computed once per trial; a trial whose floor is at least the target
   plus ``SLACK`` is neither an outage nor a candidate, so the kernel runs
   only on the others, drawn or carried.
 - ``SLACK``, far above any rate kernel's rounding error, serves twice.  A
@@ -82,14 +93,18 @@ class Link:
     """The Monte Carlo state of one stream of cfg: its correlation root,
     the read-only draw set of its trials 0 .. cfg.trials-1, drawn on first
     use and shared by every ergodic estimate (cfg.trials * dim * K complex
-    numbers, 16 bytes each), and one outage trail per system it serves
-    (``trails``, keyed by kernel, alpha, target and trial cap)."""
+    numbers, 16 bytes each), the powers p_c of its driver's ``sweep`` and
+    the ergodic estimates computed so far (``estimates``, keyed by kernel,
+    p_c and alpha), and one outage trail per system it serves (``trails``,
+    keyed by kernel, alpha, target and trial cap)."""
 
-    def __init__(self, cfg, stream):
-        self.cfg, self.stream = cfg, stream
+    def __init__(self, cfg, stream, sweep=()):
+        self.cfg, self.stream, self.sweep = cfg, stream, tuple(sweep)
         self._root = (np.eye(cfg.N, dtype=complex) if stream == chan.STREAM_UPLINK
                       else matrix_sqrt_psd(cfg.r_cu()))
-        self.trails = {}
+        # the floor gain of each trial from its users' gains (K, n)
+        self._gain = np.sum if stream == chan.STREAM_UPLINK else np.max
+        self.estimates, self.trails = {}, {}
         self._draws = None
 
     def block(self, block, trials):
@@ -173,8 +188,8 @@ def outage(link, stream, rate, r_target, p_c, alpha, min_events,
             # system and fault in again at the next draw
             h = link.block(block, n)
             hb = h.transpose(1, 2, 0)
-            gains = np.max(np.einsum("ikn,ikn->kn", hb.real, hb.real)
-                           + np.einsum("ikn,ikn->kn", hb.imag, hb.imag), axis=0)
+            gains = link._gain(np.einsum("ikn,ikn->kn", hb.real, hb.real)
+                               + np.einsum("ikn,ikn->kn", hb.imag, hb.imag), axis=0)
             tags = np.broadcast_to(block, n)
             out, part = _judge(system, p_c, tags, gains, hb)
             events += len(out)
@@ -201,9 +216,9 @@ def outage(link, stream, rate, r_target, p_c, alpha, min_events,
 def _judge(system, p_c, tags, gains, hb):
     # The outages (their blocks) and the candidate part of trials hb
     # (dim, K, n) of ``tags`` blocks with floor gains ``gains``, for a system
-    # at power p_c.  Only the trials below the single-user floor run the
-    # kernel: every other one has alpha * R >= r_target + SLACK.  The
-    # candidates are copied once the kernel's batch is freed.
+    # at power p_c.  Only the trials below the floor run the kernel: every
+    # other one has alpha * R >= r_target + SLACK.  The candidates are
+    # copied once the kernel's batch is freed.
     rate, alpha, r_target, _ = system
     undecided = np.flatnonzero(gains < _floor(alpha, r_target, p_c))
     rates = np.empty(0)
@@ -216,9 +231,8 @@ def _judge(system, p_c, tags, gains, hb):
 
 
 def _floor(alpha, r_target, p_c):
-    # The gain max_k |h_k|^2 from which the best single user alone gives
-    # alpha * log2(1 + (p_c / alpha) max_k |h_k|^2) >= r_target + SLACK: no
-    # floor (infinity) where 2 ** x overflows a float.
+    # The floor gain g from which alpha * log2(1 + (p_c / alpha) g) >=
+    # r_target + SLACK: no floor (infinity) where 2 ** x overflows a float.
     try:
         return (2.0 ** ((r_target + SLACK) / alpha) - 1.0) * alpha / p_c
     except OverflowError:
@@ -244,16 +258,47 @@ def _silent(link, stream, p_c, alpha, r_target, trials):
 def ergodic(link, stream, rate, p_c, alpha) -> MonteCarloEstimate:
     """Mean of alpha * rate(H, p_c / alpha) over every trial of the draw
     set of a ``Link`` of stream ``stream``, block by block; a silent link
-    carries rate 0 without a trial."""
-    trials = link.cfg.trials
-    if _silent(link, stream, p_c, alpha, 0.0, trials):
+    carries rate 0 without a trial.
+
+    The first estimate of a system at a power of the link's sweep computes
+    the system at every sweep power it lacks, and later ones return the
+    estimate that waits on the link; any other power is a curve of one.
+    """
+    if _silent(link, stream, p_c, alpha, 0.0, link.cfg.trials):
         return MonteCarloEstimate(0.0, 0.0, 0)
-    total = total_sq = 0.0
+    if (rate, p_c, alpha) not in link.estimates:
+        powers = [p_c]
+        if p_c in link.sweep:
+            powers += [p for p in dict.fromkeys(link.sweep) if p > 0.0 and p != p_c
+                       and (rate, p, alpha) not in link.estimates]
+        link.estimates.update(zip([(rate, p, alpha) for p in powers],
+                                  _curve(link, rate, alpha, powers)))
+    return link.estimates[(rate, p_c, alpha)]
+
+
+def _curve(link, rate, alpha, powers):
+    # The estimates of one system at each of ``powers`` (see the module
+    # docstring): a point alone in its call gets the block itself, stacked
+    # points get copies of it in its trial-minor layout.
+    trials, size = link.cfg.trials, chan.BLOCK_SIZE
+    sums = [[0.0, 0.0] for _ in powers]
     for h in link.draws():
-        rates = alpha * rate(h, p_c / alpha)
-        total += float(np.sum(rates))
-        total_sq += float(np.sum(rates * rates))
-    mean = total / trials
-    var = max(total_sq / trials - mean * mean, 0.0)
-    return MonteCarloEstimate(mean=mean, std_error=math.sqrt(var / trials),
-                              trials=trials)
+        n = len(h)
+        step = max(1, size // n)
+        for first in range(0, len(powers), step):
+            points = [p / alpha for p in powers[first:first + step]]
+            if len(points) == 1:
+                rates = alpha * rate(h, points[0])
+            else:
+                stack = np.tile(h.transpose(1, 2, 0), len(points)).transpose(2, 0, 1)
+                rates = alpha * rate(stack, np.repeat(points, n))
+            for i, part in enumerate(np.split(rates, len(points)), first):
+                sums[i][0] += float(np.sum(part))
+                sums[i][1] += float(np.sum(part * part))
+    out = []
+    for total, total_sq in sums:
+        mean = total / trials
+        var = max(total_sq / trials - mean * mean, 0.0)
+        out.append(MonteCarloEstimate(mean=mean, std_error=math.sqrt(var / trials),
+                                      trials=trials))
+    return out

@@ -14,6 +14,7 @@ __all__ = [
     "ModelError",
     "hermitian_eig",
     "matrix_sqrt_psd",
+    "nonnegative_power",
     "waterfill",
 ]
 
@@ -60,6 +61,15 @@ def matrix_sqrt_psd(a) -> np.ndarray:
         raise ModelError(f"matrix is indefinite (min eigenvalue {vals[-1]:.3e})")
     vals[vals < 0.0] = 0.0
     return (basis * np.sqrt(vals)) @ basis.conj().T
+
+
+def nonnegative_power(p, name="power") -> np.ndarray:
+    """A power, or one power per trial, as a float array; ModelError names
+    ``name`` if any entry is negative."""
+    p = np.asarray(p, dtype=float)
+    if np.any(p < 0.0):
+        raise ModelError(f"{name} must be nonnegative")
+    return p
 
 
 def waterfill(gains, noise, budget) -> np.ndarray:

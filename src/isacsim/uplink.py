@@ -21,7 +21,7 @@ from . import channel as chan
 from . import mc
 from .downlink import ed_closed_form_iid
 from .mc import MonteCarloEstimate
-from .numerics import ModelError
+from .numerics import ModelError, nonnegative_power
 from .sensing import build_waveform, ul_sr
 
 __all__ = [
@@ -51,17 +51,18 @@ def sensing_profile(r_target, n_rx, n_slots, p_s) -> tuple[float, float]:
 
 def ul_rate_batch(h_batch, p):
     """Vectorized uplink sum rate over a batch of channels (T, N, K): the
-    interference-free log2 det(I_N + p H H^H) at power p.
+    interference-free log2 det(I_N + p H H^H) at power p, one power or an
+    array (T,) of one per trial; each trial's rate is bit for bit that of
+    a call at its power alone.
 
     For N = 2 the Gram entries are formed in real arithmetic, x * conj(y)
     as (xr*yr - xi*(-yi), xr*(-yi) + xi*yr) and |g12| by np.abs of the
     complex sum: these round exactly as the einsum Gram of the other
     branches, which numpy's ``x * y.conj()`` and ``np.hypot`` do not.
     """
-    if p < 0.0:
-        raise ModelError("power must be nonnegative")
+    p = nonnegative_power(p)
     h = np.asarray(h_batch, dtype=complex)
-    if p == 0.0:
+    if not p.any():
         return np.zeros(h.shape[0])
     n = h.shape[1]
     if n == 2:
@@ -78,7 +79,8 @@ def ul_rate_batch(h_batch, p):
     if n == 1:
         return np.log2(1.0 + p * np.real(gram[:, 0, 0]))
     eye = np.eye(n, dtype=complex)
-    return np.linalg.slogdet(eye[None, :, :] + p * gram)[1] / math.log(2.0)
+    return (np.linalg.slogdet(eye[None, :, :] + p[..., None, None] * gram)[1]
+            / math.log(2.0))
 
 
 def _sum_columns(terms):

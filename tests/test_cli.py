@@ -295,9 +295,12 @@ class TestMain:
     def test_op_vs_snr_work(self, tmp_path, monkeypatch):
         # the work of an op_tail-shaped run: each drawn block serves every
         # outage trail of its link that has room, and each kernel runs only
-        # on the trials the single-user floor leaves open.  Without sharing
-        # or the floor, the same run draws 90 blocks, runs 271,703 downlink
-        # and 464,222 uplink kernel trials and carries at most 3,343 trials
+        # on the trials its link's floor leaves open (the best user's rate
+        # on the downlink, log2(1 + p ||H||_F^2) on the uplink).  Without
+        # sharing or a floor, the same run draws 90 blocks, runs 271,703
+        # downlink and 464,222 uplink kernel trials and carries at most
+        # 3,343 trials; with the best user's floor on the uplink too, it
+        # runs 227,510 uplink kernel trials
         work, carried = Counter(), [0]
 
         def counting(module, name, key):
@@ -324,8 +327,30 @@ class TestMain:
         cfg, params = cli.parse_config({"sweep_db": [17.5, 20.0, 22.5, 25.0],
                                         "min_events": 100, "max_trials": 250_000})
         assert cli.run("op_vs_snr", cfg, params, str(tmp_path / "op.csv")) == 0
-        assert work == {"blocks": 65, "downlink": 76_549, "uplink": 227_510}
+        assert work == {"blocks": 65, "downlink": 76_549, "uplink": 173_712}
         assert carried[0] == 10_065 < params["min_events"] + 2 * chan.BLOCK_SIZE
+
+    def test_ecr_vs_snr_work(self, tmp_path, monkeypatch, drawn):
+        # a k3_ecr-shaped run, one block of 150 trials per link: each system
+        # at the sweep's powers runs them in one kernel call of 600 rows,
+        # but the uplink ISAC points, at p_c / rho2, run one call of 150
+        # each.  With a call per point, the run makes 8 dual-MAC and 8
+        # uplink calls of 150 rows
+        calls, rows = Counter(), Counter()
+        for module, name in ((dl, "dual_mac_power_alloc"), (ul, "ul_rate_batch")):
+            def counted(h, p, fn=getattr(module, name), name=name):
+                out = fn(h, p)
+                calls[name] += 1
+                rows[name] += len(out)
+                return out
+
+            monkeypatch.setattr(module, name, counted)
+        cfg, params = cli.parse_config({"M": 3, "N": 3, "K": 3, "L": 4, "trials": 150,
+                                        "sweep_db": [0.0, 10.0, 20.0, 30.0]})
+        assert cli.run("ecr_vs_snr", cfg, params, str(tmp_path / "x.csv")) == 0
+        assert calls == {"dual_mac_power_alloc": 2, "ul_rate_batch": 5}
+        assert rows == {"dual_mac_power_alloc": 1200, "ul_rate_batch": 1200}
+        assert drawn == [(0, chan.STREAM_DOWNLINK, 150), (0, chan.STREAM_UPLINK, 150)]
 
 
 # Small runs whose CSVs were written by an earlier version: a change meant

@@ -452,7 +452,8 @@ def test_zero_input_needs_no_trial(name, arg, value, drawn):
     (ul.ul_rate_batch, 2)],
     ids=["dl_k1", "dl_k2", "ul"])
 def test_rate_kernels_reject_negative_power(kernel, columns):
-    # one scalar check per call: a negative power would give nan rates
+    # one check per call, on every entry: a negative power would give nan
+    # rates
     with pytest.raises(ModelError):
         kernel(np.ones((3, 2, columns), dtype=complex), -1.0)
 
@@ -462,15 +463,116 @@ def test_rate_kernels_reject_negative_power(kernel, columns):
        seed=st.integers(0, 2 ** 32 - 1))
 def test_every_rate_is_at_least_the_single_user_floor(columns, extra, rho, p_db, seed):
     # the best user alone at the whole power: a sum rate at total power p
-    # is at least log2(1 + p max_k |h_k|^2), which decides the trials an
-    # outage point need not run its kernel on
+    # is at least log2(1 + p max_k |h_k|^2).  Each uplink user sends at p,
+    # so det(I + p H H^H) >= 1 + p tr(H H^H) there, and the uplink's floor
+    # is log2(1 + p ||H||_F^2).  The floors decide the trials an outage
+    # point need not run its kernel on
     dim = min(columns + extra, 3)
     cfg = SimConfig(M=dim, N=dim, K=columns, L=dim, rho_cu=rho, seed=seed)
     h = next(mc.Link(cfg, chan.STREAM_DOWNLINK).blocks(32))
     p = 10.0 ** (p_db / 10.0)
-    floor = np.log2(1.0 + p * np.max(np.sum(np.abs(h) ** 2, axis=1), axis=1))
+    gains = np.sum(np.abs(h) ** 2, axis=1)
+    floor = np.log2(1.0 + p * np.max(gains, axis=1))
     for kernel in (dl.dl_sum_rate_batch, ul.ul_rate_batch):
         assert np.all(kernel(h, p) >= floor - 1e-8)
+    frobenius = np.log2(1.0 + p * np.sum(gains, axis=1))
+    assert np.all(ul.ul_rate_batch(h, p) >= frobenius - 1e-8)
+
+
+@pytest.mark.parametrize("stream", [chan.STREAM_DOWNLINK, chan.STREAM_UPLINK],
+                         ids=["downlink", "uplink"])
+def test_the_floor_of_each_link_misses_no_outage(stream, monkeypatch):
+    # at 0 dB, with the target at the median rate of three blocks, the
+    # link's floor decides many trials, and the outage counts those of the
+    # kernel on every trial.  On the downlink the users share the power,
+    # so the uplink's floor ||H||_F^2 would miss outages there
+    kernel = dl.dl_sum_rate_batch if stream == chan.STREAM_DOWNLINK else ul.ul_rate_batch
+    root = DL_ROOT if stream == chan.STREAM_DOWNLINK else UL_ROOT
+    cap = 3 * chan.BLOCK_SIZE
+    rates = np.concatenate([kernel(chan.sample_channel_block(root, CFG.K, CFG.seed, b,
+                                                             stream), 1.0)
+                            for b in range(3)])
+    target = float(np.median(rates))
+    rows = []
+
+    def counted(h, p):
+        rows.append(len(h))
+        return kernel(h, p)
+
+    def outages(link):
+        est = mc.outage(link, stream, counted, target, 1.0, 1.0, cap + 1, cap)
+        return round(est.mean * est.trials)
+
+    assert outages(mc.Link(CFG, stream)) == np.count_nonzero(rates < target)
+    assert sum(rows) < 0.8 * cap
+    frobenius = mc.Link(CFG, stream)
+    monkeypatch.setattr(frobenius, "_gain", np.sum)
+    if stream == chan.STREAM_DOWNLINK:
+        assert outages(frobenius) < np.count_nonzero(rates < target)
+    else:
+        assert outages(frobenius) == np.count_nonzero(rates < target)
+
+
+@given(columns=st.integers(1, 4), extra=st.integers(0, 1),
+       rho=st.floats(0.0, 0.999999),
+       p_db=st.lists(st.one_of(st.floats(-10.0, 60.0), st.none()),
+                     min_size=1, max_size=6),
+       negative=st.integers(0, 5), seed=st.integers(0, 2 ** 32 - 1))
+def test_a_power_per_trial_gives_each_trial_its_scalar_rate(columns, extra, rho, p_db,
+                                                             negative, seed):
+    # each row of a call with an array (T,) of powers, some of them 0, has
+    # the bytes of the call at that row's power alone; any negative entry
+    # raises
+    dim = min(columns + extra, 4)
+    cfg = SimConfig(M=dim, N=dim, K=columns, L=dim, rho_cu=rho, seed=seed)
+    p = np.array([0.0 if x is None else 10.0 ** (x / 10.0) for x in p_db])
+    h = next(mc.Link(cfg, chan.STREAM_DOWNLINK).blocks(len(p)))
+    bad = p.copy()
+    bad[negative % len(p)] = -1e-300
+    for kernel in (dl.dl_sum_rate_batch, dl.dual_mac_power_alloc, ul.ul_rate_batch):
+        rows = kernel(h, p)
+        assert [row.tobytes() for row in rows] == [kernel(h, p_t)[t].tobytes()
+                                                      for t, p_t in enumerate(p)]
+        with pytest.raises(ModelError):
+            kernel(h, bad)
+
+
+# Ergodic sweeps.  A link that knows its driver's sweep computes a system at
+# every sweep power in one pass, several points to a kernel call in a block
+# of at most half the block size; every estimate must equal, field for
+# field, the one a fresh link without the sweep gives.  BLOCK_SIZE is 64
+# here: 141 trials are blocks of 64, 64 and 13 trials, whose points run one,
+# one and four to a call; 5 trials run all seven sweep powers in one call.
+SWEEP_DB = [30.0, 0.0, 60.0, 10.0, 30.0, 45.0, -5.0, 20.0]  # unsorted, 30 dB twice
+ASKED_DB = [45.0, 30.0, 25.0, 60.0, -5.0, 30.0, 0.0, 20.0, 10.0]  # 25 dB is no sweep power
+
+
+@pytest.mark.parametrize("trials, calls", [(141, 7 + 7 + 2 + 3), (5, 1 + 1)],
+                         ids=["blocks_64_64_13", "block_5"])
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+@pytest.mark.parametrize("rho", [0.5, 0.999999])
+@pytest.mark.parametrize("columns", [1, 2, 3, 4])
+@pytest.mark.parametrize("stream", [chan.STREAM_DOWNLINK, chan.STREAM_UPLINK],
+                         ids=["downlink", "uplink"])
+def test_a_swept_link_gives_each_point_the_fresh_estimate(stream, columns, rho, alpha,
+                                                          trials, calls, monkeypatch):
+    monkeypatch.setattr(chan, "BLOCK_SIZE", 64)
+    dim = max(columns, 2)
+    cfg = SimConfig(M=dim, N=dim, K=columns, L=4, rho_cu=rho, trials=trials,
+                    seed=columns)
+    kernel = dl.dl_sum_rate_batch if stream == chan.STREAM_DOWNLINK else ul.ul_rate_batch
+    rows = []
+
+    def counted(h, p):
+        rows.append(len(h))
+        return kernel(h, p)
+
+    swept = mc.Link(cfg, stream, [10.0 ** (db / 10.0) for db in SWEEP_DB] + [0.0])
+    for db in ASKED_DB + [None]:
+        p_c = 0.0 if db is None else 10.0 ** (db / 10.0)
+        fresh = mc.ergodic(mc.Link(cfg, stream), stream, kernel, p_c, alpha)
+        assert _fields(mc.ergodic(swept, stream, counted, p_c, alpha)) == _fields(fresh)
+    assert len(rows) == calls and max(rows) <= 64
 
 
 @pytest.mark.parametrize("estimator, stream", [
