@@ -186,7 +186,10 @@ def criterion_ecr_constant(seed=DEFAULT_SEED):
 
 # Grid placement for the diversity fits: the outage window [1e-4, 1e-1]
 # is mandated, and the asymptotic decay is only approached at its deep
-# end, so the SNR grids sit over the deepest decade of that window.
+# end, so the SNR grids sit at that end and past it.  At seed 1234 the
+# downlink grid's outages run from 7.0e-4 down to 6.1e-5 and the uplink's
+# from 6.6e-4 down to 5.2e-5: the two deepest points of each lie below
+# 1e-4, where ``fit_diversity`` drops them, so each fit runs over five.
 _DL_DIVERSITY_GRID_DB = np.arange(21.0, 24.01, 0.5)
 _UL_DIVERSITY_GRID_DB = np.arange(22.5, 25.51, 0.5)
 _DIVERSITY_EVENTS = 8000
@@ -196,11 +199,15 @@ _DIVERSITY_CAP = 60_000_000
 def _diversity(grid_db, outage):
     """Outage decay order = 4 within +-0.5 over ``grid_db``, where
     ``outage(p, **stopping)`` estimates the outage at power p."""
-    ops = [outage(10 ** (g / 10.0), min_events=_DIVERSITY_EVENTS,
-                  max_trials=_DIVERSITY_CAP).mean for g in grid_db]
+    ops = [outage(p, min_events=_DIVERSITY_EVENTS, max_trials=_DIVERSITY_CAP).mean
+           for p in _powers(grid_db)]
     slope, r2 = an.fit_diversity(grid_db, ops)
     div = -slope
     return abs(div - 4.0) <= 0.5, div, f"fitted {div:.3f}, r2 {r2:.4f}"
+
+
+def _powers(grid_db):
+    return [10 ** (g / 10.0) for g in grid_db]
 
 
 def _rho2(cfg):
@@ -210,7 +217,9 @@ def _rho2(cfg):
 
 def criterion_dl_diversity(seed=DEFAULT_SEED):
     """Downlink outage decay order = MK = 4 within +-0.5."""
-    link = mc.Link(_paper_cfg(seed), STREAM_DOWNLINK)
+    link = mc.Link(_paper_cfg(seed), STREAM_DOWNLINK, outages=[
+        (dl.dl_sum_rate_batch, 1.0, 5.0, _DIVERSITY_CAP, p, _DIVERSITY_EVENTS)
+        for p in _powers(_DL_DIVERSITY_GRID_DB)])
     return _diversity(_DL_DIVERSITY_GRID_DB,
                       lambda p, **kw: dl.dl_outage_prob(link, 5.0, p, **kw))
 
@@ -219,7 +228,9 @@ def criterion_ul_diversity(seed=DEFAULT_SEED):
     """Uplink outage decay order = NK = 4 within +-0.5."""
     cfg = _paper_cfg(seed)
     rho2 = _rho2(cfg)
-    link = mc.Link(cfg, STREAM_UPLINK)
+    link = mc.Link(cfg, STREAM_UPLINK, outages=[
+        (ul.ul_rate_batch, 1.0, 5.0, _DIVERSITY_CAP, ul._isac_power(p, rho2),
+         _DIVERSITY_EVENTS) for p in _powers(_UL_DIVERSITY_GRID_DB)])
     return _diversity(_UL_DIVERSITY_GRID_DB,
                       lambda p, **kw: ul.ul_outage_prob(link, 5.0, p, rho2, **kw))
 

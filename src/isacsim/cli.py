@@ -131,15 +131,23 @@ def _sweep(params, default_stop, default_step):
 
 def _run_vs_snr(cfg, params, experiment):
     # outage (op_vs_snr) or ergodic rate (ecr_vs_snr) of the four systems,
-    # each over the one Monte Carlo link of its stream, which knows the
-    # sweep's powers, so an ergodic system runs at all of them in one pass
+    # each over the one Monte Carlo link of its stream: a link that declares
+    # every outage point of its two systems walks them at once, and one that
+    # knows the sweep's powers runs an ergodic system at all of them in one
+    # pass
     alpha, target = params["alpha"], params["target_rate"]
-    kw = dict(min_events=params["min_events"], max_trials=params["max_trials"])
+    events, cap = params["min_events"], params["max_trials"]
     _, rho2 = ul.sensing_profile(cfg.r_target(), cfg.N, cfg.L, cfg.p_s)
     sweep = _sweep(params, 40.0, 2.5)
     powers = [db_to_linear(p_db) for p_db in sweep]
-    down, up = (mc.Link(cfg, s, powers) for s in (STREAM_DOWNLINK, STREAM_UPLINK))
     if experiment == "op_vs_snr":
+        down = mc.Link(cfg, STREAM_DOWNLINK, outages=[
+            (dl.dl_sum_rate_batch, a, target, cap, p, events)
+            for p in powers for a in (1.0, alpha)])
+        up = mc.Link(cfg, STREAM_UPLINK, outages=[
+            (ul.ul_rate_batch, a, target, cap, q, events)
+            for p in powers for a, q in ((1.0, ul._isac_power(p, rho2)), (alpha, p))])
+        kw = dict(min_events=events, max_trials=cap)
         systems = {
             "disac": lambda p: dl.dl_outage_prob(down, target, p, **kw),
             "dfdsac": lambda p: dl.dl_outage_prob_fdsac(down, target, alpha, p, **kw),
@@ -147,6 +155,7 @@ def _run_vs_snr(cfg, params, experiment):
             "ufdsac": lambda p: ul.ul_outage_prob_fdsac(up, target, alpha, p, **kw),
         }
     else:
+        down, up = (mc.Link(cfg, s, powers) for s in (STREAM_DOWNLINK, STREAM_UPLINK))
         systems = {
             "disac": lambda p: dl.dl_ecr(down, p),
             "dfdsac": lambda p: dl.dl_ecr_fdsac(down, alpha, p),

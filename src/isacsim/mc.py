@@ -20,46 +20,41 @@ each block of n trials, ``BLOCK_SIZE // n`` points (at least one) share a
 kernel call, stacked along the trial axis at one power per row, so a
 call never holds more than a block's rows; each point sums its own rows
 into its own totals in block order, so the sweep changes no bit of any
-estimate.  An outage estimate stops at a trial
-that depends on the data, so the link instead keeps an outage trail for
-each system, which carries its outage trials from one point to the next:
+estimate.
 
+An outage estimate stops at a trial that depends on the data, so it
+cannot take a fixed draw set.  A link instead knows the outage points its
+driver declares, each the key (rate, alpha, r_target, max_trials, p_c,
+min_events) of an ``outage`` call, and the first estimate of one of them
+walks blocks 0, 1, ... once for all of them.  The points of one (rate,
+alpha, r_target, max_trials) are a system.  Per block:
+
+- The block is drawn once, as far as the largest trial cap of a live
+  point needs, and its floor gains are computed once.
 - Every rate is nondecreasing in power, so on the same draws the outages
-  at a higher power are among those at a lower one.
-- A trail holds a set of blocks and keeps their candidates: the trials
-  whose rate at its power, that of its last point, lay below the target
-  plus ``SLACK`` bits.
-- A point at a power no lower than its trail's evaluates only the
-  candidates, and walks blocks 0, 1, ... with the per-block stopping rule:
-  the candidates count each held block, and every other block is drawn as
-  far as the system's trial cap needs.  A point at a lower power starts
-  its system's trail afresh.
-- Sharing: a point hands each block it draws to every other trail of the
-  link that does not hold it.  Each takes it at its own power, so its
-  later points, at that power or higher, can count the block from its
-  candidates.  A trail so holds blocks with gaps, which its points draw.
-- Room: a trail takes a shared block only while it carries fewer than
-  ``min_events`` (of its last point) + ``BLOCK_SIZE`` trials, so sharing
-  leaves it fewer than ``min_events`` + 2 ``BLOCK_SIZE``.  A point adds the
-  candidates of the blocks it draws; those before the last held fewer
-  than ``min_events`` outages.  Without the room, a system with frequent
-  outages would take every deep block of another.
+  at a higher power are among those at a lower one.  Each system goes up
+  its live powers, and at each runs the kernel only on its candidates:
+  the trials below that power's floor whose rate at the system's previous
+  power in this block lay below the target plus ``SLACK`` bits.
+- Each point counts its outages and stops by the per-block stopping rule
+  of a walk of its own.  Nothing is carried from one block to the next.
 - Floor: every rate here is at least log2(1 + p g) for a gain g that the
   link's stream sets.  On the downlink the users share p, and g is the
   best user's gain max_k |h_k|^2: the sum of the users' gains is no floor
   there (two orthogonal users of gain g give 2 log2(1 + p g / 2), below
   log2(1 + 2 p g)).  On the uplink each user sends at p, and g is
-  ||H||_F^2, since det(I + p H H^H) >= 1 + p tr(H H^H).  Per block, g is
-  computed once per trial; a trial whose floor is at least the target
-  plus ``SLACK`` is neither an outage nor a candidate, so the kernel runs
-  only on the others, drawn or carried.
+  ||H||_F^2, since det(I + p H H^H) >= 1 + p tr(H H^H).  A trial whose
+  floor is at least the target plus ``SLACK`` is neither an outage nor a
+  candidate.
 - ``SLACK``, far above any rate kernel's rounding error, serves twice.  A
   trial left behind lay at least ``SLACK`` above the target, so it cannot
   be in outage at a higher power; and the floor decides a trial only when
   it clears the target by ``SLACK``, so the kernel could not have found an
-  outage there.  So every estimate keeps the bits a fresh trail gives it.
-- A point commits every trail it changed at its end, so a point that
-  raises leaves the whole link as it was.
+  outage there.  So every estimate keeps the bits of a walk of one.
+
+An undeclared point is a walk of one.  The estimates wait on the link
+until their own calls return them, so the order of the calls changes no
+estimate, and a walk that raises leaves the link as it was.
 """
 
 from __future__ import annotations
@@ -74,9 +69,9 @@ from .numerics import ModelError, matrix_sqrt_psd
 
 __all__ = ["MonteCarloEstimate", "Link", "outage", "ergodic"]
 
-# bits a carried trial's rate may lie above the target, and that the floor
-# must clear it by: far above the error of every rate kernel (the K >= 3
-# solve is certified to 1e-9 bit)
+# bits a candidate's rate at a lower power may lie above the target, and
+# that the floor must clear it by: far above the error of every rate kernel
+# (the K >= 3 solve is certified to 1e-9 bit)
 SLACK = 1e-6
 
 
@@ -93,18 +88,22 @@ class Link:
     """The Monte Carlo state of one stream of cfg: its correlation root,
     the read-only draw set of its trials 0 .. cfg.trials-1, drawn on first
     use and shared by every ergodic estimate (cfg.trials * dim * K complex
-    numbers, 16 bytes each), the powers p_c of its driver's ``sweep`` and
-    the ergodic estimates computed so far (``estimates``, keyed by kernel,
-    p_c and alpha), and one outage trail per system it serves (``trails``,
-    keyed by kernel, alpha, target and trial cap)."""
+    numbers, 16 bytes each), the powers p_c of its driver's ``sweep``, the
+    outage points its driver declares (``outages``, keys as in ``outage``,
+    each checked as its estimator checks it; a point that needs no trial
+    is dropped), and the estimates computed so far (``estimates``, keyed
+    by kernel, p_c and alpha for an ergodic one and by its key for an
+    outage one)."""
 
-    def __init__(self, cfg, stream, sweep=()):
+    def __init__(self, cfg, stream, sweep=(), outages=()):
         self.cfg, self.stream, self.sweep = cfg, stream, tuple(sweep)
         self._root = (np.eye(cfg.N, dtype=complex) if stream == chan.STREAM_UPLINK
                       else matrix_sqrt_psd(cfg.r_cu()))
         # the floor gain of each trial from its users' gains (K, n)
         self._gain = np.sum if stream == chan.STREAM_UPLINK else np.max
-        self.estimates, self.trails = {}, {}
+        self.outages = tuple(point for point in dict.fromkeys(outages)
+                             if not _idle(self, stream, point))
+        self.estimates = {}
         self._draws = None
 
     def block(self, block, trials):
@@ -129,25 +128,6 @@ class Link:
         return self._draws
 
 
-class _Trail:
-    """What one outage system carries from one point to the next: the power
-    and ``min_events`` of its last point, the blocks it holds, and their
-    candidates as parts, each the block and floor gain of its trials and
-    their channels as a C-contiguous (dim, K, n) buffer (so
-    ``transpose(2, 0, 1)`` gives a trial-minor batch); ``carried`` counts
-    the candidates."""
-
-    def __init__(self, p_c, min_events, held=(), parts=()):
-        self.p_c, self.min_events = p_c, min_events
-        self.held, self.parts = set(held), list(parts)
-        self.carried = sum(len(tags) for tags, _, _ in self.parts)
-
-    def take(self, block, part):
-        self.held.add(block)
-        self.parts.append(part)
-        self.carried += len(part[0])
-
-
 def outage(link, stream, rate, r_target, p_c, alpha, min_events,
            max_trials) -> MonteCarloEstimate:
     """Probability that alpha * rate(H, p_c / alpha) falls below
@@ -155,79 +135,63 @@ def outage(link, stream, rate, r_target, p_c, alpha, min_events,
 
     Blocks are counted in order until at least ``min_events`` outages have
     been seen or ``max_trials`` is reached, whichever comes first; the
-    binomial standard error is reported.  The candidates of the blocks the
-    system's trail holds decide their counts, every other block is drawn,
-    and the point's candidates stay in the trail for the next point.  A
-    zero target is never missed and a silent link always is, so both
-    return without a trial: trials = 0.
+    binomial standard error is reported.  The first estimate of a point
+    the link declares walks the blocks for every declared point it lacks,
+    and later ones return the estimate that waits on the link; any other
+    point is a walk of one.  A zero target is never missed and a silent
+    link always is, so both return without a trial: trials = 0.
     """
-    if min_events < 1:
-        raise ModelError("min_events must be positive")
-    if _silent(link, stream, p_c, alpha, r_target, max_trials) or r_target == 0.0:
+    point = (rate, alpha, r_target, max_trials, p_c, min_events)
+    if _idle(link, stream, point):
         return MonteCarloEstimate(float(r_target > 0.0), 0.0, 0)
-    system, size = (rate, alpha, r_target, max_trials), chan.BLOCK_SIZE
-    old, trail = link.trails.get(system), _Trail(p_c, min_events)
-    if old is not None and p_c >= old.p_c:
-        # the carried trials as one part, judged at this power
-        out, part = _judge(system, p_c, *(np.concatenate(x, axis=-1)
-                                          for x in zip(*old.parts)))
-        counts = np.bincount(out, minlength=max(old.held) + 1)
-        trail = _Trail(p_c, min_events, old.held, [part])
-    # the other trails this point hands its drawn blocks to, as it leaves
-    # them; the link takes every trail at the end, so a point that raises
-    # leaves it whole
-    shared = {}
-    events = done = block = 0
-    while events < min_events and done < max_trials:
-        n = min(size, max_trials - done)
-        if block in trail.held:
-            events += int(counts[block])
-        else:
-            # h stays referenced until the next block is drawn, as in a loop
-            # over ``Link.blocks``: freed earlier, its pages go back to the
-            # system and fault in again at the next draw
-            h = link.block(block, n)
-            hb = h.transpose(1, 2, 0)
-            gains = link._gain(np.einsum("ikn,ikn->kn", hb.real, hb.real)
-                               + np.einsum("ikn,ikn->kn", hb.imag, hb.imag), axis=0)
-            tags = np.broadcast_to(block, n)
-            out, part = _judge(system, p_c, tags, gains, hb)
-            events += len(out)
-            trail.take(block, part)
-            for other, mate in link.trails.items():
-                mate = shared.get(other, mate)
-                need = min(size, other[3] - block * size)
-                if (other != system and 0 < need <= n and block not in mate.held
-                        and mate.carried < mate.min_events + size):
-                    if other not in shared:
-                        mate = shared[other] = _Trail(mate.p_c, mate.min_events,
-                                                      mate.held, mate.parts)
-                    mate.take(block, _judge(other, mate.p_c, tags[:need],
-                                            gains[:need], hb[:, :, :need])[1])
-        done += n
+    if point not in link.estimates:
+        points = [point]
+        if point in link.outages:
+            points = [q for q in link.outages if q not in link.estimates]
+        link.estimates.update(_walk(link, points))
+    return link.estimates[point]
+
+
+def _walk(link, points):
+    # The estimates of outage ``points`` from one walk over blocks 0, 1, ...
+    # (see the module docstring), by point.
+    systems, events, out = {}, dict.fromkeys(points, 0), {}
+    for point in points:
+        systems.setdefault(point[:4], {}).setdefault(point[4], []).append(point)
+    size, block = chan.BLOCK_SIZE, 0
+    while len(out) < len(points):
+        live = [point for point in points if point not in out]
+        start = block * size
+        # h stays referenced until the next block is drawn, as in a loop
+        # over ``Link.blocks``: freed earlier, its pages go back to the
+        # system and fault in again at the next draw
+        h = link.block(block, min(size, max(point[3] for point in live) - start))
+        hb = h.transpose(1, 2, 0)
+        gains = link._gain(np.einsum("ikn,ikn->kn", hb.real, hb.real)
+                           + np.einsum("ikn,ikn->kn", hb.imag, hb.imag), axis=0)
+        for (rate, alpha, r_target, cap), powers in systems.items():
+            # the candidates of the system's next live power
+            rows = np.arange(min(size, cap - start))
+            for p_c in sorted(powers):
+                here = [point for point in powers[p_c] if point not in out]
+                if not here:
+                    continue
+                rows = rows[gains[rows] < _floor(alpha, r_target, p_c)]
+                if not len(rows):
+                    break
+                rates = alpha * rate(np.take(hb, rows, axis=2).transpose(2, 0, 1),
+                                     p_c / alpha)
+                for point in here:
+                    events[point] += int(np.count_nonzero(rates < r_target))
+                rows = rows[rates < r_target + SLACK]
+        for point in live:
+            trials = min(point[3], start + size)
+            if events[point] >= point[5] or trials == point[3]:
+                p = events[point] / trials
+                se = math.sqrt(max(p * (1.0 - p), 0.0) / trials)
+                out[point] = MonteCarloEstimate(mean=p, std_error=se, trials=trials)
         block += 1
-    link.trails.update(shared)
-    link.trails[system] = trail
-    p = events / done
-    se = math.sqrt(max(p * (1.0 - p), 0.0) / done)
-    return MonteCarloEstimate(mean=p, std_error=se, trials=done)
-
-
-def _judge(system, p_c, tags, gains, hb):
-    # The outages (their blocks) and the candidate part of trials hb
-    # (dim, K, n) of ``tags`` blocks with floor gains ``gains``, for a system
-    # at power p_c.  Only the trials below the floor run the kernel: every
-    # other one has alpha * R >= r_target + SLACK.  The candidates are
-    # copied once the kernel's batch is freed.
-    rate, alpha, r_target, _ = system
-    undecided = np.flatnonzero(gains < _floor(alpha, r_target, p_c))
-    rates = np.empty(0)
-    if len(undecided):
-        rates = alpha * rate(np.take(hb, undecided, axis=2).transpose(2, 0, 1),
-                             p_c / alpha)
-    keep = undecided[rates < r_target + SLACK]
-    return tags[undecided[rates < r_target]], (tags[keep], gains[keep],
-                                                np.take(hb, keep, axis=2))
+    return out
 
 
 def _floor(alpha, r_target, p_c):
@@ -237,6 +201,14 @@ def _floor(alpha, r_target, p_c):
         return (2.0 ** ((r_target + SLACK) / alpha) - 1.0) * alpha / p_c
     except OverflowError:
         return math.inf
+
+
+def _idle(link, stream, point):
+    # The input checks of an outage point; True when it needs no trial.
+    _, alpha, r_target, max_trials, p_c, min_events = point
+    if min_events < 1:
+        raise ModelError("min_events must be positive")
+    return _silent(link, stream, p_c, alpha, r_target, max_trials) or r_target == 0.0
 
 
 def _silent(link, stream, p_c, alpha, r_target, trials):

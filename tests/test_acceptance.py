@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from isacsim import acceptance, cli
+from isacsim import acceptance, cli, mc
 
 NAMES = [fn.__name__.replace("criterion_", "") for fn in acceptance.CRITERIA]
 
@@ -56,3 +56,23 @@ def test_a_failed_determinism_run_fails_its_criterion(monkeypatch):
     monkeypatch.setattr(cli, "run", lambda *args: 3)
     assert acceptance.criterion_determinism(seed=acceptance.DEFAULT_SEED) == \
         (False, 0.0, "op_vs_snr exited 3")
+
+
+@pytest.mark.parametrize("name", ["dl_diversity", "ul_diversity"])
+def test_each_diversity_criterion_walks_its_grid_once(name, monkeypatch):
+    # every grid point's call finds its key declared on the link, so the
+    # first walks all seven points and the others take their estimates
+    # from the link; a stand-in walk gives each point an outage of 1e-2
+    # (p / p_0)^-4 over the lowest power p_0 it is asked for
+    walks = []
+
+    def walk(link, points):
+        walks.append(len(points))
+        low = min(point[4] for point in points)
+        return {point: mc.MonteCarloEstimate(1e-2 * (point[4] / low) ** -4.0, 0.0, 1)
+                for point in points}
+
+    monkeypatch.setattr(mc, "_walk", walk)
+    passed, value, _ = getattr(acceptance, f"criterion_{name}")(acceptance.DEFAULT_SEED)
+    assert walks == [7]
+    assert passed and value == pytest.approx(4.0)

@@ -190,7 +190,7 @@ class TestSamplerBytes:
 
     def test_each_link_computes_its_root_once(self, monkeypatch, drawn):
         # a Link computes its stream's root when it is built (none for the
-        # i.i.d. uplink), and every draw of its outage trails, its ergodic
+        # i.i.d. uplink), and every draw of its outage walks, its ergodic
         # draw set and a blocks pass reuses it; the sampler computes none
         monkeypatch.setattr(chan, "BLOCK_SIZE", 16)
         cfg = SimConfig(M=3, N=2, K=2, L=4, rho_cu=0.8, trials=50, seed=3)

@@ -12,7 +12,6 @@ from isacsim import acceptance
 from isacsim import channel as chan
 from isacsim import cli
 from isacsim import downlink as dl
-from isacsim import mc
 from isacsim import uplink as ul
 
 
@@ -244,6 +243,17 @@ class TestMain:
             "error: config: min_events must be positive\n"
         assert not out.exists()
 
+    def test_an_alpha_above_one_is_a_config_error_before_any_draw(
+            self, tmp_path, capsys, drawn):
+        # each link checks its declared points as their estimators do, so
+        # the FDSAC points fail before the ISAC points walk a block
+        out = tmp_path / "x.csv"
+        assert cli.main(["--experiment", "op_vs_snr", "--out", str(out),
+                         "--config", write_config(tmp_path, alpha=1.5)]) == 2
+        assert capsys.readouterr().err == \
+            "error: config: alpha must lie in [0, 1]\n"
+        assert drawn == [] and not out.exists()
+
     def test_an_unwritable_out_is_an_output_error(self, tmp_path, capsys):
         # the CSV is opened once the run has its rows: a path inside a
         # missing directory exits 2 with one line, not a traceback, and a
@@ -280,7 +290,8 @@ class TestMain:
             [(0, stream, size), (1, stream, 5)]
 
     def test_op_vs_snr_rows_do_not_depend_on_the_sweep_order(self, tmp_path):
-        # a trail starts afresh at a lower power, so every point keeps its row
+        # each link walks its declared points at once, so the order of the
+        # calls changes no row
         def rows(sweep):
             out = tmp_path / "op.csv"
             assert cli.main(["--experiment", "op_vs_snr", "--out", str(out),
@@ -293,15 +304,15 @@ class TestMain:
         assert rows([20.0, 15.0, 10.0, 5.0, 0.0]) == ordered
 
     def test_op_vs_snr_work(self, tmp_path, monkeypatch):
-        # the work of an op_tail-shaped run: each drawn block serves every
-        # outage trail of its link that has room, and each kernel runs only
-        # on the trials its link's floor leaves open (the best user's rate
-        # on the downlink, log2(1 + p ||H||_F^2) on the uplink).  Without
-        # sharing or a floor, the same run draws 90 blocks, runs 271,703
-        # downlink and 464,222 uplink kernel trials and carries at most
-        # 3,343 trials; with the best user's floor on the uplink too, it
-        # runs 227,510 uplink kernel trials
-        work, carried = Counter(), [0]
+        # the work of an op_tail-shaped run: each link walks its declared
+        # points at once, drawing each block once, and each kernel runs
+        # only on the trials its link's floor leaves open (the best user's
+        # rate on the downlink, log2(1 + p ||H||_F^2) on the uplink) whose
+        # rate at the system's previous power in the block lay within SLACK
+        # of the target.  Without the floor, the same walks run 271,703
+        # downlink and 464,222 uplink kernel trials; without the declared
+        # points, a walk per point draws 168 blocks
+        work = Counter()
 
         def counting(module, name, key):
             fn = getattr(module, name)
@@ -316,19 +327,10 @@ class TestMain:
         counting(chan, "sample_channel_block", "blocks")
         counting(dl, "dl_sum_rate_batch", "downlink")
         counting(ul, "ul_rate_batch", "uplink")
-        outage = mc.outage
-
-        def watched(link, *args):
-            est = outage(link, *args)
-            carried[0] = max([carried[0]] + [t.carried for t in link.trails.values()])
-            return est
-
-        monkeypatch.setattr(mc, "outage", watched)
         cfg, params = cli.parse_config({"sweep_db": [17.5, 20.0, 22.5, 25.0],
                                         "min_events": 100, "max_trials": 250_000})
         assert cli.run("op_vs_snr", cfg, params, str(tmp_path / "op.csv")) == 0
-        assert work == {"blocks": 65, "downlink": 76_549, "uplink": 173_712}
-        assert carried[0] == 10_065 < params["min_events"] + 2 * chan.BLOCK_SIZE
+        assert work == {"blocks": 62, "downlink": 16_276, "uplink": 40_290}
 
     def test_ecr_vs_snr_work(self, tmp_path, monkeypatch, drawn):
         # a k3_ecr-shaped run, one block of 150 trials per link: each system

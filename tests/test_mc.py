@@ -104,9 +104,9 @@ def test_ergodic_runs_exactly_the_requested_trials(system, drawn):
         assert est.mean == sum(sums) / trials
 
 
-# Outage trails.  A link keeps a trail per system, which carries the
-# system's candidates from point to point; every estimate must equal, field
-# for field, the one a fresh link gives.  At a target of 3 bits and 400
+# Outage walks.  A link walks the outage points its driver declares at
+# once; every estimate must equal, field for field, the one a fresh link
+# gives, where each point is a walk of one.  At a target of 3 bits and 400
 # events these sweeps stop every system in its first block at 8 dB and at
 # the cap at 18 dB.
 R_TARGET, EVENTS = 3.0, 400
@@ -118,49 +118,67 @@ TRAIL_SWEEPS = {
     "descending": [18.0, 16.0, 14.0, 12.0, 10.0, 8.0],
     "shuffled": [14.0, 8.0, 18.0, 12.0, 18.0, 10.0, 16.0],
 }
+# per system: the key its outage estimator gives a point (target, p_c,
+# min_events, cap), which a link declares
+POINTS = {
+    "disac": lambda r, p, events, cap: (dl.dl_sum_rate_batch, 1.0, r, cap, p, events),
+    "dfdsac": lambda r, p, events, cap: (dl.dl_sum_rate_batch, ALPHA, r, cap, p,
+                                         events),
+    "uisac": lambda r, p, events, cap: (ul.ul_rate_batch, 1.0, r, cap,
+                                        ul._isac_power(p, PROFILE), events),
+    "ufdsac": lambda r, p, events, cap: (ul.ul_rate_batch, ALPHA, r, cap, p, events),
+}
 
 
 def _fields(est):
     return est.mean, est.std_error, est.trials
 
 
-def _trail_sweep(system, cfg, r_target, points, max_trials=CAP):
-    # each point (dB, min_events) over one link, and over a fresh link each
+def _declared(systems, cfg, r_target, points, max_trials=CAP):
+    # a link of the systems' stream that declares each point (dB, min_events)
+    # of each system
+    return mc.Link(cfg, SYSTEMS[systems[0]][0], outages=[
+        POINTS[system](r_target, 10.0 ** (db / 10.0), events, max_trials)
+        for system in systems for db, events in points])
+
+
+def _sweep(system, cfg, r_target, points, max_trials=CAP):
+    # each point (dB, min_events) over one link that declares them all, and
+    # over a fresh link each
     stream, _, _, outage, _ = SYSTEMS[system]
-    link = mc.Link(cfg, stream)
+    link = _declared([system], cfg, r_target, points, max_trials)
 
     def at(on, db, events):
         return _fields(outage(on, r_target, 10.0 ** (db / 10.0),
                               min_events=events, max_trials=max_trials))
 
-    carried = [at(link, db, events) for db, events in points]
+    walked = [at(link, db, events) for db, events in points]
     fresh = [at(mc.Link(cfg, stream), db, events) for db, events in points]
-    return carried, fresh
+    return walked, fresh
 
 
 @pytest.mark.parametrize("sweep", TRAIL_SWEEPS)
 @pytest.mark.parametrize("system", SYSTEMS)
 def test_a_trail_gives_each_point_the_fresh_estimate(system, sweep):
     points = [(db, EVENTS) for db in TRAIL_SWEEPS[sweep]]
-    carried, fresh = _trail_sweep(system, CFG, R_TARGET, points)
-    assert carried == fresh
+    walked, fresh = _sweep(system, CFG, R_TARGET, points)
+    assert walked == fresh
 
 
 @pytest.mark.parametrize("system", SYSTEMS)
 def test_a_trail_stops_inside_the_blocks_it_carries(system):
-    # fewer events wanted at a higher power: the stop lies before the last
-    # block the trail holds, which it must not draw again
-    # and at 10 dB exactly as many events as the first block holds, so
-    # the stop is at that block's end
+    # fewer events wanted at a higher power: the point stops before the
+    # walk's last block, and at 10 dB exactly as many events are wanted as
+    # the first block holds, so that point stops at the block's end
     stream, _, _, outage, _ = SYSTEMS[system]
     first = outage(mc.Link(CFG, stream), R_TARGET, 10.0, min_events=1,
                    max_trials=chan.BLOCK_SIZE)
     exact = round(first.mean * first.trials)
     points = [(8.0, 20_000), (10.0, exact), (12.0, 5000), (14.0, 1)]
-    carried, fresh = _trail_sweep(system, CFG, R_TARGET, points)
-    assert carried == fresh
-    assert carried[1][2] == chan.BLOCK_SIZE < carried[0][2]
-    assert carried[3][2] < carried[2][2]
+    walked, fresh = _sweep(system, CFG, R_TARGET, points)
+    assert walked == fresh
+    assert walked[1][2] == chan.BLOCK_SIZE < walked[0][2]
+    assert walked[3][2] < walked[2][2]
 
 
 @pytest.mark.parametrize("system", SYSTEMS)
@@ -171,99 +189,101 @@ def test_a_trail_matches_fresh_estimates_at_k3_near_rank_one(system):
     cfg = SimConfig(M=3, N=3, K=3, L=4, rho_cu=0.999999, seed=5)
     r_target = {"disac": 21.0, "dfdsac": 11.0, "uisac": 50.0, "ufdsac": 27.0}[system]
     points = [(db, 300) for db in (40.0, 50.0, 55.0, 60.0, 60.0 + 1e-12)]
-    carried, fresh = _trail_sweep(system, cfg, r_target, points,
-                                  max_trials=2 * chan.BLOCK_SIZE + 5)
-    assert carried == fresh
-    assert 0.0 < carried[-1][0] < 0.1
+    walked, fresh = _sweep(system, cfg, r_target, points,
+                                 max_trials=2 * chan.BLOCK_SIZE + 5)
+    assert walked == fresh
+    assert 0.0 < walked[-1][0] < 0.1
+
+
+# the blocks the ascending sweep's deepest point needs: CAP trials
+CAP_BLOCKS = [chan.BLOCK_SIZE] * 6 + [77]
 
 
 @pytest.mark.parametrize("system", SYSTEMS)
 def test_an_ascending_sweep_draws_each_block_once(system, drawn):
+    # the first point walks every declared point, so it draws the blocks
+    # that the deepest one needs, and the others draw none
     stream, _, _, outage, _ = SYSTEMS[system]
-    link = mc.Link(CFG, stream)
+    points = [(db, EVENTS) for db in TRAIL_SWEEPS["ascending"]]
+    link = _declared([system], CFG, R_TARGET, points)
     trials = []
-    for db in TRAIL_SWEEPS["ascending"]:
-        est = outage(link, R_TARGET, 10.0 ** (db / 10.0), min_events=EVENTS,
-                     max_trials=CAP)
-        trials.append(est.trials)
-        # fewer than min_events + BLOCK_SIZE trials carried
-        (trail,) = link.trails.values()
-        assert trail.carried < EVENTS + chan.BLOCK_SIZE
+    for db, events in points:
+        trials.append(outage(link, R_TARGET, 10.0 ** (db / 10.0), min_events=events,
+                             max_trials=CAP).trials)
+        assert drawn == [(b, stream, n) for b, n in enumerate(CAP_BLOCKS)]
     assert trials[0] == chan.BLOCK_SIZE and trials[-1] == CAP
     assert len(set(trials)) >= 3
-    assert drawn == [(b, stream, chan.BLOCK_SIZE) for b in range(6)] + [(6, stream, 77)]
 
 
-# blocks: those the ascending half draws on one shared link, and on a link
-# per system (7 blocks each)
-@pytest.mark.parametrize("pair, blocks", [(("disac", "dfdsac"), (10, 14)),
-                                          (("uisac", "ufdsac"), (8, 14))],
+@pytest.mark.parametrize("pair", [("disac", "dfdsac"), ("uisac", "ufdsac")],
                          ids=["downlink", "uplink"])
-def test_a_link_alternating_two_systems_gives_each_the_fresh_estimate(pair, blocks,
-                                                                      drawn):
-    # the ISAC and FDSAC systems of one link take turns over ascending, then
-    # descending powers: each point is the one a fresh link gives it, and
-    # over the ascending half the shared link draws fewer blocks than a link
-    # per system, since each new block serves both trails
+def test_a_link_alternating_two_systems_gives_each_the_fresh_estimate(pair, drawn):
+    # the ISAC and FDSAC systems of one link, each declared at the powers of
+    # a shuffled sweep, take turns over it: each point is the one a fresh
+    # link gives it, and the link draws each block once, where a link per
+    # system draws each block twice
     stream = SYSTEMS[pair[0]][0]
+    points = [(db, EVENTS) for db in TRAIL_SWEEPS["shuffled"]]
 
-    def sweep(link_of, powers):
-        return [_fields(SYSTEMS[system][3](link_of(system), R_TARGET,
-                                           10.0 ** (db / 10.0), min_events=EVENTS,
-                                           max_trials=CAP))
-                for db in powers for system in pair]
-
-    def halves(link_of):
+    def sweep(link_of):
         drawn.clear()
-        ascending = sweep(link_of, TRAIL_SWEEPS["ascending"])
-        count = len(drawn)
-        return ascending + sweep(link_of, TRAIL_SWEEPS["descending"]), count
+        return [_fields(SYSTEMS[system][3](link_of(system), R_TARGET,
+                                           10.0 ** (db / 10.0), min_events=events,
+                                           max_trials=CAP))
+                for db, events in points for system in pair], list(drawn)
 
-    shared = mc.Link(CFG, stream)
-    alternating, shared_blocks = halves(lambda system: shared)
-    own = {system: mc.Link(CFG, stream) for system in pair}
-    separate, own_blocks = halves(own.get)
-    assert alternating == separate
-    powers = TRAIL_SWEEPS["ascending"] + TRAIL_SWEEPS["descending"]
-    assert alternating == sweep(lambda system: mc.Link(CFG, stream), powers)
-    assert (shared_blocks, own_blocks) == blocks
+    shared = _declared(pair, CFG, R_TARGET, points)
+    alternating, shared_blocks = sweep(lambda system: shared)
+    own = {system: _declared([system], CFG, R_TARGET, points) for system in pair}
+    separate, own_blocks = sweep(own.get)
+    fresh, _ = sweep(lambda system: mc.Link(CFG, stream))
+    assert alternating == separate == fresh
+    assert shared_blocks == [(b, stream, n) for b, n in enumerate(CAP_BLOCKS)]
+    assert sorted(own_blocks) == sorted(2 * shared_blocks)
 
 
-def test_a_link_keeps_one_trail_per_system():
-    # points of different systems on one link per stream, each at a higher
-    # p_c than the last and each changing one thing: the kernel, alpha, the
-    # target or the cap names another system, whose trail starts afresh.
-    # The uplink ISAC rate is the FDSAC kernel at p_c / rho2: at rho2 = 1 it
-    # is the system of FDSAC at alpha = 1 (its trail carries), and the
-    # higher slot noise lowers the power (the trail starts afresh)
+def test_a_link_keeps_one_estimate_per_point(drawn):
+    # points of one link per stream, each changing one thing: the kernel,
+    # alpha, the target, min_events, the cap or the power names another
+    # point, which an undeclared call walks alone.  The uplink ISAC rate is
+    # the FDSAC kernel at p_c / rho2: at rho2 = 1 it is the point of FDSAC
+    # at alpha = 1, whose estimate waits on the link
     down, up = chan.STREAM_DOWNLINK, chan.STREAM_UPLINK
     many = 20_000  # events: these points stop at the cap
-    points = [  # estimator, link, arguments before and after p_c, target,
+    points = [  # estimator, link, arguments before and after p_c, dB, target,
                 # min_events, cap
-        (dl.dl_outage_prob, down, (), (), 3.0, EVENTS, CAP),
-        (dl.dl_outage_prob_fdsac, down, (ALPHA,), (), 3.0, EVENTS, CAP),
-        (dl.dl_outage_prob_fdsac, down, (0.9,), (), 3.0, EVENTS, CAP),
-        (dl.dl_outage_prob_fdsac, down, (0.9,), (), 4.0, many, CAP),
-        (dl.dl_outage_prob_fdsac, down, (0.9,), (), 4.0, many, CAP + chan.BLOCK_SIZE),
-        (ul.ul_outage_prob_fdsac, up, (1.0,), (), 3.0, EVENTS, CAP),
-        (ul.ul_outage_prob, up, (), (1.0,), 3.0, EVENTS, CAP),
-        (ul.ul_outage_prob, up, (), (PROFILE,), 3.0, EVENTS, CAP),
+        (dl.dl_outage_prob, down, (), (), 10.0, 3.0, EVENTS, CAP),
+        (dl.dl_outage_prob_fdsac, down, (ALPHA,), (), 10.0, 3.0, EVENTS, CAP),
+        (dl.dl_outage_prob_fdsac, down, (0.9,), (), 10.0, 3.0, EVENTS, CAP),
+        (dl.dl_outage_prob_fdsac, down, (0.9,), (), 10.0, 4.0, EVENTS, CAP),
+        (dl.dl_outage_prob_fdsac, down, (0.9,), (), 10.0, 4.0, many, CAP),
+        (dl.dl_outage_prob_fdsac, down, (0.9,), (), 10.0, 4.0, many,
+         CAP + chan.BLOCK_SIZE),
+        (dl.dl_outage_prob_fdsac, down, (0.9,), (), 11.0, 4.0, many,
+         CAP + chan.BLOCK_SIZE),
+        (ul.ul_outage_prob_fdsac, up, (1.0,), (), 10.0, 3.0, EVENTS, CAP),
+        (ul.ul_outage_prob, up, (), (1.0,), 10.0, 3.0, EVENTS, CAP),
+        (ul.ul_outage_prob, up, (), (PROFILE,), 10.0, 3.0, EVENTS, CAP),
     ]
     shared = {s: mc.Link(CFG, s) for s in (down, up)}
 
     def run(link_of):
+        drawn.clear()
         return [_fields(estimate(link_of(stream), r, *before, 10.0 ** (db / 10.0),
                                  *after, min_events=events, max_trials=cap))
-                for db, (estimate, stream, before, after, r, events, cap)
-                in enumerate(points, start=10)]
+                for estimate, stream, before, after, db, r, events, cap in points]
 
-    assert run(shared.get) == run(lambda s: mc.Link(CFG, s))
-    assert [len(shared[s].trails) for s in (down, up)] == [5, 1]
+    once = run(shared.get)
+    walks = [sum(key[:2] == (0, s) for key in drawn) for s in (down, up)]
+    assert once == run(lambda s: mc.Link(CFG, s))
+    assert [len(shared[s].estimates) for s in (down, up)] == walks == [7, 2]
+    assert run(shared.get) == once and drawn == []
 
 
 @pytest.mark.parametrize("system", SYSTEMS)
 def test_a_point_that_fails_leaves_the_trail_whole(system, monkeypatch):
-    # the third block drawn fails; the sweep goes on over the same link
+    # the third block drawn fails in the walk of the first point; the sweep
+    # goes on over the same link, whose next point walks afresh
     stream, _, _, outage, _ = SYSTEMS[system]
     sample, calls = chan.sample_channel_block, []
 
@@ -273,73 +293,95 @@ def test_a_point_that_fails_leaves_the_trail_whole(system, monkeypatch):
             raise ArithmeticError("no draw")
         return sample(*args)
 
-    link = mc.Link(CFG, stream)
+    points = [(db, EVENTS) for db in TRAIL_SWEEPS["ascending"]]
+    link = _declared([system], CFG, R_TARGET, points)
     monkeypatch.setattr(chan, "sample_channel_block", failing)
-    carried = []
-    for db in TRAIL_SWEEPS["ascending"]:
+    walked = []
+    for db, events in points:
         try:
-            carried.append(_fields(outage(link, R_TARGET, 10.0 ** (db / 10.0),
-                                          min_events=EVENTS, max_trials=CAP)))
+            walked.append(_fields(outage(link, R_TARGET, 10.0 ** (db / 10.0),
+                                         min_events=events, max_trials=CAP)))
         except ArithmeticError:
-            carried.append(None)
+            walked.append(None)
     monkeypatch.undo()
     fresh = [_fields(outage(mc.Link(CFG, stream), R_TARGET, 10.0 ** (db / 10.0),
-                            min_events=EVENTS, max_trials=CAP))
-             for db in TRAIL_SWEEPS["ascending"]]
-    assert carried.count(None) == 1
-    assert [c for c in carried if c] == [f for c, f in zip(carried, fresh) if c]
+                            min_events=events, max_trials=CAP))
+             for db, events in points]
+    assert walked.count(None) == 1
+    assert [w for w in walked if w] == [f for w, f in zip(walked, fresh) if w]
 
 
-# Random interleavings.  Several systems of one link (kernel, alpha, target,
-# trial cap) each sweep their own powers, ascending, descending or shuffled,
-# and the sweeps are interleaved at random; one draw in ten fails.  At K = 1
-# both kernels equal the single-user floor, and each target lies SLACK / 2
-# below the rate of a trial at its system's first power, so that trial is
-# carried only by a floor with the slack.
+@pytest.mark.parametrize("arg, value", [
+    ("min_events", 0), ("alpha", 1.5), ("alpha", -0.5), ("r_target", -1.0),
+    ("p_c", -1.0), ("max_trials", 0)])
+def test_a_link_checks_its_declared_points_before_any_draw(arg, value, drawn):
+    # each declared point passes its estimator's input checks when the link
+    # is built
+    point = dict(rate=ul.ul_rate_batch, alpha=ALPHA, r_target=R_TARGET,
+                 max_trials=CAP, p_c=P_C, min_events=EVENTS)
+    good = tuple(point.values())
+    point[arg] = value
+    with pytest.raises(ModelError):
+        mc.Link(CFG, chan.STREAM_UPLINK, outages=[good, tuple(point.values())])
+    assert drawn == []
+
+
+def test_a_declared_point_that_needs_no_trial_joins_no_walk(drawn):
+    # zero power, bandwidth or target: the closed form with no trial, while
+    # the one point that needs trials walks alone
+    up = chan.STREAM_UPLINK
+    quiet = [(0.0, ALPHA, R_TARGET), (P_C, 0.0, R_TARGET), (P_C, ALPHA, 0.0)]
+    link = mc.Link(CFG, up, outages=[
+        (ul.ul_rate_batch, alpha, r, CAP, p, EVENTS)
+        for p, alpha, r in quiet + [(P_C, ALPHA, R_TARGET)]])
+    assert link.outages == ((ul.ul_rate_batch, ALPHA, R_TARGET, CAP, P_C, EVENTS),)
+    for p, alpha, r in quiet:
+        est = ul.ul_outage_prob_fdsac(link, r, alpha, p, min_events=EVENTS,
+                                      max_trials=CAP)
+        assert _fields(est) == (float(r > 0.0), 0.0, 0)
+    assert drawn == [] and link.estimates == {}
+    walked = ul.ul_outage_prob_fdsac(link, R_TARGET, ALPHA, P_C, min_events=EVENTS,
+                                     max_trials=CAP)
+    assert _fields(walked) == _fields(ul.ul_outage_prob_fdsac(
+        mc.Link(CFG, up), R_TARGET, ALPHA, P_C, min_events=EVENTS, max_trials=CAP))
+
+
+# Random declared sets.  Several systems of one link (kernel, alpha,
+# target, trial cap) each have points at two to four powers, with mixed
+# min_events; the link declares some of the points, and the calls to all
+# of them, declared or not, come in a random order; one draw in ten fails.
+# At K = 1 both kernels equal the single-user floor, and each target lies
+# SLACK / 2 below the rate of a trial at its system's lowest power, so
+# that trial is a candidate only by the slack.
 INTERLEAVINGS = 8
 
 
 def _interleaving(rng, stream, cfg):
-    # the systems of one link and its points: (system, p_c, min_events)
+    # the declared points of one link, and its calls in order, each a point
+    # (rate, alpha, r_target, max_trials, p_c, min_events)
     size = chan.BLOCK_SIZE
     kernel = dl.dl_sum_rate_batch if stream == chan.STREAM_DOWNLINK else ul.ul_rate_batch
     root = DL_ROOT if stream == chan.STREAM_DOWNLINK else UL_ROOT
-    sweeps = []
+    points = []
     for _ in range(int(rng.integers(2, 5))):
         alpha = float(rng.choice([1.0, 1.0, 0.8, 0.5, 0.3]))
         powers = 10.0 ** (rng.uniform(0.8, 1.8, int(rng.integers(2, 5))))
-        order = rng.choice(["ascending", "descending", "shuffled"])
-        powers = {"ascending": np.sort(powers), "descending": np.sort(powers)[::-1],
-                  "shuffled": powers}[order]
         if cfg.K == 1:
             h = chan.sample_channel_block(root, 1, cfg.seed, 0, stream)
-            rates = alpha * kernel(h, powers[0] / alpha)
+            rates = alpha * kernel(h, powers.min() / alpha)
             target = float(rates[rng.integers(len(rates))]) - mc.SLACK / 2
         else:
             target = float(rng.uniform(2.0, 5.0))
         cap = int(rng.integers(1, 5)) * size + int(rng.integers(1, size))
-        system = (kernel, alpha, target, cap)
-        sweeps.append([(system, float(p), int(rng.choice([1, 30, 300, 3000])))
-                       for p in powers])
-    turns = rng.permutation(np.repeat(np.arange(len(sweeps)), [len(s) for s in sweeps]))
-    return [sweeps[i].pop(0) for i in turns]
+        points += [(kernel, alpha, target, cap, float(p),
+                    int(rng.choice([1, 30, 300, 3000]))) for p in powers]
+    declared = [point for point in points if rng.random() < 0.7]
+    return declared, [points[i] for i in rng.permutation(len(points))]
 
 
-def _point(link, system, p_c, min_events):
-    kernel, alpha, target, cap = system
+def _point(link, point):
+    kernel, alpha, target, cap, p_c, min_events = point
     return mc.outage(link, link.stream, kernel, target, p_c, alpha, min_events, cap)
-
-
-def _carried_blocks(system, trail, block_of):
-    # the carried trials of a trail per held block, and the trials of each
-    # held block whose rate at the trail's power lies below target + SLACK
-    kernel, alpha, target, cap = system
-    size = chan.BLOCK_SIZE
-    carried = np.concatenate([tags for tags, _, _ in trail.parts])
-    want = {b: int(np.count_nonzero(
-        alpha * kernel(block_of(b)[:min(size, cap - b * size)], trail.p_c / alpha)
-        < target + mc.SLACK)) for b in trail.held}
-    return {b: int(np.count_nonzero(carried == b)) for b in trail.held}, want
 
 
 @pytest.mark.parametrize("case", range(INTERLEAVINGS))
@@ -350,9 +392,8 @@ def test_random_interleavings_give_each_point_the_fresh_estimate(
         stream, columns, case, monkeypatch):
     cfg = replace(CFG, K=columns, seed=100 + case)
     rng = np.random.default_rng([stream, columns, case])
-    points = _interleaving(rng, stream, cfg)
-    sample, size = chan.sample_channel_block, chan.BLOCK_SIZE
-    root = DL_ROOT if stream == chan.STREAM_DOWNLINK else UL_ROOT
+    declared, calls = _interleaving(rng, stream, cfg)
+    sample = chan.sample_channel_block
     fail = {"on": False}
 
     def failing(*args):
@@ -360,37 +401,31 @@ def test_random_interleavings_give_each_point_the_fresh_estimate(
             raise ArithmeticError("no draw")
         return sample(*args)
 
-    blocks = {}
-
-    def block_of(b):
-        if b not in blocks:
-            blocks[b] = sample(root, columns, cfg.seed, b, stream)
-        return blocks[b]
-
     monkeypatch.setattr(chan, "sample_channel_block", failing)
-    link, failures = mc.Link(cfg, stream), 0
-    for system, p_c, events in points:
-        before = dict(link.trails)
+    link, failures = mc.Link(cfg, stream, outages=declared), 0
+    for point in calls:
+        before = dict(link.estimates)
         fail["on"] = True
         try:
-            est = _point(link, system, p_c, events)
+            est = _point(link, point)
         except ArithmeticError:
-            # a point that raises leaves the whole link as it was
+            # a point that raises leaves the link's estimates as they were
             failures += 1
-            assert link.trails.keys() == before.keys()
-            assert all(link.trails[k] is before[k] for k in before)
+            assert link.estimates.keys() == before.keys()
+            assert all(link.estimates[k] is before[k] for k in before)
             continue
         finally:
             fail["on"] = False
-        assert _fields(est) == _fields(_point(mc.Link(cfg, stream), system, p_c,
-                                              events))
-        for other, trail in link.trails.items():
-            # a trail takes a block only while it has room for one more
-            if other != system and before.get(other) is not trail:
-                assert trail.carried < trail.min_events + 2 * size
-            got, want = _carried_blocks(other, trail, block_of)
-            assert got == want
-    assert failures < len(points)
+        assert _fields(est) == _fields(_point(mc.Link(cfg, stream), point))
+        assert all(link.estimates[k] is before[k] for k in before)
+        if point in declared:
+            # the walk left every declared point's estimate on the link
+            assert set(declared) <= link.estimates.keys()
+    assert failures < len(calls)
+    for point in declared:
+        if point in link.estimates:
+            assert _fields(link.estimates[point]) == _fields(
+                _point(mc.Link(cfg, stream), point))
 
 
 OUTAGE = dict(r_target=1.0, min_events=200, max_trials=chan.BLOCK_SIZE)
