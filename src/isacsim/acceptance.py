@@ -300,27 +300,14 @@ def criterion_sr_brute_force(seed=DEFAULT_SEED):
             f"worst margin {worst:.3e}; ul_sr {sr_u:.5f} (hand 2.3137)")
 
 
-def _sr_curves(cfg, grid_db):
-    """The downlink ISAC, uplink ISAC and alpha = 0.5 FDSAC sensing rates
-    at each p_s of ``grid_db``, and the downlink sensing noise at p_c."""
-    rt = cfg.r_target()
-    s2 = dl.sensing_noise(cfg, cfg.p_c)
-    rows = []
-    for g in grid_db:
-        p_s = 10 ** (g / 10.0)
-        rows.append((sn.dl_sr(rt, cfg.N, cfg.L, p_s, s2)[0],
-                     sn.ul_sr(rt, cfg.N, cfg.L, p_s)[0],
-                     sn.fdsac_sr(rt, cfg.N, cfg.L, p_s, 0.5)))
-    return np.array(rows).T, s2
-
-
 def criterion_sr_slopes(seed=DEFAULT_SEED):
     """Sensing-rate slopes NM/L = 1, split baseline 0.5, high-SNR form,
     with the downlink sensing noise evaluated at p_c = 0 dB."""
     cfg = _paper_cfg(seed)
     rt = cfg.r_target()
     grid_db = np.arange(30.0, 50.01, 2.5)
-    curves, s2 = _sr_curves(cfg, grid_db)
+    curves = rg.sr_curves(cfg, [10 ** (g / 10.0) for g in grid_db], 0.5)
+    s2 = dl.sensing_noise(cfg, cfg.p_c)
     s_dl, s_ul, s_fd = (an.fit_highsnr_slope(grid_db, c, (30.0, 50.0))[0]
                         for c in curves)
     approx, valid = sn.sr_highsnr(rt, cfg.N, cfg.L, 1e4, sigma2=s2)
@@ -336,7 +323,7 @@ def criterion_sr_orderings(seed=DEFAULT_SEED):
     """Sensing-rate crossover (downlink) and uniform dominance (uplink),
     with the downlink sensing noise evaluated at p_c = 0 dB."""
     grid_db = np.arange(0.0, 30.01, 5.0)
-    curves, _ = _sr_curves(_paper_cfg(seed), grid_db)
+    curves = rg.sr_curves(_paper_cfg(seed), [10 ** (g / 10.0) for g in grid_db], 0.5)
     notes = []
     for g, d_isac, u_isac, fdsac in zip(grid_db, *curves):
         if g <= 5.0 and not fdsac > d_isac:

@@ -21,7 +21,6 @@ import numpy as np
 from . import downlink as dl
 from . import mc
 from . import region as rg
-from . import sensing as sn
 from . import uplink as ul
 from .channel import STREAM_DOWNLINK, STREAM_UPLINK, SimConfig
 from .numerics import ModelError
@@ -131,22 +130,24 @@ def _sweep(params, default_stop, default_step):
 
 def _run_vs_snr(cfg, params, experiment):
     # outage (op_vs_snr) or ergodic rate (ecr_vs_snr) of the four systems,
-    # each over the one Monte Carlo link of its stream: a link that declares
-    # every outage point of its two systems walks them at once, and one that
-    # knows the sweep's powers runs an ergodic system at all of them in one
-    # pass
+    # each over the one Monte Carlo link of its stream, which declares
+    # every point of its two systems and so computes them in one pass
     alpha, target = params["alpha"], params["target_rate"]
     events, cap = params["min_events"], params["max_trials"]
     _, rho2 = ul.sensing_profile(cfg.r_target(), cfg.N, cfg.L, cfg.p_s)
     sweep = _sweep(params, 40.0, 2.5)
     powers = [db_to_linear(p_db) for p_db in sweep]
+    # (kernel, alpha, power) of each ISAC and FDSAC point of each link
+    points = {
+        STREAM_DOWNLINK: [(dl.dl_sum_rate_batch, a, p)
+                          for p in powers for a in (1.0, alpha)],
+        STREAM_UPLINK: [(ul.ul_rate_batch, a, q) for p in powers
+                        for a, q in ((1.0, ul._isac_power(p, rho2)), (alpha, p))],
+    }
     if experiment == "op_vs_snr":
-        down = mc.Link(cfg, STREAM_DOWNLINK, outages=[
-            (dl.dl_sum_rate_batch, a, target, cap, p, events)
-            for p in powers for a in (1.0, alpha)])
-        up = mc.Link(cfg, STREAM_UPLINK, outages=[
-            (ul.ul_rate_batch, a, target, cap, q, events)
-            for p in powers for a, q in ((1.0, ul._isac_power(p, rho2)), (alpha, p))])
+        down, up = (mc.Link(cfg, s, outages=[(kernel, a, target, cap, q, events)
+                                             for kernel, a, q in points[s]])
+                    for s in points)
         kw = dict(min_events=events, max_trials=cap)
         systems = {
             "disac": lambda p: dl.dl_outage_prob(down, target, p, **kw),
@@ -155,7 +156,9 @@ def _run_vs_snr(cfg, params, experiment):
             "ufdsac": lambda p: ul.ul_outage_prob_fdsac(up, target, alpha, p, **kw),
         }
     else:
-        down, up = (mc.Link(cfg, s, powers) for s in (STREAM_DOWNLINK, STREAM_UPLINK))
+        down, up = (mc.Link(cfg, s, ergodic=[(kernel, q, a)
+                                             for kernel, a, q in points[s]])
+                    for s in points)
         systems = {
             "disac": lambda p: dl.dl_ecr(down, p),
             "dfdsac": lambda p: dl.dl_ecr_fdsac(down, alpha, p),
@@ -178,19 +181,11 @@ def _run_vs_snr(cfg, params, experiment):
 
 def _run_sr_vs_snr(cfg, params):
     sweep = _sweep(params, 30.0, 2.5)
-    alpha = params["alpha"]
-    rt = cfg.r_target()
-    noise = dl.sensing_noise(cfg, cfg.p_c)
-    rows = []
-    for p_db in sweep:
-        p_s = db_to_linear(p_db)
-        d_sr, _ = sn.dl_sr(rt, cfg.N, cfg.L, p_s, noise)
-        u_sr, _ = sn.ul_sr(rt, cfg.N, cfg.L, p_s)
-        f_sr = sn.fdsac_sr(rt, cfg.N, cfg.L, p_s, alpha)
-        for name, val in (("disac", d_sr), ("dfdsac", f_sr),
-                          ("uisac", u_sr), ("ufdsac", f_sr)):
-            rows.append((p_db, name, val))
-    return ["p_s_db", "system", "sr"], rows
+    curves = rg.sr_curves(cfg, [db_to_linear(x) for x in sweep], params["alpha"])
+    return ["p_s_db", "system", "sr"], [
+        (p_db, name, val) for p_db, (d_sr, u_sr, f_sr) in zip(sweep, curves.T)
+        for name, val in (("disac", d_sr), ("dfdsac", f_sr), ("uisac", u_sr),
+                          ("ufdsac", f_sr))]
 
 
 def _region_rows(isac, fdsac):

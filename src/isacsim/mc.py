@@ -6,55 +6,46 @@ Every estimator of both links, ISAC and FDSAC alike, runs through here:
 the FDSAC rate with bandwidth share alpha is alpha * R(p_c / alpha), and
 alpha = 1 gives the ISAC rate R(p_c) exactly.  ``stream`` names the link
 (``STREAM_DOWNLINK`` or ``STREAM_UPLINK``) and ``rate(h, p)`` gives the
-per-trial rates R of a block h of its channels at power p.
+per-trial rates R of a block h of its channels at power p, one power or
+one per trial, each trial's rate bit for bit that of a call at its power
+alone.
 
 Every estimate runs over a ``Link``, which a sweep builds once per link.
 A ``Link`` is the one map from a stream to its channels: uplink channels
 are i.i.d., and downlink and covariance channels are correlated at the BS
-by R_cu, whose root each ``Link`` computes once.
-An ergodic estimate runs a fixed number of trials, so every one of a link
-averages the link's one draw set.  A link also knows the powers of its
-driver's sweep: the first ergodic estimate of a system at one of them
-computes the system at all of them in one pass over the draw set.  In
-each block of n trials, ``BLOCK_SIZE // n`` points (at least one) share a
-kernel call, stacked along the trial axis at one power per row, so a
-call never holds more than a block's rows; each point sums its own rows
-into its own totals in block order, so the sweep changes no bit of any
-estimate.
+by R_cu, whose root each ``Link`` computes once.  A link also knows the
+points its driver declares, each the key of its estimator's call: the
+first estimate of a declared point computes every declared point of its
+kind that the link lacks in one pass over the blocks, and an undeclared
+point is a pass of one.  The estimates wait on the link until their own
+calls return them, so the order of the calls changes no estimate, and a
+pass that raises leaves the link as it was.
 
-An outage estimate stops at a trial that depends on the data, so it
-cannot take a fixed draw set.  A link instead knows the outage points its
-driver declares, each the key (rate, alpha, r_target, max_trials, p_c,
-min_events) of an ``outage`` call, and the first estimate of one of them
-walks blocks 0, 1, ... once for all of them.  The points of one (rate,
-alpha, r_target, max_trials) are a system.  Per block:
+In a pass, every kernel call of a block goes through one packer: the rows
+that the points of one kernel need are stacked along the trial axis, at
+most a block's rows to a call, each at its own point's power p_c / alpha
+and scaled by its own alpha.  So stacking changes no bit of any rate.  A
+rate that is not finite (a kernel that overflows) raises
+``ArithmeticError``.
 
-- The block is drawn once, as far as the largest trial cap of a live
-  point needs, and its floor gains are computed once.
-- Every rate is nondecreasing in power, so on the same draws the outages
-  at a higher power are among those at a lower one.  Each system goes up
-  its live powers, and at each runs the kernel only on its candidates:
-  the trials below that power's floor whose rate at the system's previous
-  power in this block lay below the target plus ``SLACK`` bits.
-- Each point counts its outages and stops by the per-block stopping rule
-  of a walk of its own.  Nothing is carried from one block to the next.
+- Ergodic: an estimate runs a fixed number of trials, so every point of a
+  link averages the link's one draw set, each summing its own rows into
+  its own totals in block order.
+- Outage: an estimate stops at a trial that depends on the data, so a
+  pass walks blocks 0, 1, ... until every point has stopped by the
+  per-block stopping rule of a walk of its own.  Each block is drawn
+  once, as far as the largest trial cap of a live point needs, and its
+  floor gains are computed once.  A point runs the kernel only on the
+  trials within its cap whose floor lies below its target plus ``SLACK``
+  bits.
 - Floor: every rate here is at least log2(1 + p g) for a gain g that the
   link's stream sets.  On the downlink the users share p, and g is the
   best user's gain max_k |h_k|^2: the sum of the users' gains is no floor
   there (two orthogonal users of gain g give 2 log2(1 + p g / 2), below
   log2(1 + 2 p g)).  On the uplink each user sends at p, and g is
-  ||H||_F^2, since det(I + p H H^H) >= 1 + p tr(H H^H).  A trial whose
-  floor is at least the target plus ``SLACK`` is neither an outage nor a
-  candidate.
-- ``SLACK``, far above any rate kernel's rounding error, serves twice.  A
-  trial left behind lay at least ``SLACK`` above the target, so it cannot
-  be in outage at a higher power; and the floor decides a trial only when
-  it clears the target by ``SLACK``, so the kernel could not have found an
-  outage there.  So every estimate keeps the bits of a walk of one.
-
-An undeclared point is a walk of one.  The estimates wait on the link
-until their own calls return them, so the order of the calls changes no
-estimate, and a walk that raises leaves the link as it was.
+  ||H||_F^2, since det(I + p H H^H) >= 1 + p tr(H H^H).  ``SLACK`` lies
+  far above any kernel's rounding error, so a trial the floor decides
+  could not be an outage of the kernel.
 """
 
 from __future__ import annotations
@@ -69,9 +60,8 @@ from .numerics import ModelError, matrix_sqrt_psd
 
 __all__ = ["MonteCarloEstimate", "Link", "outage", "ergodic"]
 
-# bits a candidate's rate at a lower power may lie above the target, and
-# that the floor must clear it by: far above the error of every rate kernel
-# (the K >= 3 solve is certified to 1e-9 bit)
+# bits the floor must clear the target by: far above the error of every
+# rate kernel (the K >= 3 solve is certified to 1e-9 bit)
 SLACK = 1e-6
 
 
@@ -88,19 +78,19 @@ class Link:
     """The Monte Carlo state of one stream of cfg: its correlation root,
     the read-only draw set of its trials 0 .. cfg.trials-1, drawn on first
     use and shared by every ergodic estimate (cfg.trials * dim * K complex
-    numbers, 16 bytes each), the powers p_c of its driver's ``sweep``, the
-    outage points its driver declares (``outages``, keys as in ``outage``,
-    each checked as its estimator checks it; a point that needs no trial
-    is dropped), and the estimates computed so far (``estimates``, keyed
-    by kernel, p_c and alpha for an ergodic one and by its key for an
-    outage one)."""
+    numbers, 16 bytes each), the points its driver declares (``ergodic``
+    and ``outages``, keys as in ``ergodic`` and ``outage``, each checked
+    as its estimator checks it; a point that needs no trial is dropped),
+    and the estimates computed so far (``estimates``, by key)."""
 
-    def __init__(self, cfg, stream, sweep=(), outages=()):
-        self.cfg, self.stream, self.sweep = cfg, stream, tuple(sweep)
+    def __init__(self, cfg, stream, ergodic=(), outages=()):
+        self.cfg, self.stream = cfg, stream
         self._root = (np.eye(cfg.N, dtype=complex) if stream == chan.STREAM_UPLINK
                       else matrix_sqrt_psd(cfg.r_cu()))
         # the floor gain of each trial from its users' gains (K, n)
         self._gain = np.sum if stream == chan.STREAM_UPLINK else np.max
+        self.ergodic = tuple(key for key in dict.fromkeys(ergodic) if not
+                             _silent(self, stream, key[1], key[2], 0.0, cfg.trials))
         self.outages = tuple(point for point in dict.fromkeys(outages)
                              if not _idle(self, stream, point))
         self.estimates = {}
@@ -128,6 +118,47 @@ class Link:
         return self._draws
 
 
+def _estimate(link, key, declared, estimate):
+    # The estimate of ``key``: a declared key's first call computes every
+    # declared key the link lacks in one pass, any other key a pass of one.
+    if key not in link.estimates:
+        keys = [k for k in declared if k not in link.estimates]
+        link.estimates.update(estimate(link, keys if key in declared else [key]))
+    return link.estimates[key]
+
+
+def _rates(h, jobs):
+    # Yield (key, alpha * rate(h[rows], p_c / alpha)) for each job key:
+    # (rate, p_c, alpha, rows) of block h that has rows (see the module
+    # docstring).  The jobs of one kernel share its calls in order, at most
+    # BLOCK_SIZE rows to a call, stacked in h's trial-minor layout; a job
+    # alone in its call over the whole block gets h itself.
+    calls, last = [], {}  # (rate, keys) of each call; the last call of a rate
+    for key, (rate, _, _, rows) in jobs.items():
+        if len(rows):
+            call = last.get(rate)
+            if call is None or chan.BLOCK_SIZE < len(rows) + sum(
+                    len(jobs[k][3]) for k in call):
+                call = last[rate] = []
+                calls.append((rate, call))
+            call.append(key)
+    for rate, call in calls:
+        part = [jobs[key] for key in call]
+        sizes = [len(rows) for *_, rows in part]
+        if sizes == [len(h)]:
+            rates = rate(h, part[0][1] / part[0][2])
+        else:
+            rows = np.concatenate([rows for *_, rows in part])
+            stack = np.take(h.transpose(1, 2, 0), rows, axis=2).transpose(2, 0, 1)
+            rates = rate(stack, np.repeat([p_c / alpha for _, p_c, alpha, _ in part],
+                                          sizes))
+        if not np.all(np.isfinite(rates)):
+            raise ArithmeticError("a rate kernel returned a rate that is not finite")
+        for key, (_, _, alpha, _), own in zip(call, part,
+                                              np.split(rates, np.cumsum(sizes)[:-1])):
+            yield key, alpha * own
+
+
 def outage(link, stream, rate, r_target, p_c, alpha, min_events,
            max_trials) -> MonteCarloEstimate:
     """Probability that alpha * rate(H, p_c / alpha) falls below
@@ -144,20 +175,13 @@ def outage(link, stream, rate, r_target, p_c, alpha, min_events,
     point = (rate, alpha, r_target, max_trials, p_c, min_events)
     if _idle(link, stream, point):
         return MonteCarloEstimate(float(r_target > 0.0), 0.0, 0)
-    if point not in link.estimates:
-        points = [point]
-        if point in link.outages:
-            points = [q for q in link.outages if q not in link.estimates]
-        link.estimates.update(_walk(link, points))
-    return link.estimates[point]
+    return _estimate(link, point, link.outages, _walk)
 
 
 def _walk(link, points):
     # The estimates of outage ``points`` from one walk over blocks 0, 1, ...
     # (see the module docstring), by point.
-    systems, events, out = {}, dict.fromkeys(points, 0), {}
-    for point in points:
-        systems.setdefault(point[:4], {}).setdefault(point[4], []).append(point)
+    events, out = dict.fromkeys(points, 0), {}
     size, block = chan.BLOCK_SIZE, 0
     while len(out) < len(points):
         live = [point for point in points if point not in out]
@@ -169,22 +193,15 @@ def _walk(link, points):
         hb = h.transpose(1, 2, 0)
         gains = link._gain(np.einsum("ikn,ikn->kn", hb.real, hb.real)
                            + np.einsum("ikn,ikn->kn", hb.imag, hb.imag), axis=0)
-        for (rate, alpha, r_target, cap), powers in systems.items():
-            # the candidates of the system's next live power
-            rows = np.arange(min(size, cap - start))
-            for p_c in sorted(powers):
-                here = [point for point in powers[p_c] if point not in out]
-                if not here:
-                    continue
-                rows = rows[gains[rows] < _floor(alpha, r_target, p_c)]
-                if not len(rows):
-                    break
-                rates = alpha * rate(np.take(hb, rows, axis=2).transpose(2, 0, 1),
-                                     p_c / alpha)
-                for point in here:
-                    events[point] += int(np.count_nonzero(rates < r_target))
-                rows = rows[rates < r_target + SLACK]
+        # the candidates of each (rate, alpha, r_target, cap, p_c): the
+        # trials within its cap below its floor
+        jobs = {key: (key[0], key[4], key[1], np.flatnonzero(
+                    gains[:key[3] - start] < _floor(key[1], key[2], key[4])))
+                for key in (point[:5] for point in live)}
+        found = {key: int(np.count_nonzero(rates < key[2]))
+                 for key, rates in _rates(h, jobs)}
         for point in live:
+            events[point] += found.get(point[:5], 0)
             trials = min(point[3], start + size)
             if events[point] >= point[5] or trials == point[3]:
                 p = events[point] / trials
@@ -232,45 +249,27 @@ def ergodic(link, stream, rate, p_c, alpha) -> MonteCarloEstimate:
     set of a ``Link`` of stream ``stream``, block by block; a silent link
     carries rate 0 without a trial.
 
-    The first estimate of a system at a power of the link's sweep computes
-    the system at every sweep power it lacks, and later ones return the
-    estimate that waits on the link; any other power is a curve of one.
+    The first estimate of a key (rate, p_c, alpha) the link declares
+    computes every declared key it lacks, and later ones return the
+    estimate that waits on the link; any other key is a curve of one.
     """
     if _silent(link, stream, p_c, alpha, 0.0, link.cfg.trials):
         return MonteCarloEstimate(0.0, 0.0, 0)
-    if (rate, p_c, alpha) not in link.estimates:
-        powers = [p_c]
-        if p_c in link.sweep:
-            powers += [p for p in dict.fromkeys(link.sweep) if p > 0.0 and p != p_c
-                       and (rate, p, alpha) not in link.estimates]
-        link.estimates.update(zip([(rate, p, alpha) for p in powers],
-                                  _curve(link, rate, alpha, powers)))
-    return link.estimates[(rate, p_c, alpha)]
+    return _estimate(link, (rate, p_c, alpha), link.ergodic, _means)
 
 
-def _curve(link, rate, alpha, powers):
-    # The estimates of one system at each of ``powers`` (see the module
-    # docstring): a point alone in its call gets the block itself, stacked
-    # points get copies of it in its trial-minor layout.
-    trials, size = link.cfg.trials, chan.BLOCK_SIZE
-    sums = [[0.0, 0.0] for _ in powers]
+def _means(link, keys):
+    # The ergodic estimates of ``keys`` from one pass over the draw set.
+    trials, sums = link.cfg.trials, {key: [0.0, 0.0] for key in keys}
     for h in link.draws():
-        n = len(h)
-        step = max(1, size // n)
-        for first in range(0, len(powers), step):
-            points = [p / alpha for p in powers[first:first + step]]
-            if len(points) == 1:
-                rates = alpha * rate(h, points[0])
-            else:
-                stack = np.tile(h.transpose(1, 2, 0), len(points)).transpose(2, 0, 1)
-                rates = alpha * rate(stack, np.repeat(points, n))
-            for i, part in enumerate(np.split(rates, len(points)), first):
-                sums[i][0] += float(np.sum(part))
-                sums[i][1] += float(np.sum(part * part))
-    out = []
-    for total, total_sq in sums:
+        every = np.arange(len(h))
+        for key, rates in _rates(h, {key: (*key, every) for key in keys}):
+            sums[key][0] += float(np.sum(rates))
+            sums[key][1] += float(np.sum(rates * rates))
+    out = {}
+    for key, (total, total_sq) in sums.items():
         mean = total / trials
         var = max(total_sq / trials - mean * mean, 0.0)
-        out.append(MonteCarloEstimate(mean=mean, std_error=math.sqrt(var / trials),
-                                      trials=trials))
+        out[key] = MonteCarloEstimate(mean=mean, std_error=math.sqrt(var / trials),
+                                      trials=trials)
     return out

@@ -35,6 +35,7 @@ __all__ = [
     "ul_fdsac_region",
     "corner_gaps",
     "fdsac_escapes",
+    "sr_curves",
 ]
 
 DEFAULT_GRID = 41
@@ -114,6 +115,17 @@ def ul_fdsac_region(link, p_c, p_s, grid_size=DEFAULT_GRID) -> RateRegion:
     return _sweep("alpha", 0.0, 1.0, grid_size, lambda alpha: (
         ul.ul_ecr_fdsac(link, alpha, p_c),
         sn.fdsac_sr(rt, cfg.N, cfg.L, p_s, alpha)))
+
+
+def sr_curves(cfg, p_s, alpha) -> np.ndarray:
+    """The sensing rates at each sensing power of ``p_s``, as three rows:
+    downlink ISAC (sensing noise at cfg.p_c), uplink ISAC and FDSAC at
+    bandwidth share alpha."""
+    rt = cfg.r_target()
+    noise = dl.sensing_noise(cfg, cfg.p_c)
+    return np.array([(sn.dl_sr(rt, cfg.N, cfg.L, p, noise)[0],
+                      sn.ul_sr(rt, cfg.N, cfg.L, p)[0],
+                      sn.fdsac_sr(rt, cfg.N, cfg.L, p, alpha)) for p in p_s]).T
 
 
 def corner_gaps(outer: RateRegion, cr, sr, cr_slack=0.0) -> np.ndarray:

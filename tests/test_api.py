@@ -351,32 +351,48 @@ TINY = {
     "ecr_vs_snr": {"M": 3, "N": 3, "K": 3, "L": 4, "trials": 5, "sweep_db": [10.0],
                    "seed": 7},
 }
+# the bench's op_tail workload at seed 1234 (246 blocks)
+OP_TAIL = {"sweep_db": [17.5, 20.0, 22.5, 25.0], "min_events": 250,
+           "max_trials": 1_000_000, "seed": 1234}
 
 
-@pytest.mark.parametrize("experiment", TINY)
-def test_the_bench_trial_gate_counts_each_tiny_run(experiment, tmp_path, monkeypatch):
-    # what the bench's COUNTED tracer sees in a run: no covariance cache hit,
-    # and the trials of the CSV; at grid 2 the p_c = 0 and alpha = 0 region
-    # points compute no trial, and the other ISAC point adds a 10,000-trial
-    # mean covariance to its ECR trials
+@pytest.mark.parametrize("experiment, doc", [*TINY.items(), ("op_vs_snr", OP_TAIL)],
+                         ids=[*TINY, "op_tail"])
+def test_the_bench_trial_gate_counts_each_tiny_run(experiment, doc, tmp_path,
+                                                   monkeypatch):
+    # what the bench's tracers see in a run: no covariance cache hit, the
+    # trials of the CSV and each block drawn once; at grid 2 the p_c = 0 and
+    # alpha = 0 region points compute no trial, and the other ISAC point
+    # adds a 10,000-trial mean covariance to its ECR trials.  The full
+    # tracer wraps the rate kernels too, so a declared point whose kernel
+    # is not the estimator's (the traced one) would be a pass of its own:
+    # same bytes, but its blocks drawn again
     from isacsim import cli
     from isacsim import downlink as dl
 
-    monkeypatch.setattr(dl, "_sigma_cache", {})  # cold, as in a fresh process
     tracer = _bench_tracer()
-    cfg, params = cli.parse_config(TINY[experiment])
+    cfg, params = cli.parse_config(doc)
     out = tmp_path / "out.csv"
-    counts = tracer.Tracer(tracer.COUNTED).install()
-    try:
-        assert cli.run(experiment, cfg, params, str(out)) == 0
-    finally:
-        counts.uninstall()
-    assert counts.covariance_cache_hits == 0
-    if experiment == "region_dl":
-        assert counts.trials_used == 2 * cfg.trials + 10_000
-    else:
-        rows = out.read_text().splitlines()[1:]
-        assert counts.trials_used == sum(int(r.split(",")[-1]) for r in rows) > 0
+    for names in (tracer.COUNTED, None):
+        monkeypatch.setattr(dl, "_sigma_cache", {})  # cold, as in a fresh process
+        counts = tracer.Tracer(names).install()
+        try:
+            assert cli.run(experiment, cfg, params, str(out)) == 0
+        finally:
+            counts.uninstall()
+        assert counts.covariance_cache_hits == 0
+        assert set(counts.block_keys.values()) == {1}
+        if experiment == "region_dl":
+            assert counts.trials_used == 2 * cfg.trials + 10_000
+        else:
+            rows = out.read_text().splitlines()[1:]
+            assert counts.trials_used == sum(int(r.split(",")[-1]) for r in rows) > 0
+    if doc is OP_TAIL:
+        assert len(counts.block_keys) == 246
+    if experiment == "ecr_vs_snr":
+        # each link's points share one kernel call for its one block
+        assert counts.stats["downlink.dual_mac_power_alloc"].calls == 1
+        assert counts.stats["uplink.ul_rate_batch"].calls == 1
 
 
 # ---------------------------------------------------------------------------

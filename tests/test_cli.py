@@ -269,6 +269,32 @@ class TestMain:
                          "--out", str(kept)]) == 2
         assert kept.read_text() == "old\n"
 
+    @pytest.mark.parametrize("experiment, doc", [
+        ("sr_vs_snr", {"sweep_db": [-160.0]}),
+        ("region_ul", {"p_s_db": -400.0, "trials": 100, "grid_size": 3})])
+    def test_a_sensing_budget_below_rounding_runs(self, tmp_path, experiment, doc):
+        # a budget that rounds away against the cheapest mode's floor still
+        # water-fills (onto that mode) instead of raising
+        out = tmp_path / "x.csv"
+        assert cli.main(["--experiment", experiment, "--out", str(out),
+                         "--config", write_config(tmp_path, **doc)]) == 0
+        assert out.exists()
+
+    @pytest.mark.parametrize("experiment, doc", [
+        ("ecr_vs_snr", {"alpha": 1e-300, "sweep_db": [10.0], "trials": 100}),
+        ("op_vs_snr", {"alpha": 1e-300, "sweep_db": [10.0], "max_trials": 100})])
+    def test_an_overflowing_rate_kernel_is_a_numerical_failure(
+            self, tmp_path, capsys, experiment, doc):
+        # at p_c / alpha = 1e301 the FDSAC kernels overflow: the run prints
+        # no inf, nan or exact-looking 0 outage, it exits 3
+        out = tmp_path / "x.csv"
+        with pytest.warns(RuntimeWarning):
+            status = cli.main(["--experiment", experiment, "--out", str(out),
+                               "--config", write_config(tmp_path, **doc)])
+        assert status == 3
+        assert capsys.readouterr().err.endswith("not finite\n")
+        assert not out.exists()
+
 
     def test_ecr_vs_snr_draws_each_link_once(self, tmp_path, drawn):
         # every SNR point and system of a link shares one draw set
@@ -307,12 +333,12 @@ class TestMain:
         # the work of an op_tail-shaped run: each link walks its declared
         # points at once, drawing each block once, and each kernel runs
         # only on the trials its link's floor leaves open (the best user's
-        # rate on the downlink, log2(1 + p ||H||_F^2) on the uplink) whose
-        # rate at the system's previous power in the block lay within SLACK
-        # of the target.  Without the floor, the same walks run 271,703
-        # downlink and 464,222 uplink kernel trials; without the declared
-        # points, a walk per point draws 168 blocks
-        work = Counter()
+        # rate on the downlink, log2(1 + p ||H||_F^2) on the uplink), the
+        # live points of a kernel stacked into one call per block unless
+        # their rows pass a block's.  Without the floor, the same walks run
+        # 614,688 downlink and 749,712 uplink kernel trials; without the
+        # declared points, a walk per point draws 168 blocks
+        work, calls = Counter(), Counter()
 
         def counting(module, name, key):
             fn = getattr(module, name)
@@ -320,6 +346,7 @@ class TestMain:
             def counted(*args):
                 out = fn(*args)
                 work[key] += 1 if key == "blocks" else len(out)
+                calls[key] += 1
                 return out
 
             monkeypatch.setattr(module, name, counted)
@@ -330,14 +357,15 @@ class TestMain:
         cfg, params = cli.parse_config({"sweep_db": [17.5, 20.0, 22.5, 25.0],
                                         "min_events": 100, "max_trials": 250_000})
         assert cli.run("op_vs_snr", cfg, params, str(tmp_path / "op.csv")) == 0
-        assert work == {"blocks": 62, "downlink": 16_276, "uplink": 40_290}
+        assert work == {"blocks": 62, "downlink": 26_124, "uplink": 54_681}
+        assert calls == {"blocks": 62, "downlink": 34, "uplink": 35}
 
     def test_ecr_vs_snr_work(self, tmp_path, monkeypatch, drawn):
-        # a k3_ecr-shaped run, one block of 150 trials per link: each system
-        # at the sweep's powers runs them in one kernel call of 600 rows,
-        # but the uplink ISAC points, at p_c / rho2, run one call of 150
-        # each.  With a call per point, the run makes 8 dual-MAC and 8
-        # uplink calls of 150 rows
+        # a k3_ecr-shaped run, one block of 150 trials per link: each link
+        # declares its eight ISAC and FDSAC points, the uplink ISAC ones at
+        # p_c / rho2, and runs them in one kernel call of 1,200 rows.  With
+        # a call per point, the run makes 8 dual-MAC and 8 uplink calls of
+        # 150 rows
         calls, rows = Counter(), Counter()
         for module, name in ((dl, "dual_mac_power_alloc"), (ul, "ul_rate_batch")):
             def counted(h, p, fn=getattr(module, name), name=name):
@@ -350,7 +378,7 @@ class TestMain:
         cfg, params = cli.parse_config({"M": 3, "N": 3, "K": 3, "L": 4, "trials": 150,
                                         "sweep_db": [0.0, 10.0, 20.0, 30.0]})
         assert cli.run("ecr_vs_snr", cfg, params, str(tmp_path / "x.csv")) == 0
-        assert calls == {"dual_mac_power_alloc": 2, "ul_rate_batch": 5}
+        assert calls == {"dual_mac_power_alloc": 1, "ul_rate_batch": 1}
         assert rows == {"dual_mac_power_alloc": 1200, "ul_rate_batch": 1200}
         assert drawn == [(0, chan.STREAM_DOWNLINK, 150), (0, chan.STREAM_UPLINK, 150)]
 

@@ -572,17 +572,18 @@ def test_a_power_per_trial_gives_each_trial_its_scalar_rate(columns, extra, rho,
             kernel(h, bad)
 
 
-# Ergodic sweeps.  A link that knows its driver's sweep computes a system at
-# every sweep power in one pass, several points to a kernel call in a block
-# of at most half the block size; every estimate must equal, field for
-# field, the one a fresh link without the sweep gives.  BLOCK_SIZE is 64
-# here: 141 trials are blocks of 64, 64 and 13 trials, whose points run one,
-# one and four to a call; 5 trials run all seven sweep powers in one call.
+# Declared ergodic points.  A link that declares the keys (kernel, p_c,
+# alpha) of an ISAC and an FDSAC system computes them all in one pass, the
+# rows of several points to a kernel call in a block of at most half the
+# block size; every estimate must equal, field for field, the one a fresh
+# link without declarations gives.  BLOCK_SIZE is 64 here: 141 trials are
+# blocks of 64, 64 and 13 trials, whose points run one, one and four to a
+# call; 5 trials run twelve to a call.
 SWEEP_DB = [30.0, 0.0, 60.0, 10.0, 30.0, 45.0, -5.0, 20.0]  # unsorted, 30 dB twice
-ASKED_DB = [45.0, 30.0, 25.0, 60.0, -5.0, 30.0, 0.0, 20.0, 10.0]  # 25 dB is no sweep power
+ASKED_DB = [45.0, 30.0, 25.0, 60.0, -5.0, 30.0, 0.0, 20.0, 10.0]  # 25 dB is undeclared
 
 
-@pytest.mark.parametrize("trials, calls", [(141, 7 + 7 + 2 + 3), (5, 1 + 1)],
+@pytest.mark.parametrize("trials, blocks", [(141, [64, 64, 13]), (5, [5])],
                          ids=["blocks_64_64_13", "block_5"])
 @pytest.mark.parametrize("alpha", [1.0, 0.5])
 @pytest.mark.parametrize("rho", [0.5, 0.999999])
@@ -590,7 +591,7 @@ ASKED_DB = [45.0, 30.0, 25.0, 60.0, -5.0, 30.0, 0.0, 20.0, 10.0]  # 25 dB is no 
 @pytest.mark.parametrize("stream", [chan.STREAM_DOWNLINK, chan.STREAM_UPLINK],
                          ids=["downlink", "uplink"])
 def test_a_swept_link_gives_each_point_the_fresh_estimate(stream, columns, rho, alpha,
-                                                          trials, calls, monkeypatch):
+                                                          trials, blocks, monkeypatch):
     monkeypatch.setattr(chan, "BLOCK_SIZE", 64)
     dim = max(columns, 2)
     cfg = SimConfig(M=dim, N=dim, K=columns, L=4, rho_cu=rho, trials=trials,
@@ -602,12 +603,20 @@ def test_a_swept_link_gives_each_point_the_fresh_estimate(stream, columns, rho, 
         rows.append(len(h))
         return kernel(h, p)
 
-    swept = mc.Link(cfg, stream, [10.0 ** (db / 10.0) for db in SWEEP_DB] + [0.0])
+    # the ISAC (alpha 1) and FDSAC keys of one link, and a silent 0
+    shares = sorted({1.0, alpha})
+    swept = mc.Link(cfg, stream, ergodic=[(counted, 10.0 ** (db / 10.0), a)
+                                          for db in SWEEP_DB for a in shares]
+                    + [(counted, 0.0, 1.0)])
     for db in ASKED_DB + [None]:
         p_c = 0.0 if db is None else 10.0 ** (db / 10.0)
-        fresh = mc.ergodic(mc.Link(cfg, stream), stream, kernel, p_c, alpha)
-        assert _fields(mc.ergodic(swept, stream, counted, p_c, alpha)) == _fields(fresh)
-    assert len(rows) == calls and max(rows) <= 64
+        for a in shares:
+            fresh = mc.ergodic(mc.Link(cfg, stream), stream, kernel, p_c, a)
+            assert _fields(mc.ergodic(swept, stream, counted, p_c, a)) == _fields(fresh)
+    # the seven declared powers in one pass, then 25 dB alone
+    points = 7 * len(shares)
+    assert len(rows) == sum(-(-points // (64 // n)) + len(shares) for n in blocks)
+    assert max(rows) <= 64
 
 
 @pytest.mark.parametrize("estimator, stream", [

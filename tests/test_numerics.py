@@ -117,6 +117,13 @@ class TestWaterfill:
         assert np.all(alloc == 0.0)
         assert active_set(alloc) == ()
 
+    @pytest.mark.parametrize("budget", [1e-16, 1e-300])
+    def test_a_budget_below_the_floors_rounding(self, budget):
+        # budget + floor rounds to the floor: the cheapest mode takes the
+        # budget, which rounds to nothing, and nothing raises
+        alloc = waterfill([1.0, 0.5], [1.0, 1.0], budget)
+        assert np.all(alloc >= 0.0) and alloc.sum() <= budget
+
     def test_scale_consistency(self):
         gains = np.array([2.0, 1.0, 0.5])
         noise = np.array([1.0, 1.0, 1.0])
