@@ -192,15 +192,14 @@ def criterion_ecr_constant(seed=DEFAULT_SEED):
 # 1e-4, where ``fit_diversity`` drops them, so each fit runs over five.
 _DL_DIVERSITY_GRID_DB = np.arange(21.0, 24.01, 0.5)
 _UL_DIVERSITY_GRID_DB = np.arange(22.5, 25.51, 0.5)
-_DIVERSITY_EVENTS = 8000
-_DIVERSITY_CAP = 60_000_000
+# the stop (target, min_events, trial cap) of every diversity point
+_DIVERSITY_STOP = (5.0, 8000, 60_000_000)
 
 
 def _diversity(grid_db, outage):
     """Outage decay order = 4 within +-0.5 over ``grid_db``, where
-    ``outage(p, **stopping)`` estimates the outage at power p."""
-    ops = [outage(p, min_events=_DIVERSITY_EVENTS, max_trials=_DIVERSITY_CAP).mean
-           for p in _powers(grid_db)]
+    ``outage(p, *_DIVERSITY_STOP)`` estimates the outage at power p."""
+    ops = [outage(p, *_DIVERSITY_STOP).mean for p in _powers(grid_db)]
     slope, r2 = an.fit_diversity(grid_db, ops)
     div = -slope
     return abs(div - 4.0) <= 0.5, div, f"fitted {div:.3f}, r2 {r2:.4f}"
@@ -217,32 +216,32 @@ def _rho2(cfg):
 
 def criterion_dl_diversity(seed=DEFAULT_SEED):
     """Downlink outage decay order = MK = 4 within +-0.5."""
-    link = mc.Link(_paper_cfg(seed), STREAM_DOWNLINK, outages=[
-        (dl.dl_sum_rate_batch, 1.0, 5.0, _DIVERSITY_CAP, p, _DIVERSITY_EVENTS)
-        for p in _powers(_DL_DIVERSITY_GRID_DB)])
-    return _diversity(_DL_DIVERSITY_GRID_DB,
-                      lambda p, **kw: dl.dl_outage_prob(link, 5.0, p, **kw))
+    link = mc.Link(_paper_cfg(seed), STREAM_DOWNLINK)
+    link.declare([(1.0, p) for p in _powers(_DL_DIVERSITY_GRID_DB)], _DIVERSITY_STOP)
+    return _diversity(_DL_DIVERSITY_GRID_DB, lambda p, r, events, cap:
+                      dl.dl_outage_prob(link, r, p, events, cap))
 
 
 def criterion_ul_diversity(seed=DEFAULT_SEED):
     """Uplink outage decay order = NK = 4 within +-0.5."""
     cfg = _paper_cfg(seed)
     rho2 = _rho2(cfg)
-    link = mc.Link(cfg, STREAM_UPLINK, outages=[
-        (ul.ul_rate_batch, 1.0, 5.0, _DIVERSITY_CAP, ul._isac_power(p, rho2),
-         _DIVERSITY_EVENTS) for p in _powers(_UL_DIVERSITY_GRID_DB)])
-    return _diversity(_UL_DIVERSITY_GRID_DB,
-                      lambda p, **kw: ul.ul_outage_prob(link, 5.0, p, rho2, **kw))
+    link = mc.Link(cfg, STREAM_UPLINK)
+    link.declare([(1.0, ul._isac_power(p, rho2))
+                  for p in _powers(_UL_DIVERSITY_GRID_DB)], _DIVERSITY_STOP)
+    return _diversity(_UL_DIVERSITY_GRID_DB, lambda p, r, events, cap:
+                      ul.ul_outage_prob(link, r, p, rho2, events, cap))
 
 
 def criterion_ecr_slopes(seed=DEFAULT_SEED):
     """Downlink and uplink ECR gain over a 10 dB step = K log2(10) +- 2%."""
     cfg = _paper_cfg(seed)
     target = 2.0 * math.log2(10.0)
-    down = mc.Link(cfg, STREAM_DOWNLINK)
-    d = dl.dl_ecr(down, 1e4).mean - dl.dl_ecr(down, 1e3).mean
+    down, up = mc.Link(cfg, STREAM_DOWNLINK), mc.Link(cfg, STREAM_UPLINK)
     rho2 = _rho2(cfg)
-    up = mc.Link(cfg, STREAM_UPLINK)
+    down.declare([(1.0, 1e4), (1.0, 1e3)])
+    up.declare([(1.0, ul._isac_power(p, rho2)) for p in (1e4, 1e3)])
+    d = dl.dl_ecr(down, 1e4).mean - dl.dl_ecr(down, 1e3).mean
     u = ul.ul_ecr(up, 1e4, rho2).mean - ul.ul_ecr(up, 1e3, rho2).mean
     err = max(abs(d - target), abs(u - target)) / target
     return (err <= 0.02, err,

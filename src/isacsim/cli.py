@@ -134,42 +134,33 @@ def _run_vs_snr(cfg, params, experiment):
     # every point of its two systems and so computes them in one pass
     alpha, target = params["alpha"], params["target_rate"]
     events, cap = params["min_events"], params["max_trials"]
+    kw = dict(min_events=events, max_trials=cap)
+    outage = experiment == "op_vs_snr"
     _, rho2 = ul.sensing_profile(cfg.r_target(), cfg.N, cfg.L, cfg.p_s)
     sweep = _sweep(params, 40.0, 2.5)
     powers = [db_to_linear(p_db) for p_db in sweep]
-    # (kernel, alpha, power) of each ISAC and FDSAC point of each link
-    points = {
-        STREAM_DOWNLINK: [(dl.dl_sum_rate_batch, a, p)
-                          for p in powers for a in (1.0, alpha)],
-        STREAM_UPLINK: [(ul.ul_rate_batch, a, q) for p in powers
-                        for a, q in ((1.0, ul._isac_power(p, rho2)), (alpha, p))],
+    down, up = mc.Link(cfg, STREAM_DOWNLINK), mc.Link(cfg, STREAM_UPLINK)
+    stop = (target, events, cap) if outage else None
+    # the (alpha, power) of each ISAC and FDSAC point of each link
+    down.declare([(a, p) for p in powers for a in (1.0, alpha)], stop)
+    up.declare([point for p in powers
+                for point in ((1.0, ul._isac_power(p, rho2)), (alpha, p))], stop)
+    # the (outage, ergodic) estimate of each system at a power
+    systems = {
+        "disac": (lambda p: dl.dl_outage_prob(down, target, p, **kw),
+                  lambda p: dl.dl_ecr(down, p)),
+        "dfdsac": (lambda p: dl.dl_outage_prob_fdsac(down, target, alpha, p, **kw),
+                   lambda p: dl.dl_ecr_fdsac(down, alpha, p)),
+        "uisac": (lambda p: ul.ul_outage_prob(up, target, p, rho2, **kw),
+                  lambda p: ul.ul_ecr(up, p, rho2)),
+        "ufdsac": (lambda p: ul.ul_outage_prob_fdsac(up, target, alpha, p, **kw),
+                   lambda p: ul.ul_ecr_fdsac(up, alpha, p)),
     }
-    if experiment == "op_vs_snr":
-        down, up = (mc.Link(cfg, s, outages=[(kernel, a, target, cap, q, events)
-                                             for kernel, a, q in points[s]])
-                    for s in points)
-        kw = dict(min_events=events, max_trials=cap)
-        systems = {
-            "disac": lambda p: dl.dl_outage_prob(down, target, p, **kw),
-            "dfdsac": lambda p: dl.dl_outage_prob_fdsac(down, target, alpha, p, **kw),
-            "uisac": lambda p: ul.ul_outage_prob(up, target, p, rho2, **kw),
-            "ufdsac": lambda p: ul.ul_outage_prob_fdsac(up, target, alpha, p, **kw),
-        }
-    else:
-        down, up = (mc.Link(cfg, s, ergodic=[(kernel, q, a)
-                                             for kernel, a, q in points[s]])
-                    for s in points)
-        systems = {
-            "disac": lambda p: dl.dl_ecr(down, p),
-            "dfdsac": lambda p: dl.dl_ecr_fdsac(down, alpha, p),
-            "uisac": lambda p: ul.ul_ecr(up, p, rho2),
-            "ufdsac": lambda p: ul.ul_ecr_fdsac(up, alpha, p),
-        }
     rows = []
     for p_db, p_c in zip(sweep, powers):
-        for name, estimate in systems.items():
-            est = estimate(p_c)
-            if experiment == "op_vs_snr" and est.mean == 0.0 and est.trials:
+        for name, (op, ecr) in systems.items():
+            est = (op if outage else ecr)(p_c)
+            if outage and est.mean == 0.0 and est.trials:
                 log.warning("%s at p_c=%.3g dB: no outage in %d trials; the "
                             "one-sided 95%% bound is %.3g", name, p_db,
                             est.trials, 3.0 / est.trials)

@@ -13,30 +13,31 @@ alone.
 Every estimate runs over a ``Link``, which a sweep builds once per link.
 A ``Link`` is the one map from a stream to its channels: uplink channels
 are i.i.d., and downlink and covariance channels are correlated at the BS
-by R_cu, whose root each ``Link`` computes once.  A link also knows the
-points its driver declares, each the key of its estimator's call: the
-first estimate of a declared point computes every declared point of its
-kind that the link lacks in one pass over the blocks, and an undeclared
-point is a pass of one.  The estimates wait on the link until their own
-calls return them, so the order of the calls changes no estimate, and a
-pass that raises leaves the link as it was.
+by R_cu, whose root each ``Link`` computes once.  A point is (alpha, p_c),
+the bandwidth share and kernel power that an estimator hands to this
+module, and a sweep declares its points under one stop rule
+(``Link.declare``).  The first estimate of a declared point under that
+stop computes, for the estimate's kernel, every declared point the link
+lacks in one pass over the blocks; any other point is a pass of one.  The
+estimates wait on the link, keyed by (kernel, stop, point), until their
+own calls return them, so the order of the calls changes no estimate, and
+a pass that raises leaves the link as it was.
 
 In a pass, every kernel call of a block goes through one packer: the rows
-that the points of one kernel need are stacked along the trial axis, at
-most a block's rows to a call, each at its own point's power p_c / alpha
-and scaled by its own alpha.  So stacking changes no bit of any rate.  A
-rate that is not finite (a kernel that overflows) raises
-``ArithmeticError``.
+that the points need are stacked along the trial axis, at most a block's
+rows to a call, each at its own point's power p_c / alpha and scaled by
+its own alpha.  So stacking changes no bit of any rate.  A rate that is
+not finite (a kernel that overflows) raises ``ArithmeticError``.
 
 - Ergodic: an estimate runs a fixed number of trials, so every point of a
   link averages the link's one draw set, each summing its own rows into
   its own totals in block order.
-- Outage: an estimate stops at a trial that depends on the data, so a
-  pass walks blocks 0, 1, ... until every point has stopped by the
-  per-block stopping rule of a walk of its own.  Each block is drawn
-  once, as far as the largest trial cap of a live point needs, and its
-  floor gains are computed once.  A point runs the kernel only on the
-  trials within its cap whose floor lies below its target plus ``SLACK``
+- Outage: a stop is (r_target, min_events, max_trials), and an estimate
+  stops at a trial that depends on the data, so a pass walks blocks 0,
+  1, ... until every point has stopped by the per-block stopping rule of
+  a walk of its own.  Each block is drawn once, as far as the trial cap
+  needs, and its floor gains are computed once.  A point runs the kernel
+  only on the trials whose floor lies below the target plus ``SLACK``
   bits.
 - Floor: every rate here is at least log2(1 + p g) for a gain g that the
   link's stream sets.  On the downlink the users share p, and g is the
@@ -78,23 +79,28 @@ class Link:
     """The Monte Carlo state of one stream of cfg: its correlation root,
     the read-only draw set of its trials 0 .. cfg.trials-1, drawn on first
     use and shared by every ergodic estimate (cfg.trials * dim * K complex
-    numbers, 16 bytes each), the points its driver declares (``ergodic``
-    and ``outages``, keys as in ``ergodic`` and ``outage``, each checked
-    as its estimator checks it; a point that needs no trial is dropped),
-    and the estimates computed so far (``estimates``, by key)."""
+    numbers, 16 bytes each), the points its driver declares, and the
+    estimates computed so far (``estimates``, by (kernel, stop, point))."""
 
-    def __init__(self, cfg, stream, ergodic=(), outages=()):
+    def __init__(self, cfg, stream):
         self.cfg, self.stream = cfg, stream
         self._root = (np.eye(cfg.N, dtype=complex) if stream == chan.STREAM_UPLINK
                       else matrix_sqrt_psd(cfg.r_cu()))
         # the floor gain of each trial from its users' gains (K, n)
         self._gain = np.sum if stream == chan.STREAM_UPLINK else np.max
-        self.ergodic = tuple(key for key in dict.fromkeys(ergodic) if not
-                             _silent(self, stream, key[1], key[2], 0.0, cfg.trials))
-        self.outages = tuple(point for point in dict.fromkeys(outages)
-                             if not _idle(self, stream, point))
+        self._stop, self._points = None, ()
         self.estimates = {}
         self._draws = None
+
+    def declare(self, points, stop=None):
+        """Declare the points (alpha, p_c) of a sweep under one stop: None
+        for ergodic points, (r_target, min_events, max_trials) for outage
+        points.  Each point is checked as its estimator checks it, and one
+        that needs no trial is dropped.  The points replace those declared
+        before; the estimates already computed stay."""
+        self._points = tuple(point for point in dict.fromkeys(points)
+                             if not _needless(self, self.stream, stop, *point))
+        self._stop = stop
 
     def block(self, block, trials):
         """The channels (trials, dim, cfg.K) of the first ``trials`` trials
@@ -118,45 +124,47 @@ class Link:
         return self._draws
 
 
-def _estimate(link, key, declared, estimate):
-    # The estimate of ``key``: a declared key's first call computes every
-    # declared key the link lacks in one pass, any other key a pass of one.
+def _estimate(link, rate, stop, point):
+    # The estimate of ``point`` under ``stop``: the first call of a declared
+    # point computes every declared point the link lacks for this kernel in
+    # one pass, any other call a pass of one.
+    key = (rate, stop, point)
     if key not in link.estimates:
-        keys = [k for k in declared if k not in link.estimates]
-        link.estimates.update(estimate(link, keys if key in declared else [key]))
+        points = [point]
+        if stop == link._stop and point in link._points:
+            points = [p for p in link._points if (rate, stop, p) not in link.estimates]
+        found = _walk(link, rate, stop, points) if stop else _means(link, rate, points)
+        link.estimates.update(((rate, stop, p), est) for p, est in found.items())
     return link.estimates[key]
 
 
-def _rates(h, jobs):
-    # Yield (key, alpha * rate(h[rows], p_c / alpha)) for each job key:
-    # (rate, p_c, alpha, rows) of block h that has rows (see the module
-    # docstring).  The jobs of one kernel share its calls in order, at most
-    # BLOCK_SIZE rows to a call, stacked in h's trial-minor layout; a job
-    # alone in its call over the whole block gets h itself.
-    calls, last = [], {}  # (rate, keys) of each call; the last call of a rate
-    for key, (rate, _, _, rows) in jobs.items():
+def _rates(h, rate, jobs):
+    # Yield (point, alpha * rate(h[rows], p_c / alpha)) for each job, a
+    # point (alpha, p_c) and the rows of block h it needs (see the module
+    # docstring).  The jobs share calls in order, at most BLOCK_SIZE rows
+    # to a call, stacked in h's trial-minor layout; a job alone in its call
+    # over the whole block gets h itself.
+    calls, room = [], 0
+    for point, rows in jobs.items():
         if len(rows):
-            call = last.get(rate)
-            if call is None or chan.BLOCK_SIZE < len(rows) + sum(
-                    len(jobs[k][3]) for k in call):
-                call = last[rate] = []
-                calls.append((rate, call))
-            call.append(key)
-    for rate, call in calls:
-        part = [jobs[key] for key in call]
-        sizes = [len(rows) for *_, rows in part]
+            if room < len(rows):
+                calls.append([])
+                room = chan.BLOCK_SIZE
+            calls[-1].append(point)
+            room -= len(rows)
+    for call in calls:
+        sizes = [len(jobs[point]) for point in call]
         if sizes == [len(h)]:
-            rates = rate(h, part[0][1] / part[0][2])
+            alpha, p_c = call[0]
+            rates = rate(h, p_c / alpha)
         else:
-            rows = np.concatenate([rows for *_, rows in part])
+            rows = np.concatenate([jobs[point] for point in call])
             stack = np.take(h.transpose(1, 2, 0), rows, axis=2).transpose(2, 0, 1)
-            rates = rate(stack, np.repeat([p_c / alpha for _, p_c, alpha, _ in part],
-                                          sizes))
+            rates = rate(stack, np.repeat([p_c / alpha for alpha, p_c in call], sizes))
         if not np.all(np.isfinite(rates)):
             raise ArithmeticError("a rate kernel returned a rate that is not finite")
-        for key, (_, _, alpha, _), own in zip(call, part,
-                                              np.split(rates, np.cumsum(sizes)[:-1])):
-            yield key, alpha * own
+        for point, own in zip(call, np.split(rates, np.cumsum(sizes)[:-1])):
+            yield point, point[0] * own
 
 
 def outage(link, stream, rate, r_target, p_c, alpha, min_events,
@@ -167,43 +175,40 @@ def outage(link, stream, rate, r_target, p_c, alpha, min_events,
     Blocks are counted in order until at least ``min_events`` outages have
     been seen or ``max_trials`` is reached, whichever comes first; the
     binomial standard error is reported.  The first estimate of a point
-    the link declares walks the blocks for every declared point it lacks,
-    and later ones return the estimate that waits on the link; any other
-    point is a walk of one.  A zero target is never missed and a silent
-    link always is, so both return without a trial: trials = 0.
+    the link declares under this stop walks the blocks for every declared
+    point it lacks, and later ones return the estimate that waits on the
+    link; any other point is a walk of one.  A zero target is never missed
+    and a silent link always is, so both return without a trial:
+    trials = 0.
     """
-    point = (rate, alpha, r_target, max_trials, p_c, min_events)
-    if _idle(link, stream, point):
+    stop = (r_target, min_events, max_trials)
+    if _needless(link, stream, stop, alpha, p_c):
         return MonteCarloEstimate(float(r_target > 0.0), 0.0, 0)
-    return _estimate(link, point, link.outages, _walk)
+    return _estimate(link, rate, stop, (alpha, p_c))
 
 
-def _walk(link, points):
-    # The estimates of outage ``points`` from one walk over blocks 0, 1, ...
-    # (see the module docstring), by point.
+def _walk(link, rate, stop, points):
+    # The outage estimates of ``points`` under ``stop`` from one walk over
+    # blocks 0, 1, ... (see the module docstring), by point.
+    r_target, min_events, max_trials = stop
     events, out = dict.fromkeys(points, 0), {}
     size, block = chan.BLOCK_SIZE, 0
     while len(out) < len(points):
-        live = [point for point in points if point not in out]
-        start = block * size
+        trials = min(max_trials, (block + 1) * size)
         # h stays referenced until the next block is drawn, as in a loop
         # over ``Link.blocks``: freed earlier, its pages go back to the
         # system and fault in again at the next draw
-        h = link.block(block, min(size, max(point[3] for point in live) - start))
+        h = link.block(block, trials - block * size)
         hb = h.transpose(1, 2, 0)
         gains = link._gain(np.einsum("ikn,ikn->kn", hb.real, hb.real)
                            + np.einsum("ikn,ikn->kn", hb.imag, hb.imag), axis=0)
-        # the candidates of each (rate, alpha, r_target, cap, p_c): the
-        # trials within its cap below its floor
-        jobs = {key: (key[0], key[4], key[1], np.flatnonzero(
-                    gains[:key[3] - start] < _floor(key[1], key[2], key[4])))
-                for key in (point[:5] for point in live)}
-        found = {key: int(np.count_nonzero(rates < key[2]))
-                 for key, rates in _rates(h, jobs)}
-        for point in live:
-            events[point] += found.get(point[:5], 0)
-            trials = min(point[3], start + size)
-            if events[point] >= point[5] or trials == point[3]:
+        # the candidates of each live point: the trials below its floor
+        jobs = {point: np.flatnonzero(gains < _floor(*point, r_target))
+                for point in points if point not in out}
+        for point, rates in _rates(h, rate, jobs):
+            events[point] += int(np.count_nonzero(rates < r_target))
+        for point in jobs:
+            if events[point] >= min_events or trials == max_trials:
                 p = events[point] / trials
                 se = math.sqrt(max(p * (1.0 - p), 0.0) / trials)
                 out[point] = MonteCarloEstimate(mean=p, std_error=se, trials=trials)
@@ -211,7 +216,7 @@ def _walk(link, points):
     return out
 
 
-def _floor(alpha, r_target, p_c):
+def _floor(alpha, p_c, r_target):
     # The floor gain g from which alpha * log2(1 + (p_c / alpha) g) >=
     # r_target + SLACK: no floor (infinity) where 2 ** x overflows a float.
     try:
@@ -220,28 +225,26 @@ def _floor(alpha, r_target, p_c):
         return math.inf
 
 
-def _idle(link, stream, point):
-    # The input checks of an outage point; True when it needs no trial.
-    _, alpha, r_target, max_trials, p_c, min_events = point
-    if min_events < 1:
-        raise ModelError("min_events must be positive")
-    return _silent(link, stream, p_c, alpha, r_target, max_trials) or r_target == 0.0
-
-
-def _silent(link, stream, p_c, alpha, r_target, trials):
-    # The one input check of every estimator; True when no rate is carried
-    # (zero power or zero bandwidth), so the estimate needs no trial.
+def _needless(link, stream, stop, alpha, p_c):
+    # The one input check of every estimator, for a point under ``stop``;
+    # True when the estimate needs no trial: zero power or bandwidth
+    # carries no rate, and a zero target is never missed.
     if link.stream != stream:
         raise ModelError("the link is the other stream")
     if not 0.0 <= alpha <= 1.0:
         raise ModelError("alpha must lie in [0, 1]")
-    if r_target < 0.0:
-        raise ModelError("target rate must be nonnegative")
     if p_c < 0.0:
         raise ModelError("p_c must be nonnegative")
-    if trials < 1:
+    if stop is None:
+        return p_c == 0.0 or alpha == 0.0
+    r_target, min_events, max_trials = stop
+    if r_target < 0.0:
+        raise ModelError("target rate must be nonnegative")
+    if min_events < 1:
+        raise ModelError("min_events must be positive")
+    if max_trials < 1:
         raise ModelError("trials must be positive")
-    return p_c == 0.0 or alpha == 0.0
+    return p_c == 0.0 or alpha == 0.0 or r_target == 0.0
 
 
 def ergodic(link, stream, rate, p_c, alpha) -> MonteCarloEstimate:
@@ -249,27 +252,26 @@ def ergodic(link, stream, rate, p_c, alpha) -> MonteCarloEstimate:
     set of a ``Link`` of stream ``stream``, block by block; a silent link
     carries rate 0 without a trial.
 
-    The first estimate of a key (rate, p_c, alpha) the link declares
-    computes every declared key it lacks, and later ones return the
-    estimate that waits on the link; any other key is a curve of one.
+    The first estimate of a point the link declares with no stop computes
+    every declared point it lacks, and later ones return the estimate that
+    waits on the link; any other point is a curve of one.
     """
-    if _silent(link, stream, p_c, alpha, 0.0, link.cfg.trials):
+    if _needless(link, stream, None, alpha, p_c):
         return MonteCarloEstimate(0.0, 0.0, 0)
-    return _estimate(link, (rate, p_c, alpha), link.ergodic, _means)
+    return _estimate(link, rate, None, (alpha, p_c))
 
 
-def _means(link, keys):
-    # The ergodic estimates of ``keys`` from one pass over the draw set.
-    trials, sums = link.cfg.trials, {key: [0.0, 0.0] for key in keys}
+def _means(link, rate, points):
+    # The ergodic estimates of ``points`` from one pass over the draw set.
+    trials, sums = link.cfg.trials, {point: [0.0, 0.0] for point in points}
     for h in link.draws():
-        every = np.arange(len(h))
-        for key, rates in _rates(h, {key: (*key, every) for key in keys}):
-            sums[key][0] += float(np.sum(rates))
-            sums[key][1] += float(np.sum(rates * rates))
+        for point, rates in _rates(h, rate, dict.fromkeys(points, np.arange(len(h)))):
+            sums[point][0] += float(np.sum(rates))
+            sums[point][1] += float(np.sum(rates * rates))
     out = {}
-    for key, (total, total_sq) in sums.items():
+    for point, (total, total_sq) in sums.items():
         mean = total / trials
         var = max(total_sq / trials - mean * mean, 0.0)
-        out[key] = MonteCarloEstimate(mean=mean, std_error=math.sqrt(var / trials),
-                                      trials=trials)
+        out[point] = MonteCarloEstimate(mean=mean, std_error=math.sqrt(var / trials),
+                                        trials=trials)
     return out

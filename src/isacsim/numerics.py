@@ -100,10 +100,12 @@ def waterfill(gains, noise, budget) -> np.ndarray:
     sorted_floors = floors[order]
     # Water level when the k cheapest modes are active:
     # level_k = (budget + sum of their floors) / k.
-    levels = (budget + np.cumsum(sorted_floors)) / np.arange(1, gains.size + 1)
+    sums = np.cumsum(sorted_floors)
+    levels = (budget + sums) / np.arange(1, gains.size + 1)
     # Largest k whose level still covers the k-th floor; the modes past it
     # stay at zero (also on a floor tie).  A positive budget always buys
     # the cheapest mode, even one that rounds away against its floor.
     k = int(np.max(np.nonzero(levels > sorted_floors)[0], initial=0)) + 1
-    allocation[order[:k]] = levels[k - 1] - sorted_floors[:k]
+    # level_k - floor_i, the floors cancelled before the budget joins them
+    allocation[order[:k]] = (budget + (sums[k - 1] - k * sorted_floors[:k])) / k
     return allocation

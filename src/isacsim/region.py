@@ -3,11 +3,11 @@
 Each region is a one-parameter sweep of (ECR, SR) operating points: the
 power split (ISAC) or the bandwidth share alpha (FDSAC).  A sweep takes
 an ``mc.Link``, which the ISAC and FDSAC sweeps of a link can share, and
-every point's ECR averages the link's one draw set, each as its own
-estimate would.  A region holds its corners as columns over the
-sweep grid; it is the downward-closed union of the rectangles
-[0, cr_i] x [0, sr_i], so containment reduces to corner dominance
-(``corner_gaps``).
+declares its grid's points on it, so the ECRs of a sweep come from one
+pass over the link's one draw set, each as its own estimate would.  A
+region holds its corners as columns over the sweep grid; it is the
+downward-closed union of the rectangles [0, cr_i] x [0, sr_i], so
+containment reduces to corner dominance (``corner_gaps``).
 
 The corners are achievable, not Pareto-optimal: the model can beat them.
 At the paper's operating point (p_c = 5 dB, sensing budget 10) the uplink
@@ -54,16 +54,18 @@ class RateRegion:
     sr: np.ndarray
 
 
-def _sweep(param, lo, hi, grid_size, corner) -> RateRegion:
-    # one corner per grid value x in [lo, hi]: corner(x) -> (ECR estimate, SR)
+def _sweep(link, param, hi, grid_size, corner) -> RateRegion:
+    # one corner per grid value x in [0, hi]: corner(x) -> (point, ecr, sr),
+    # where ecr() estimates the ECR at the link point (alpha, p_c), and the
+    # link declares the points of the whole grid before the first estimate
     if grid_size < 2:
         raise ModelError("grid_size must be >= 2")
-    grid = np.linspace(lo, hi, grid_size)
-    columns = np.empty((3, grid_size))
-    for i, x in enumerate(grid):
-        est, sr = corner(x)
-        columns[:, i] = est.mean, est.std_error, sr
-    return RateRegion(param, grid, *columns)
+    grid = np.linspace(0.0, hi, grid_size)
+    corners = [corner(x) for x in grid]
+    link.declare([point for point, _, _ in corners])
+    columns = [(est.mean, est.std_error, sr)
+               for est, sr in ((ecr(), sr) for _, ecr, sr in corners)]
+    return RateRegion(param, grid, *np.array(columns).T)
 
 
 def dl_isac_region(link, p_c_max, p_s_max, grid_size=DEFAULT_GRID) -> RateRegion:
@@ -75,8 +77,8 @@ def dl_isac_region(link, p_c_max, p_s_max, grid_size=DEFAULT_GRID) -> RateRegion
     """
     cfg = link.cfg
     rt = cfg.r_target()
-    return _sweep("p_c", 0.0, p_c_max, grid_size, lambda p_c: (
-        dl.dl_ecr(link, p_c),
+    return _sweep(link, "p_c", p_c_max, grid_size, lambda p_c: (
+        (1.0, p_c), lambda: dl.dl_ecr(link, p_c),
         sn.dl_sr(rt, cfg.N, cfg.L, p_s_max, dl.sensing_noise(cfg, p_c))[0]))
 
 
@@ -92,9 +94,10 @@ def ul_isac_region(link, p_c_max, p_s_max, grid_size=DEFAULT_GRID) -> RateRegion
 
     def corner(p_s):
         sr, rho2 = ul.sensing_profile(rt, cfg.N, cfg.L, p_s)
-        return ul.ul_ecr(link, p_c_max, rho2), sr
+        return ((1.0, ul._isac_power(p_c_max, rho2)),
+                lambda: ul.ul_ecr(link, p_c_max, rho2), sr)
 
-    return _sweep("p_s", 0.0, p_s_max, grid_size, corner)
+    return _sweep(link, "p_s", p_s_max, grid_size, corner)
 
 
 def dl_fdsac_region(link, p_c, p_s, grid_size=DEFAULT_GRID) -> RateRegion:
@@ -102,8 +105,8 @@ def dl_fdsac_region(link, p_c, p_s, grid_size=DEFAULT_GRID) -> RateRegion:
     downlink ``mc.Link``."""
     cfg = link.cfg
     rt = cfg.r_target()
-    return _sweep("alpha", 0.0, 1.0, grid_size, lambda alpha: (
-        dl.dl_ecr_fdsac(link, alpha, p_c),
+    return _sweep(link, "alpha", 1.0, grid_size, lambda alpha: (
+        (alpha, p_c), lambda: dl.dl_ecr_fdsac(link, alpha, p_c),
         sn.fdsac_sr(rt, cfg.N, cfg.L, p_s, alpha)))
 
 
@@ -112,8 +115,8 @@ def ul_fdsac_region(link, p_c, p_s, grid_size=DEFAULT_GRID) -> RateRegion:
     ``mc.Link``."""
     cfg = link.cfg
     rt = cfg.r_target()
-    return _sweep("alpha", 0.0, 1.0, grid_size, lambda alpha: (
-        ul.ul_ecr_fdsac(link, alpha, p_c),
+    return _sweep(link, "alpha", 1.0, grid_size, lambda alpha: (
+        (alpha, p_c), lambda: ul.ul_ecr_fdsac(link, alpha, p_c),
         sn.fdsac_sr(rt, cfg.N, cfg.L, p_s, alpha)))
 
 

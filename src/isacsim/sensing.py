@@ -42,8 +42,9 @@ def _rate(r_target, n_rx, n_slots, p_s, noise, share):
         raise ModelError("p_s must be nonnegative")
     lam = _eigenvalues(r_target, n_rx, n_slots)
     alloc = waterfill(lam, np.full(lam.size, noise), p_s)
+    # log1p keeps the rate of a budget too small to move 1 + x
     rate = (n_rx * share / n_slots) * float(
-        np.sum(np.log2(1.0 + lam * alloc / noise)))
+        np.sum(np.log1p(lam * alloc / noise) / np.log(2.0)))
     return rate, alloc
 
 

@@ -60,16 +60,16 @@ def test_a_failed_determinism_run_fails_its_criterion(monkeypatch):
 
 @pytest.mark.parametrize("name", ["dl_diversity", "ul_diversity"])
 def test_each_diversity_criterion_walks_its_grid_once(name, monkeypatch):
-    # every grid point's call finds its key declared on the link, so the
-    # first walks all seven points and the others take their estimates
-    # from the link; a stand-in walk gives each point an outage of 1e-2
-    # (p / p_0)^-4 over the lowest power p_0 it is asked for
+    # every grid point's call finds its point declared under the criterion's
+    # stop, so the first walks all seven points and the others take their
+    # estimates from the link; a stand-in walk gives each point an outage
+    # of 1e-2 (p / p_0)^-4 over the lowest kernel power p_0 it is asked for
     walks = []
 
-    def walk(link, points):
+    def walk(link, rate, stop, points):
         walks.append(len(points))
-        low = min(point[4] for point in points)
-        return {point: mc.MonteCarloEstimate(1e-2 * (point[4] / low) ** -4.0, 0.0, 1)
+        low = min(p_c for _, p_c in points)
+        return {point: mc.MonteCarloEstimate(1e-2 * (point[1] / low) ** -4.0, 0.0, 1)
                 for point in points}
 
     monkeypatch.setattr(mc, "_walk", walk)

@@ -364,9 +364,9 @@ def test_the_bench_trial_gate_counts_each_tiny_run(experiment, doc, tmp_path,
     # trials of the CSV and each block drawn once; at grid 2 the p_c = 0 and
     # alpha = 0 region points compute no trial, and the other ISAC point
     # adds a 10,000-trial mean covariance to its ECR trials.  The full
-    # tracer wraps the rate kernels too, so a declared point whose kernel
-    # is not the estimator's (the traced one) would be a pass of its own:
-    # same bytes, but its blocks drawn again
+    # tracer wraps the rate kernels too; a declared point names no kernel,
+    # so the traced kernel an estimator passes runs every declared point in
+    # one pass
     from isacsim import cli
     from isacsim import downlink as dl
 

@@ -12,6 +12,7 @@ from isacsim import acceptance
 from isacsim import channel as chan
 from isacsim import cli
 from isacsim import downlink as dl
+from isacsim import mc
 from isacsim import uplink as ul
 
 
@@ -359,6 +360,36 @@ class TestMain:
         assert cli.run("op_vs_snr", cfg, params, str(tmp_path / "op.csv")) == 0
         assert work == {"blocks": 62, "downlink": 26_124, "uplink": 54_681}
         assert calls == {"blocks": 62, "downlink": 34, "uplink": 35}
+
+    @pytest.mark.parametrize("experiment, module, kernel, stream, work", [
+        ("region_dl", dl, "dl_sum_rate_batch", chan.STREAM_DOWNLINK,
+         {"passes": 2, "kernel": 13, "blocks": 3, "covariance": 6}),
+        ("region_ul", ul, "ul_rate_batch", chan.STREAM_UPLINK,
+         {"passes": 2, "kernel": 15, "blocks": 3, "covariance": 0})],
+        ids=["region_dl", "region_ul"])
+    def test_region_work(self, tmp_path, monkeypatch, experiment, module, kernel,
+                         stream, work):
+        # the region_dl bench config: each sweep declares its grid, so its
+        # points share one pass over the link's blocks of 8,192, 8,192 and
+        # 3,616 trials, at most 8,192 rows to a kernel call.  At grid 4 the
+        # ISAC sweep has 3 points that need trials on the downlink (p_c = 0
+        # is silent) and 4 on the uplink (each p_s its own slot noise):
+        # 3 + 3 + 2 and 4 + 4 + 2 calls.  The FDSAC sweep has 2 (alpha = 0
+        # is silent, and alpha = 1 is an ISAC point the link holds):
+        # 2 + 2 + 1 calls.  With a pass per point, the run makes 5 DL
+        # passes of 15 calls and 6 UL passes of 18
+        counts = Counter()
+        for owner, name, key in ((mc, "_means", "passes"), (module, kernel, "kernel"),
+                                 (chan, "sample_channel_block", None)):
+            def counted(*args, fn=getattr(owner, name), key=key):
+                counts[key or ("blocks" if args[4] == stream else "covariance")] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+        monkeypatch.setattr(dl, "_sigma_cache", {})
+        cfg, params = cli.parse_config({"grid_size": 4, "trials": 20_000, "seed": 1234})
+        assert cli.run(experiment, cfg, params, str(tmp_path / "x.csv")) == 0
+        assert counts == {key: n for key, n in work.items() if n}
 
     def test_ecr_vs_snr_work(self, tmp_path, monkeypatch, drawn):
         # a k3_ecr-shaped run, one block of 150 trials per link: each link

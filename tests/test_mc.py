@@ -104,13 +104,14 @@ def test_ergodic_runs_exactly_the_requested_trials(system, drawn):
         assert est.mean == sum(sums) / trials
 
 
-# Outage walks.  A link walks the outage points its driver declares at
-# once; every estimate must equal, field for field, the one a fresh link
-# gives, where each point is a walk of one.  At a target of 3 bits and 400
-# events these sweeps stop every system in its first block at 8 dB and at
-# the cap at 18 dB.
+# Outage walks.  A link walks the outage points its driver declares under
+# one stop (r_target, min_events, max_trials) at once; every estimate must
+# equal, field for field, the one a fresh link gives, where each point is a
+# walk of one.  At a target of 3 bits and 400 events these sweeps stop
+# every system in its first block at 8 dB and at the cap at 18 dB.
 R_TARGET, EVENTS = 3.0, 400
 CAP = 6 * chan.BLOCK_SIZE + 77  # not a multiple of the block size
+STOP = (R_TARGET, EVENTS, CAP)
 TRAIL_SWEEPS = {
     "ascending": [8.0, 10.0, 12.0, 14.0, 16.0, 18.0],
     "repeated": [10.0, 10.0, 14.0, 14.0, 14.0],
@@ -118,15 +119,13 @@ TRAIL_SWEEPS = {
     "descending": [18.0, 16.0, 14.0, 12.0, 10.0, 8.0],
     "shuffled": [14.0, 8.0, 18.0, 12.0, 18.0, 10.0, 16.0],
 }
-# per system: the key its outage estimator gives a point (target, p_c,
-# min_events, cap), which a link declares
+# per system: the point (alpha, kernel power) its estimators hand to mc at
+# a power, which a link declares
 POINTS = {
-    "disac": lambda r, p, events, cap: (dl.dl_sum_rate_batch, 1.0, r, cap, p, events),
-    "dfdsac": lambda r, p, events, cap: (dl.dl_sum_rate_batch, ALPHA, r, cap, p,
-                                         events),
-    "uisac": lambda r, p, events, cap: (ul.ul_rate_batch, 1.0, r, cap,
-                                        ul._isac_power(p, PROFILE), events),
-    "ufdsac": lambda r, p, events, cap: (ul.ul_rate_batch, ALPHA, r, cap, p, events),
+    "disac": lambda p: (1.0, p),
+    "dfdsac": lambda p: (ALPHA, p),
+    "uisac": lambda p: (1.0, ul._isac_power(p, PROFILE)),
+    "ufdsac": lambda p: (ALPHA, p),
 }
 
 
@@ -134,51 +133,50 @@ def _fields(est):
     return est.mean, est.std_error, est.trials
 
 
-def _declared(systems, cfg, r_target, points, max_trials=CAP):
-    # a link of the systems' stream that declares each point (dB, min_events)
-    # of each system
-    return mc.Link(cfg, SYSTEMS[systems[0]][0], outages=[
-        POINTS[system](r_target, 10.0 ** (db / 10.0), events, max_trials)
-        for system in systems for db, events in points])
+def _declared(systems, cfg, sweep, stop=STOP):
+    # a link of the systems' stream that declares each power (dB) of the
+    # sweep of each system under ``stop``
+    link = mc.Link(cfg, SYSTEMS[systems[0]][0])
+    link.declare([POINTS[system](10.0 ** (db / 10.0))
+                  for system in systems for db in sweep], stop)
+    return link
 
 
-def _sweep(system, cfg, r_target, points, max_trials=CAP):
-    # each point (dB, min_events) over one link that declares them all, and
-    # over a fresh link each
+def _sweep(system, cfg, sweep, stop=STOP):
+    # each power (dB) of the sweep under ``stop``, over one link that
+    # declares them all, and over a fresh link each
     stream, _, _, outage, _ = SYSTEMS[system]
-    link = _declared([system], cfg, r_target, points, max_trials)
+    r_target, events, cap = stop
+    link = _declared([system], cfg, sweep, stop)
 
-    def at(on, db, events):
+    def at(on, db):
         return _fields(outage(on, r_target, 10.0 ** (db / 10.0),
-                              min_events=events, max_trials=max_trials))
+                              min_events=events, max_trials=cap))
 
-    walked = [at(link, db, events) for db, events in points]
-    fresh = [at(mc.Link(cfg, stream), db, events) for db, events in points]
-    return walked, fresh
+    return [at(link, db) for db in sweep], [at(mc.Link(cfg, stream), db) for db in sweep]
 
 
 @pytest.mark.parametrize("sweep", TRAIL_SWEEPS)
 @pytest.mark.parametrize("system", SYSTEMS)
 def test_a_trail_gives_each_point_the_fresh_estimate(system, sweep):
-    points = [(db, EVENTS) for db in TRAIL_SWEEPS[sweep]]
-    walked, fresh = _sweep(system, CFG, R_TARGET, points)
+    walked, fresh = _sweep(system, CFG, TRAIL_SWEEPS[sweep])
     assert walked == fresh
 
 
 @pytest.mark.parametrize("system", SYSTEMS)
 def test_a_trail_stops_inside_the_blocks_it_carries(system):
-    # fewer events wanted at a higher power: the point stops before the
-    # walk's last block, and at 10 dB exactly as many events are wanted as
-    # the first block holds, so that point stops at the block's end
+    # exactly as many events wanted as the first block holds at 8 dB: that
+    # point stops at the block's end, and the higher powers, fewer of whose
+    # trials are outages, carry the walk on past it
     stream, _, _, outage, _ = SYSTEMS[system]
-    first = outage(mc.Link(CFG, stream), R_TARGET, 10.0, min_events=1,
+    first = outage(mc.Link(CFG, stream), R_TARGET, 10.0 ** 0.8, min_events=1,
                    max_trials=chan.BLOCK_SIZE)
     exact = round(first.mean * first.trials)
-    points = [(8.0, 20_000), (10.0, exact), (12.0, 5000), (14.0, 1)]
-    walked, fresh = _sweep(system, CFG, R_TARGET, points)
+    walked, fresh = _sweep(system, CFG, [8.0, 10.0, 12.0, 14.0],
+                           (R_TARGET, exact, CAP))
     assert walked == fresh
-    assert walked[1][2] == chan.BLOCK_SIZE < walked[0][2]
-    assert walked[3][2] < walked[2][2]
+    trials = [w[2] for w in walked]
+    assert trials[0] == chan.BLOCK_SIZE < trials[1] <= trials[2] <= trials[3]
 
 
 @pytest.mark.parametrize("system", SYSTEMS)
@@ -188,9 +186,8 @@ def test_a_trail_matches_fresh_estimates_at_k3_near_rank_one(system):
     # near 1e-2
     cfg = SimConfig(M=3, N=3, K=3, L=4, rho_cu=0.999999, seed=5)
     r_target = {"disac": 21.0, "dfdsac": 11.0, "uisac": 50.0, "ufdsac": 27.0}[system]
-    points = [(db, 300) for db in (40.0, 50.0, 55.0, 60.0, 60.0 + 1e-12)]
-    walked, fresh = _sweep(system, cfg, r_target, points,
-                                 max_trials=2 * chan.BLOCK_SIZE + 5)
+    walked, fresh = _sweep(system, cfg, [40.0, 50.0, 55.0, 60.0, 60.0 + 1e-12],
+                           (r_target, 300, 2 * chan.BLOCK_SIZE + 5))
     assert walked == fresh
     assert 0.0 < walked[-1][0] < 0.1
 
@@ -204,11 +201,11 @@ def test_an_ascending_sweep_draws_each_block_once(system, drawn):
     # the first point walks every declared point, so it draws the blocks
     # that the deepest one needs, and the others draw none
     stream, _, _, outage, _ = SYSTEMS[system]
-    points = [(db, EVENTS) for db in TRAIL_SWEEPS["ascending"]]
-    link = _declared([system], CFG, R_TARGET, points)
+    sweep = TRAIL_SWEEPS["ascending"]
+    link = _declared([system], CFG, sweep)
     trials = []
-    for db, events in points:
-        trials.append(outage(link, R_TARGET, 10.0 ** (db / 10.0), min_events=events,
+    for db in sweep:
+        trials.append(outage(link, R_TARGET, 10.0 ** (db / 10.0), min_events=EVENTS,
                              max_trials=CAP).trials)
         assert drawn == [(b, stream, n) for b, n in enumerate(CAP_BLOCKS)]
     assert trials[0] == chan.BLOCK_SIZE and trials[-1] == CAP
@@ -223,20 +220,20 @@ def test_a_link_alternating_two_systems_gives_each_the_fresh_estimate(pair, draw
     # link gives it, and the link draws each block once, where a link per
     # system draws each block twice
     stream = SYSTEMS[pair[0]][0]
-    points = [(db, EVENTS) for db in TRAIL_SWEEPS["shuffled"]]
+    sweep = TRAIL_SWEEPS["shuffled"]
 
-    def sweep(link_of):
+    def run(link_of):
         drawn.clear()
         return [_fields(SYSTEMS[system][3](link_of(system), R_TARGET,
-                                           10.0 ** (db / 10.0), min_events=events,
+                                           10.0 ** (db / 10.0), min_events=EVENTS,
                                            max_trials=CAP))
-                for db, events in points for system in pair], list(drawn)
+                for db in sweep for system in pair], list(drawn)
 
-    shared = _declared(pair, CFG, R_TARGET, points)
-    alternating, shared_blocks = sweep(lambda system: shared)
-    own = {system: _declared([system], CFG, R_TARGET, points) for system in pair}
-    separate, own_blocks = sweep(own.get)
-    fresh, _ = sweep(lambda system: mc.Link(CFG, stream))
+    shared = _declared(pair, CFG, sweep)
+    alternating, shared_blocks = run(lambda system: shared)
+    own = {system: _declared([system], CFG, sweep) for system in pair}
+    separate, own_blocks = run(own.get)
+    fresh, _ = run(lambda system: mc.Link(CFG, stream))
     assert alternating == separate == fresh
     assert shared_blocks == [(b, stream, n) for b, n in enumerate(CAP_BLOCKS)]
     assert sorted(own_blocks) == sorted(2 * shared_blocks)
@@ -293,20 +290,20 @@ def test_a_point_that_fails_leaves_the_trail_whole(system, monkeypatch):
             raise ArithmeticError("no draw")
         return sample(*args)
 
-    points = [(db, EVENTS) for db in TRAIL_SWEEPS["ascending"]]
-    link = _declared([system], CFG, R_TARGET, points)
+    sweep = TRAIL_SWEEPS["ascending"]
+    link = _declared([system], CFG, sweep)
     monkeypatch.setattr(chan, "sample_channel_block", failing)
     walked = []
-    for db, events in points:
+    for db in sweep:
         try:
             walked.append(_fields(outage(link, R_TARGET, 10.0 ** (db / 10.0),
-                                         min_events=events, max_trials=CAP)))
+                                         min_events=EVENTS, max_trials=CAP)))
         except ArithmeticError:
             walked.append(None)
     monkeypatch.undo()
     fresh = [_fields(outage(mc.Link(CFG, stream), R_TARGET, 10.0 ** (db / 10.0),
-                            min_events=events, max_trials=CAP))
-             for db, events in points]
+                            min_events=EVENTS, max_trials=CAP))
+             for db in sweep]
     assert walked.count(None) == 1
     assert [w for w in walked if w] == [f for w, f in zip(walked, fresh) if w]
 
@@ -315,54 +312,131 @@ def test_a_point_that_fails_leaves_the_trail_whole(system, monkeypatch):
     ("min_events", 0), ("alpha", 1.5), ("alpha", -0.5), ("r_target", -1.0),
     ("p_c", -1.0), ("max_trials", 0)])
 def test_a_link_checks_its_declared_points_before_any_draw(arg, value, drawn):
-    # each declared point passes its estimator's input checks when the link
-    # is built
-    point = dict(rate=ul.ul_rate_batch, alpha=ALPHA, r_target=R_TARGET,
-                 max_trials=CAP, p_c=P_C, min_events=EVENTS)
-    good = tuple(point.values())
-    point[arg] = value
-    with pytest.raises(ModelError):
-        mc.Link(CFG, chan.STREAM_UPLINK, outages=[good, tuple(point.values())])
+    # each declared point passes its estimator's input checks when it is
+    # declared, ergodic (no stop) or outage, and a bad one leaves the link's
+    # declaration as it was
+    point = dict(alpha=ALPHA, p_c=P_C)
+    stop = dict(r_target=R_TARGET, min_events=EVENTS, max_trials=CAP)
+    (point if arg in point else stop)[arg] = value
+    link = mc.Link(CFG, chan.STREAM_UPLINK)
+    link.declare([(ALPHA, P_C)], STOP)
+    for kind in [tuple(stop.values())] + [None] * (arg in point):
+        with pytest.raises(ModelError):
+            link.declare([(ALPHA, P_C), tuple(point.values())], kind)
     assert drawn == []
+    walked = ul.ul_outage_prob_fdsac(link, R_TARGET, ALPHA, P_C, min_events=EVENTS,
+                                     max_trials=CAP)
+    assert link.estimates.keys() == {(ul.ul_rate_batch, STOP, (ALPHA, P_C))}
+    assert _fields(walked) == _fields(ul.ul_outage_prob_fdsac(
+        mc.Link(CFG, chan.STREAM_UPLINK), R_TARGET, ALPHA, P_C, min_events=EVENTS,
+        max_trials=CAP))
 
 
 def test_a_declared_point_that_needs_no_trial_joins_no_walk(drawn):
-    # zero power, bandwidth or target: the closed form with no trial, while
-    # the one point that needs trials walks alone
+    # zero power or bandwidth, or a zero target: the closed form with no
+    # trial, while the one point that needs trials walks alone
     up = chan.STREAM_UPLINK
-    quiet = [(0.0, ALPHA, R_TARGET), (P_C, 0.0, R_TARGET), (P_C, ALPHA, 0.0)]
-    link = mc.Link(CFG, up, outages=[
-        (ul.ul_rate_batch, alpha, r, CAP, p, EVENTS)
-        for p, alpha, r in quiet + [(P_C, ALPHA, R_TARGET)]])
-    assert link.outages == ((ul.ul_rate_batch, ALPHA, R_TARGET, CAP, P_C, EVENTS),)
-    for p, alpha, r in quiet:
-        est = ul.ul_outage_prob_fdsac(link, r, alpha, p, min_events=EVENTS,
-                                      max_trials=CAP)
-        assert _fields(est) == (float(r > 0.0), 0.0, 0)
+    quiet = [(ALPHA, 0.0), (0.0, P_C)]
+    link = mc.Link(CFG, up)
+    for r_target in (0.0, R_TARGET):
+        link.declare(quiet + [(ALPHA, P_C)], (r_target, EVENTS, CAP))
+        for alpha, p in quiet + [(ALPHA, P_C)] * (r_target == 0.0):
+            est = ul.ul_outage_prob_fdsac(link, r_target, alpha, p, min_events=EVENTS,
+                                          max_trials=CAP)
+            assert _fields(est) == (float(r_target > 0.0), 0.0, 0)
+    link.declare(quiet + [(ALPHA, P_C)])
+    for alpha, p in quiet:
+        assert _fields(ul.ul_ecr_fdsac(link, alpha, p)) == (0.0, 0.0, 0)
     assert drawn == [] and link.estimates == {}
+    link.declare(quiet + [(ALPHA, P_C)], STOP)
     walked = ul.ul_outage_prob_fdsac(link, R_TARGET, ALPHA, P_C, min_events=EVENTS,
                                      max_trials=CAP)
+    assert link.estimates.keys() == {(ul.ul_rate_batch, STOP, (ALPHA, P_C))}
     assert _fields(walked) == _fields(ul.ul_outage_prob_fdsac(
         mc.Link(CFG, up), R_TARGET, ALPHA, P_C, min_events=EVENTS, max_trials=CAP))
 
 
-# Random declared sets.  Several systems of one link (kernel, alpha,
-# target, trial cap) each have points at two to four powers, with mixed
-# min_events; the link declares some of the points, and the calls to all
-# of them, declared or not, come in a random order; one draw in ten fails.
-# At K = 1 both kernels equal the single-user floor, and each target lies
-# SLACK / 2 below the rate of a trial at its system's lowest power, so
-# that trial is a candidate only by the slack.
+def _estimate(link, kernel, stop, point):
+    # the estimate of a point (alpha, p_c) under a stop: ergodic for None
+    alpha, p_c = point
+    if stop is None:
+        return mc.ergodic(link, link.stream, kernel, p_c, alpha)
+    r_target, min_events, cap = stop
+    return mc.outage(link, link.stream, kernel, r_target, p_c, alpha, min_events, cap)
+
+
+@pytest.mark.parametrize("stop", [None, STOP], ids=["ergodic", "outage"])
+def test_two_kernels_asking_for_one_declared_point_get_a_pass_each(stop, drawn):
+    # a declared point names no kernel: the first call of each kernel
+    # computes every declared point for that kernel in a pass of its own
+    down = chan.STREAM_DOWNLINK
+    cfg = replace(CFG, trials=chan.BLOCK_SIZE + 5)
+    points = [(1.0, 10.0), (ALPHA, 10.0), (1.0, 30.0)]
+    rows = []
+
+    def counted(h, p):
+        rows.append(len(h))
+        return dl.dl_sum_rate_batch(h, p)
+
+    link = mc.Link(cfg, down)
+    link.declare(points, stop)
+    real = _estimate(link, dl.dl_sum_rate_batch, stop, points[1])
+    blocks = len(drawn)
+    assert rows == []
+    stand_in = _estimate(link, counted, stop, points[1])
+    assert rows
+    if stop is not None:  # the stand-in's walk draws its blocks again
+        assert len(drawn) == 2 * blocks
+    fresh = _estimate(mc.Link(cfg, down), dl.dl_sum_rate_batch, stop, points[1])
+    assert _fields(real) == _fields(stand_in) == _fields(fresh)
+    assert link.estimates.keys() == {(kernel, stop, point) for point in points
+                                     for kernel in (dl.dl_sum_rate_batch, counted)}
+    calls = len(rows)
+    for point in points:
+        assert _fields(_estimate(link, counted, stop, point)) == _fields(
+            _estimate(mc.Link(cfg, down), dl.dl_sum_rate_batch, stop, point))
+    assert len(rows) == calls
+
+
+@pytest.mark.parametrize("other", [(R_TARGET, EVENTS, 77), None],
+                         ids=["outage", "ergodic"])
+def test_one_point_under_two_stops_gets_an_estimate_of_each(other):
+    # the declared stop walks every declared point; the same point under
+    # another stop is a pass of one, and neither estimate stands in for
+    # the other
+    up, kernel = chan.STREAM_UPLINK, ul.ul_rate_batch
+    cfg = replace(CFG, trials=chan.BLOCK_SIZE + 5)
+    points = [(1.0, 10.0), (ALPHA, 10.0), (1.0, 30.0)]
+    link = mc.Link(cfg, up)
+    link.declare(points, STOP)
+    ests = {stop: _estimate(link, kernel, stop, points[1]) for stop in (STOP, other)}
+    for stop, est in ests.items():
+        assert _fields(est) == _fields(_estimate(mc.Link(cfg, up), kernel, stop,
+                                                 points[1]))
+    assert _fields(ests[STOP]) != _fields(ests[other])
+    assert link.estimates.keys() == {(kernel, STOP, point) for point in points} | {
+        (kernel, other, points[1])}
+
+
+# Random declared sets.  Several systems of one link (alpha, target, trial
+# cap, min_events) each have points at two to four powers; the link
+# declares some of the points under one system's stop, then, halfway
+# through the calls, another set under another stop, and the calls, each a
+# point under its own system's stop or under another system's (a walk of
+# one unless declared), come in a random order; one draw in ten fails.  At
+# K = 1 both kernels equal the single-user floor, and each target lies
+# SLACK / 2 below the rate of a trial at its system's lowest power, so that
+# trial is a candidate only by the slack.
 INTERLEAVINGS = 8
 
 
 def _interleaving(rng, stream, cfg):
-    # the declared points of one link, and its calls in order, each a point
-    # (rate, alpha, r_target, max_trials, p_c, min_events)
+    # the stops of the systems of one link, and its calls in order, each a
+    # (stop, point)
     size = chan.BLOCK_SIZE
     kernel = dl.dl_sum_rate_batch if stream == chan.STREAM_DOWNLINK else ul.ul_rate_batch
     root = DL_ROOT if stream == chan.STREAM_DOWNLINK else UL_ROOT
-    points = []
+    stops, calls = [], []
     for _ in range(int(rng.integers(2, 5))):
         alpha = float(rng.choice([1.0, 1.0, 0.8, 0.5, 0.3]))
         powers = 10.0 ** (rng.uniform(0.8, 1.8, int(rng.integers(2, 5))))
@@ -373,15 +447,11 @@ def _interleaving(rng, stream, cfg):
         else:
             target = float(rng.uniform(2.0, 5.0))
         cap = int(rng.integers(1, 5)) * size + int(rng.integers(1, size))
-        points += [(kernel, alpha, target, cap, float(p),
-                    int(rng.choice([1, 30, 300, 3000]))) for p in powers]
-    declared = [point for point in points if rng.random() < 0.7]
-    return declared, [points[i] for i in rng.permutation(len(points))]
-
-
-def _point(link, point):
-    kernel, alpha, target, cap, p_c, min_events = point
-    return mc.outage(link, link.stream, kernel, target, p_c, alpha, min_events, cap)
+        stops.append((target, int(rng.choice([1, 30, 300, 3000])), cap))
+        calls += [(stops[-1], (alpha, float(p))) for p in powers]
+    calls += [(stops[rng.integers(len(stops))], point)
+              for _, point in calls if rng.random() < 0.3]
+    return stops, [calls[i] for i in rng.permutation(len(calls))]
 
 
 @pytest.mark.parametrize("case", range(INTERLEAVINGS))
@@ -392,7 +462,13 @@ def test_random_interleavings_give_each_point_the_fresh_estimate(
         stream, columns, case, monkeypatch):
     cfg = replace(CFG, K=columns, seed=100 + case)
     rng = np.random.default_rng([stream, columns, case])
-    declared, calls = _interleaving(rng, stream, cfg)
+    stops, calls = _interleaving(rng, stream, cfg)
+    kernel = dl.dl_sum_rate_batch if stream == chan.STREAM_DOWNLINK else ul.ul_rate_batch
+    points = list(dict.fromkeys(point for _, point in calls))
+    # two declarations, each a random set of points under a random stop
+    declarations = [(stops[rng.integers(len(stops))],
+                     [point for point in points if rng.random() < 0.7])
+                    for _ in range(2)]
     sample = chan.sample_channel_block
     fail = {"on": False}
 
@@ -401,31 +477,40 @@ def test_random_interleavings_give_each_point_the_fresh_estimate(
             raise ArithmeticError("no draw")
         return sample(*args)
 
+    def fresh(stop, point):
+        return _fields(_estimate(mc.Link(cfg, stream), kernel, stop, point))
+
     monkeypatch.setattr(chan, "sample_channel_block", failing)
-    link, failures = mc.Link(cfg, stream, outages=declared), 0
-    for point in calls:
+    link, failures = mc.Link(cfg, stream), 0
+    for i, (stop, point) in enumerate(calls):
+        if i in (0, len(calls) // 2):
+            declared_stop, declared = declarations[i > 0]
+            link.declare(declared, declared_stop)
         before = dict(link.estimates)
         fail["on"] = True
         try:
-            est = _point(link, point)
+            est = _estimate(link, kernel, stop, point)
         except ArithmeticError:
-            # a point that raises leaves the link's estimates as they were
+            # a call that raises leaves the link's estimates as they were
             failures += 1
             assert link.estimates.keys() == before.keys()
             assert all(link.estimates[k] is before[k] for k in before)
             continue
         finally:
             fail["on"] = False
-        assert _fields(est) == _fields(_point(mc.Link(cfg, stream), point))
+        assert _fields(est) == fresh(stop, point)
         assert all(link.estimates[k] is before[k] for k in before)
-        if point in declared:
+        if (kernel, stop, point) in before:
+            assert link.estimates.keys() == before.keys()
+        elif stop == declared_stop and point in declared:
             # the walk left every declared point's estimate on the link
-            assert set(declared) <= link.estimates.keys()
+            assert {(kernel, stop, p) for p in declared} <= link.estimates.keys()
+        else:
+            # a walk of one
+            assert link.estimates.keys() - before.keys() == {(kernel, stop, point)}
     assert failures < len(calls)
-    for point in declared:
-        if point in link.estimates:
-            assert _fields(link.estimates[point]) == _fields(
-                _point(mc.Link(cfg, stream), point))
+    for (k, stop, point), est in link.estimates.items():
+        assert k is kernel and _fields(est) == fresh(stop, point)
 
 
 OUTAGE = dict(r_target=1.0, min_events=200, max_trials=chan.BLOCK_SIZE)
@@ -572,8 +657,8 @@ def test_a_power_per_trial_gives_each_trial_its_scalar_rate(columns, extra, rho,
             kernel(h, bad)
 
 
-# Declared ergodic points.  A link that declares the keys (kernel, p_c,
-# alpha) of an ISAC and an FDSAC system computes them all in one pass, the
+# Declared ergodic points.  A link that declares the points (alpha, p_c)
+# of an ISAC and an FDSAC system computes them all in one pass, the
 # rows of several points to a kernel call in a block of at most half the
 # block size; every estimate must equal, field for field, the one a fresh
 # link without declarations gives.  BLOCK_SIZE is 64 here: 141 trials are
@@ -603,11 +688,11 @@ def test_a_swept_link_gives_each_point_the_fresh_estimate(stream, columns, rho, 
         rows.append(len(h))
         return kernel(h, p)
 
-    # the ISAC (alpha 1) and FDSAC keys of one link, and a silent 0
+    # the ISAC (alpha 1) and FDSAC points of one link, and a silent 0
     shares = sorted({1.0, alpha})
-    swept = mc.Link(cfg, stream, ergodic=[(counted, 10.0 ** (db / 10.0), a)
-                                          for db in SWEEP_DB for a in shares]
-                    + [(counted, 0.0, 1.0)])
+    swept = mc.Link(cfg, stream)
+    swept.declare([(a, 10.0 ** (db / 10.0)) for db in SWEEP_DB for a in shares]
+                  + [(1.0, 0.0)])
     for db in ASKED_DB + [None]:
         p_c = 0.0 if db is None else 10.0 ** (db / 10.0)
         for a in shares:

@@ -144,3 +144,17 @@ class TestAsymptoteAndBaseline:
     def test_fdsac_monotone_in_alpha(self):
         vals = [fdsac_sr(RT, 2, 4, 10.0, a) for a in (0.0, 0.25, 0.5, 0.75)]
         assert all(x > y for x, y in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("p_s", [1e-10, 1e-14, 1e-16])
+@pytest.mark.parametrize("rate, share, sigma2", [
+    (lambda p: ul_sr(RT, 2, 4, p)[0], 1.0, 1.0),
+    (lambda p: dl_sr(RT, 2, 4, p, 3.0)[0], 1.0, 3.0),
+    (lambda p: fdsac_sr(RT, 2, 4, p, 0.5), 0.5, 0.5)],
+    ids=["ul_sr", "dl_sr", "fdsac_sr"])
+def test_a_tiny_budget_gives_the_first_order_rate(rate, share, sigma2, p_s):
+    # a budget far below every floor goes to the strongest mode, whose rate
+    # is (N share / L) log2(1 + lambda_max p_s / sigma2) ~ (N share / L)
+    # lambda_max p_s / (sigma2 ln 2): rounding 1 + x would lose it
+    slope = (2 * share / 4) * 1.7 / (sigma2 * np.log(2.0))
+    assert rate(p_s) / p_s == pytest.approx(slope, rel=1e-6)
